@@ -84,7 +84,6 @@ from .treespace import (
     star_tree,
 )
 from .ultrametric import (
-    BasisMatrix,
     DecompositionLevel,
     UltrametricMatrix,
     ValidationReport,

@@ -93,8 +93,8 @@ _KNOWN_KEYS = {
     "prior": {"kind", "beta", "theta", "alpha_pd", "edge_mean"},
     "sampler": {"algo", "mode", "iterations", "burn_in", "sigma_l", "epsilon",
                 "leapfrog_steps", "delta", "mass", "lambda", "thin"},
-    "io": {"data", "archive", "trace", "report", "splits_csv", "out_dir"},
-    "run": {"seed", "threads", "chains", "inits"},
+    "io": {"data", "archive", "trace", "report", "splits_csv"},
+    "run": {"seed", "chains", "inits"},
     "scenario": {"p", "multipliers", "distributions", "truth_mode", "drop_count",
                  "drop_rule", "replicates", "fixed_truth", "length_mean",
                  "interval_level", "mean_passes"},
@@ -286,7 +286,6 @@ def cmd_simulate(args) -> int:
     if "p" not in sec:
         raise ConfigError("config must set [scenario] p")
     seed = int(cfg.get("run", {}).get("seed", 0))
-    threads = args.threads or int(cfg.get("run", {}).get("threads", 1))
     algo, scfg = _sampler_from_config(cfg, seed)
     scenario = Scenario(
         p=int(sec["p"]),
@@ -305,7 +304,7 @@ def cmd_simulate(args) -> int:
         mean_passes=int(sec.get("mean_passes", 3)),
         master_seed=seed,
     )
-    report = run_scenario(scenario, threads=threads, force=args.force)
+    report = run_scenario(scenario, force=args.force)
     io_sec = cfg.get("io", {})
     json_path = io_sec.get("report", "scenario.json")
     csv_path = io_sec.get("splits_csv", "recovery.csv")
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a replicated simulation scenario")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--threads", type=int, default=0)
     sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=cmd_simulate)
 

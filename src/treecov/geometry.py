@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
-from .rng import RngStream
 from .treespace import Split, Topology, Tree, _masks_compatible
 from .ultrametric import as_matrix, matrix_to_tree, DEFAULT_TOL
 
@@ -336,15 +335,11 @@ class MeanConfig:
     """
 
     max_iterations: int | None = None
-    pass_order: str = "cyclic"
     tolerance: float = 1e-8
-    rng: RngStream | None = None
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
-        if self.pass_order not in ("cyclic", "random"):
-            raise InvalidArgumentError(f"unknown pass_order {self.pass_order!r}")
         if self.tolerance <= 0:
             raise InvalidArgumentError("tolerance must be positive")
 
@@ -366,14 +361,10 @@ def frechet_mean(trees: Sequence[Tree], cfg: MeanConfig | None = None) -> Tree:
         cfg = MeanConfig()
     n = len(trees)
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 5000 * n
-    rng = cfg.rng if cfg.rng is not None else RngStream(0)
     x = trees[0]
     small_steps = 0
     for k in range(1, max_iter + 1):
-        if cfg.pass_order == "cyclic":
-            y = trees[k % n]
-        else:
-            y = trees[rng.integers(n)]
+        y = trees[k % n]
         support = _compute_support(x, y)
         dist = support.internal_length() + _leaf_root_norm(x, y)
         step = dist / (k + 1)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import as_matrix, tree_to_matrix
+from .ultrametric import _positions, as_matrix, tree_to_matrix
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -91,6 +91,15 @@ def suff_stats(data: DataSet) -> SufficientStats:
     return SufficientStats(data.n, 0.5 * (S + S.T))
 
 
+def _factor(sigma: np.ndarray):
+    try:
+        return cho_factor(sigma, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"covariance matrix is not numerically positive definite ({exc})"
+        ) from exc
+
+
 def gaussian_loglik(stats: SufficientStats, m) -> float:
     """Exact mean-zero Gaussian log likelihood at a covariance matrix.
 
@@ -103,14 +112,31 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     arr = as_matrix(m)
     if arr.shape[0] != stats.p:
         raise DimensionError(f"matrix is {arr.shape[0]}x, data are {stats.p}-variate")
-    try:
-        cf = cho_factor(arr, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    cf = _factor(arr)
     logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
     quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
     n, p = stats.n, stats.p
     return -0.5 * (n * p * LOG_2PI + n * logdet + quad)
+
+
+def split_gradient(stats: SufficientStats, sigma: np.ndarray,
+                   masks) -> np.ndarray:
+    """Log-likelihood gradient in the length of each split bitmask at ``sigma``.
+
+    Entry ``j`` is ``-(n/2) v' W v + (1/2) v' W A W v`` for the indicator
+    ``v`` of ``masks[j]``, with ``W = sigma^-1`` from one factorization.
+    Raises ``NotPositiveDefiniteError`` when the factorization fails.
+    """
+    cf = _factor(sigma)
+    p = sigma.shape[0]
+    W = cho_solve(cf, np.eye(p), check_finite=False)
+    G = W @ stats.S @ W
+    out = np.empty(len(masks))
+    for j, m in enumerate(masks):
+        idx = _positions(p, m)
+        block = np.ix_(idx, idx)
+        out[j] = -0.5 * stats.n * float(W[block].sum()) + 0.5 * float(G[block].sum())
+    return out
 
 
 def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
@@ -119,21 +145,9 @@ def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
     Keys are splits: singletons for leaf edges, the full set for the root
     edge, and the internal splits.  All lengths must be strictly positive.
     """
-    sigma = tree_to_matrix(t).values
-    try:
-        cf = cho_factor(sigma, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    p = t.p
-    W = cho_solve(cf, np.eye(p), check_finite=False)
-    G = W @ stats.S @ W
-    out: dict[Split, float] = {}
-    for s, _length in t.coordinates():
-        idx = np.array(s.leaves()) - 1
-        w_quad = float(W[np.ix_(idx, idx)].sum())
-        g_quad = float(G[np.ix_(idx, idx)].sum())
-        out[s] = -0.5 * stats.n * w_quad + 0.5 * g_quad
-    return out
+    splits = [s for s, _length in t.coordinates()]
+    grad = split_gradient(stats, tree_to_matrix(t).values, [s.mask for s in splits])
+    return {s: float(g) for s, g in zip(splits, grad)}
 
 
 def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:

@@ -31,11 +31,6 @@ def split_frequencies(archive: PosteriorArchive) -> dict[Split, float]:
     return {s: c / n for s, c in sorted(counts.items(), key=lambda kv: kv[0].mask)}
 
 
-def split_frequency(archive: PosteriorArchive, split: Split) -> float:
-    """Frequency of one split; absent splits report zero."""
-    return split_frequencies(archive).get(split, 0.0)
-
-
 def _stacked_matrices(archive: PosteriorArchive) -> np.ndarray:
     return np.stack([tree_to_matrix(t).values for t in archive.trees()])
 

@@ -29,6 +29,7 @@ from .treespace import (
     Split,
     Topology,
     Tree,
+    _sample_resolved_splits,
     fragmentation_events,
 )
 
@@ -194,26 +195,10 @@ def sample_topology_prior(p: int, spec: PriorSpec, rng: RngStream) -> Topology:
     """Draw a topology by recursive fragmentation from the root block."""
     if p < 2:
         raise InvalidArgumentError(f"need p >= 2, got {p}")
+    if spec.kind == "beta-splitting":
+        return Topology(p, _sample_resolved_splits(p, spec.beta, rng))
+    _check_pd_params(spec.theta, spec.alpha_pd)
     splits: list[Split] = []
-
-    def rec_binary(labels: tuple[int, ...]):
-        n = len(labels)
-        if n < 2:
-            return
-        if n == 2:
-            return
-        k = _betasplit.sample_first_block_size(n, spec.beta, rng)
-        rest = list(labels[1:])
-        picked = set()
-        for _ in range(k - 1):
-            j = rng.integers(len(rest))
-            picked.add(rest.pop(j))
-        left = tuple(sorted({labels[0]} | picked))
-        right = tuple(l for l in labels if l not in set(left))
-        for block in (left, right):
-            if 2 <= len(block) <= p - 1:
-                splits.append(Split.from_leaves(p, block))
-            rec_binary(block)
 
     def rec_pd(labels: tuple[int, ...]):
         n = len(labels)
@@ -226,10 +211,5 @@ def sample_topology_prior(p: int, spec: PriorSpec, rng: RngStream) -> Topology:
                 splits.append(Split.from_leaves(p, block))
             rec_pd(block)
 
-    labels = tuple(range(1, p + 1))
-    if spec.kind == "beta-splitting":
-        rec_binary(labels)
-    else:
-        _check_pd_params(spec.theta, spec.alpha_pd)
-        rec_pd(labels)
+    rec_pd(tuple(range(1, p + 1)))
     return Topology(p, frozenset(splits))

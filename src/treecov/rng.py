@@ -31,10 +31,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
-    def derive(self, offset: int) -> "RngStream":
-        """Return a fresh independent stream with id ``stream_id + offset``."""
-        return RngStream(self.seed, self.stream_id + int(offset))
-
     # thin draw helpers so callers never touch the generator directly
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
@@ -51,10 +47,6 @@ class RngStream:
     def integers(self, n: int) -> int:
         """Uniform integer in ``[0, n)``."""
         return int(self.generator.integers(n))
-
-    def choice(self, seq):
-        """Uniform choice from a sequence (by index, type-agnostic)."""
-        return seq[self.integers(len(seq))]
 
     def shuffled(self, seq):
         order = self.generator.permutation(len(seq))

@@ -24,30 +24,48 @@ unresolved topologies carry exactly their posterior mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
-from .errors import InvalidArgumentError, InvalidTreeError
-from .model import DataSet, SufficientStats, suff_stats
-from .priors import PriorSpec, beta_split_log_prior, pd_log_prior
+from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
+from .model import DataSet, SufficientStats, gaussian_loglik, split_gradient, suff_stats
+from .priors import (
+    BETA_UNIFORM,
+    PriorSpec,
+    beta_split_log_prior,
+    edge_length_log_prior,
+    tree_log_prior,
+)
 from .rng import RngStream
 from .treespace import Split, Topology, Tree, _growth_candidates
-from .ultrametric import tree_to_matrix
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .ultrametric import add_split, tree_to_matrix
 
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+class _Schedule:
+    """Iteration schedule checks and serialization shared by both configs."""
+
+    def __post_init__(self):
+        if not 0 <= self.burn_in < self.iterations:
+            raise InvalidArgumentError("need 0 <= burn_in < iterations")
+        if self.thin < 1:
+            raise InvalidArgumentError("thin must be >= 1")
+
+    def to_dict(self) -> dict:
+        return {"algo": self.algo, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class MhConfig:
+class MhConfig(_Schedule):
     """Metropolis-Hastings run settings."""
 
+    algo: ClassVar[str] = "mh"
     iterations: int = 10000
     burn_in: int = 9000
     sigma_L: float = 0.1
@@ -57,27 +75,18 @@ class MhConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.iterations:
-            raise InvalidArgumentError("need 0 <= burn_in < iterations")
+        super().__post_init__()
         if self.sigma_L <= 0:
             raise InvalidArgumentError("sigma_L must be positive")
         if self.mode not in ("binary", "multifurcating"):
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
-        if self.thin < 1:
-            raise InvalidArgumentError("thin must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "algo": "mh", "iterations": self.iterations, "burn_in": self.burn_in,
-            "sigma_L": self.sigma_L, "mode": self.mode, "seed": self.seed,
-            "thin": self.thin, "prior": vars(self.prior),
-        }
 
 
 @dataclass(frozen=True)
-class HmcConfig:
+class HmcConfig(_Schedule):
     """Hamiltonian run settings; ``lam`` is the edge-length prior rate."""
 
+    algo: ClassVar[str] = "hmc"
     iterations: int = 300
     burn_in: int = 225
     step_size: float = 0.0015
@@ -89,8 +98,7 @@ class HmcConfig:
     thin: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.burn_in < self.iterations:
-            raise InvalidArgumentError("need 0 <= burn_in < iterations")
+        super().__post_init__()
         if self.step_size <= 0:
             raise InvalidArgumentError("step_size must be positive")
         if self.leapfrog_steps < 1:
@@ -103,40 +111,14 @@ class HmcConfig:
             raise InvalidArgumentError(
                 "lam must be non-negative (zero means a flat length prior)"
             )
-        if self.thin < 1:
-            raise InvalidArgumentError("thin must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "algo": "hmc", "iterations": self.iterations, "burn_in": self.burn_in,
-            "step_size": self.step_size, "leapfrog_steps": self.leapfrog_steps,
-            "delta": self.delta, "mass": self.mass, "lam": self.lam,
-            "seed": self.seed, "thin": self.thin,
-        }
 
 
 # ---------------------------------------------------------------------------
-# shared low-level state
+# Metropolis-Hastings state and updates
 # ---------------------------------------------------------------------------
 
-def _mask_indices(p: int, mask: int) -> np.ndarray:
-    return np.array([i for i in range(p) if mask >> i & 1])
-
-
-def _loglik(sigma: np.ndarray | None, stats: SufficientStats) -> float:
-    if stats.n == 0:
-        return 0.0
-    cf = cho_factor(sigma, lower=True, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
-    return -0.5 * (stats.n * stats.p * LOG_2PI + stats.n * logdet + quad)
-
-
-def _topology_log_prior(p: int, masks, prior: PriorSpec) -> float:
-    topo = Topology(p, frozenset(Split(p, m) for m in masks))
-    if prior.kind == "beta-splitting":
-        return beta_split_log_prior(topo, prior.beta)
-    return pd_log_prior(topo, prior.theta, prior.alpha_pd)
+def _topology(p: int, masks) -> Topology:
+    return Topology(p, frozenset(Split(p, m) for m in masks))
 
 
 class ChainState:
@@ -148,10 +130,6 @@ class ChainState:
     """
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
-        if tree.p != stats.p and stats.n > 0:
-            raise InvalidArgumentError(
-                f"tree has p={tree.p} but data are {stats.p}-variate"
-            )
         self.p = tree.p
         self.internal: dict[int, float] = {
             s.mask: v for s, v in tree.internal_lengths.items()
@@ -159,22 +137,13 @@ class ChainState:
         self.leaf = np.asarray(tree.leaf_lengths, dtype=float).copy()
         self.root = float(tree.root_length)
         self.sigma = tree_to_matrix(tree).values.copy() if stats.n else None
-        self.log_lik = _loglik(self.sigma, stats)
-        self.log_prior_topo = _topology_log_prior(self.p, self.internal, prior)
-        self.log_prior_len = self._length_log_prior(prior.edge_mean)
-        self.iteration = 0
+        self.log_lik = gaussian_loglik(stats, self.sigma)
+        self.log_prior_topo = prior.topology_log_prior(tree.topology)
+        self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0
         self.accepted_lengths = 0
         self.proposed_lengths = 0
-
-    def _length_log_prior(self, a: float) -> float:
-        log_a = math.log(a)
-        total = -(self.root / a + log_a)
-        total -= float(np.sum(self.leaf)) / a + self.p * log_a
-        for v in self.internal.values():
-            total -= v / a + log_a
-        return total
 
     @property
     def log_prior(self) -> float:
@@ -185,21 +154,29 @@ class ChainState:
         return Tree(Topology(self.p, frozenset(splits)), splits,
                     tuple(self.leaf), self.root)
 
+    def propose(self, stats: SufficientStats,
+                changes) -> tuple[np.ndarray | None, float]:
+        """Covariance and log likelihood after adding each ``(mask, value)`` change.
+
+        The cached state is left untouched; without data nothing is built.
+        """
+        if not stats.n:
+            return None, self.log_lik
+        sigma = self.sigma.copy()
+        for mask, value in changes:
+            add_split(sigma, mask, value)
+        return sigma, gaussian_loglik(stats, sigma)
+
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
         t = self.tree()
-        ll = _loglik(tree_to_matrix(t).values if stats.n else None, stats)
+        ll = gaussian_loglik(stats, tree_to_matrix(t))
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
-        lp = _topology_log_prior(self.p, self.internal, prior) \
-            + self._length_log_prior(prior.edge_mean)
+        lp = tree_log_prior(t, prior)
         if abs(lp - self.log_prior) > tol:
             raise AssertionError(f"stale log_prior: {self.log_prior} vs {lp}")
 
-
-# ---------------------------------------------------------------------------
-# Metropolis-Hastings updates
-# ---------------------------------------------------------------------------
 
 def _log_shrink_prob(m: int, p: int) -> float:
     """Log probability of entering the shrink branch at a state with m splits."""
@@ -224,7 +201,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     """One topology proposal.
 
     Binary mode shrinks a uniformly chosen internal edge to zero and regrows
-    one of the two strict alternatives with the same length; the kernel is
+    one of the compatible alternatives with the same length; the kernel is
     symmetric, so acceptance compares topology prior times likelihood only.
 
     Multifurcating mode wraps dimension moves around that replacement.  Its
@@ -241,54 +218,19 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     m = len(masks)
     p = state.p
     a = cfg.prior.edge_mean
+    binary = cfg.mode == "binary"
+    if not masks and (binary or p < 3):
+        return state  # no split to shrink and none to grow
 
-    if cfg.mode == "binary":
-        if not masks:
-            return state
-        mask_a = masks[rng.integers(m)]
-        d = state.internal[mask_a]
-        remainder = [x for x in masks if x != mask_a]
-        cands = [s.mask for s in _growth_candidates(p, remainder)
-                 if s.mask != mask_a]
-        mask_b = cands[rng.integers(len(cands))]
-        state.proposed_topology += 1
-        new_topo_lp = _topology_log_prior(p, remainder + [mask_b], cfg.prior)
-        new_sigma = None
-        new_ll = state.log_lik
-        if stats.n:
-            new_sigma = state.sigma.copy()
-            idx = _mask_indices(p, mask_a)
-            new_sigma[np.ix_(idx, idx)] -= d
-            idx_b = _mask_indices(p, mask_b)
-            new_sigma[np.ix_(idx_b, idx_b)] += d
-            new_ll = _loglik(new_sigma, stats)
-        log_alpha = (new_topo_lp - state.log_prior_topo) \
-            + (new_ll - state.log_lik)
-        if math.log(rng.uniform()) < log_alpha:
-            state.accepted_topology += 1
-            del state.internal[mask_a]
-            state.internal[mask_b] = d
-            state.sigma = new_sigma
-            state.log_lik = new_ll
-            state.log_prior_topo = new_topo_lp
-        return state
-
-    # multifurcating mode: choose between the shrink and grow branches
-    grow = m == 0 or (m < p - 2 and rng.uniform() < 0.5)
+    grow = not binary and (m == 0 or (m < p - 2 and rng.uniform() < 0.5))
     state.proposed_topology += 1
 
     if grow:
         grow_cands = [s.mask for s in _growth_candidates(p, masks)]
         mask_b = grow_cands[rng.integers(len(grow_cands))]
         d_new = rng.exponential(a)
-        new_topo_lp = _topology_log_prior(p, masks + [mask_b], cfg.prior)
-        new_sigma = None
-        new_ll = state.log_lik
-        if stats.n:
-            new_sigma = state.sigma.copy()
-            idx_b = _mask_indices(p, mask_b)
-            new_sigma[np.ix_(idx_b, idx_b)] += d_new
-            new_ll = _loglik(new_sigma, stats)
+        new_topo_lp = cfg.prior.topology_log_prior(_topology(p, masks + [mask_b]))
+        sigma, new_ll = state.propose(stats, [(mask_b, d_new)])
         # reverse move: the shrink branch picks this split and stays
         log_alpha = (new_topo_lp - state.log_prior_topo) \
             + (new_ll - state.log_lik) \
@@ -297,8 +239,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_topology += 1
             state.internal[mask_b] = d_new
-            state.sigma = new_sigma
-            state.log_lik = new_ll
+            state.sigma, state.log_lik = sigma, new_ll
             state.log_prior_topo = new_topo_lp
             state.log_prior_len -= d_new / a + math.log(a)
         return state
@@ -308,22 +249,14 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     remainder = [x for x in masks if x != mask_a]
     cands = [s.mask for s in _growth_candidates(p, remainder)
              if s.mask != mask_a]
-    j = rng.integers(len(cands) + 1)
+    # binary mode never stays at the boundary
+    j = rng.integers(len(cands) if binary else len(cands) + 1)
     stay = j == len(cands)
     mask_b = None if stay else cands[j]
-
     new_masks = remainder if stay else remainder + [mask_b]
-    new_topo_lp = _topology_log_prior(p, new_masks, cfg.prior)
-    new_sigma = None
-    new_ll = state.log_lik
-    if stats.n:
-        new_sigma = state.sigma.copy()
-        idx = _mask_indices(p, mask_a)
-        new_sigma[np.ix_(idx, idx)] -= d
-        if not stay:
-            idx_b = _mask_indices(p, mask_b)
-            new_sigma[np.ix_(idx_b, idx_b)] += d
-        new_ll = _loglik(new_sigma, stats)
+    new_topo_lp = cfg.prior.topology_log_prior(_topology(p, new_masks))
+    changes = [(mask_a, -d)] if stay else [(mask_a, -d), (mask_b, d)]
+    sigma, new_ll = state.propose(stats, changes)
 
     log_alpha = (new_topo_lp - state.log_prior_topo) + (new_ll - state.log_lik)
     if stay:
@@ -334,12 +267,11 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     if math.log(rng.uniform()) < log_alpha:
         state.accepted_topology += 1
         del state.internal[mask_a]
-        if not stay:
-            state.internal[mask_b] = d
-        else:
+        if stay:
             state.log_prior_len += d / a + math.log(a)
-        state.sigma = new_sigma
-        state.log_lik = new_ll
+        else:
+            state.internal[mask_b] = d
+        state.sigma, state.log_lik = sigma, new_ll
         state.log_prior_topo = new_topo_lp
     return state
 
@@ -373,10 +305,8 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     ratio carries the exponential prior, the likelihood, and the
     truncated-normal normalization asymmetry.
     """
-    p = state.p
-    full = (1 << p) - 1
-    coords: list[int] = [1 << i for i in range(p)] + sorted(state.internal) + [full]
-    coords.sort()
+    full = (1 << state.p) - 1
+    coords = sorted([1 << i for i in range(state.p)] + list(state.internal) + [full])
     a = cfg.prior.edge_mean
     sd = cfg.sigma_L
     for mask in coords:
@@ -388,22 +318,7 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
             cur = state.internal[mask]
         prop = _sample_truncnorm(cur, sd, rng)
         state.proposed_lengths += 1
-
-        new_sigma = None
-        new_ll = state.log_lik
-        if stats.n:
-            new_sigma = state.sigma.copy()
-            delta = prop - cur
-            if mask == full:
-                new_sigma += delta
-            elif mask.bit_count() == 1:
-                i = mask.bit_length() - 1
-                new_sigma[i, i] += delta
-            else:
-                idx = _mask_indices(p, mask)
-                new_sigma[np.ix_(idx, idx)] += delta
-            new_ll = _loglik(new_sigma, stats)
-
+        sigma, new_ll = state.propose(stats, [(mask, prop - cur)])
         log_alpha = mh_length_log_ratio(cur, prop, new_ll - state.log_lik, a, sd)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_lengths += 1
@@ -413,8 +328,7 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
                 state.leaf[mask.bit_length() - 1] = prop
             else:
                 state.internal[mask] = prop
-            state.sigma = new_sigma
-            state.log_lik = new_ll
+            state.sigma, state.log_lik = sigma, new_ll
             state.log_prior_len -= (prop - cur) / a
     return state
 
@@ -439,18 +353,15 @@ class HmcState:
         self.a = np.zeros(len(items))
         self.mass = np.full(len(items), float(cfg.mass))
         self.potential = math.nan
-        self.kinetic = math.nan
         self.accepted = 0
         self.proposed = 0
 
-    def copy_coords(self):
-        return list(self.masks), self.d.copy(), self.a.copy()
-
-    def restore_coords(self, saved):
-        self.masks, self.d, self.a = list(saved[0]), saved[1].copy(), saved[2].copy()
-
-    def momentum(self) -> dict[Split, float]:
-        return {Split(self.p, m): float(v) for m, v in zip(self.masks, self.a)}
+    def covariance(self, lengths: np.ndarray) -> np.ndarray:
+        """The matrix with the given length on each slot's split, in slot order."""
+        sigma = np.zeros((self.p, self.p))
+        for m, v in zip(self.masks, lengths):
+            add_split(sigma, m, v)
+        return sigma
 
     def tree(self) -> Tree:
         p = self.p
@@ -480,38 +391,16 @@ def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return g, dg
 
 
-def _sigma_from(masks, vals, p: int) -> np.ndarray:
-    sigma = np.zeros((p, p))
-    for m, v in zip(masks, vals):
-        if m == (1 << p) - 1:
-            sigma += v
-        elif m.bit_count() == 1:
-            i = m.bit_length() - 1
-            sigma[i, i] += v
-        else:
-            idx = _mask_indices(p, m)
-            sigma[np.ix_(idx, idx)] += v
-    return sigma
-
-
 def _grad_potential(state: HmcState, stats: SufficientStats,
                     cfg: HmcConfig) -> np.ndarray | None:
     """Gradient of the surrogate potential; ``None`` if factorization fails."""
     g, dg = _surrogate(state.d, cfg.delta)
     grad = np.full(len(state.masks), cfg.lam)
     if stats.n:
-        sigma = _sigma_from(state.masks, g, state.p)
         try:
-            cf = cho_factor(sigma, lower=True, check_finite=False)
-        except LinAlgError:
+            grad -= split_gradient(stats, state.covariance(g), state.masks)
+        except NotPositiveDefiniteError:
             return None
-        W = cho_solve(cf, np.eye(state.p), check_finite=False)
-        G = W @ stats.S @ W
-        for j, m in enumerate(state.masks):
-            idx = _mask_indices(state.p, m)
-            w_quad = float(W[np.ix_(idx, idx)].sum())
-            g_quad = float(G[np.ix_(idx, idx)].sum())
-            grad[j] -= -0.5 * stats.n * w_quad + 0.5 * g_quad
     return grad * dg
 
 
@@ -524,15 +413,10 @@ def _true_potential(state: HmcState, stats: SufficientStats,
         prior = cfg.lam * float(np.sum(state.d)) - q * math.log(cfg.lam)
     if stats.n == 0:
         return prior
-    sigma = _sigma_from(state.masks, state.d, state.p)
     try:
-        cf = cho_factor(sigma, lower=True, check_finite=False)
-    except LinAlgError:
+        return -gaussian_loglik(stats, state.covariance(state.d)) + prior
+    except NotPositiveDefiniteError:
         return math.inf
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
-    ll = -0.5 * (stats.n * stats.p * LOG_2PI + stats.n * logdet + quad)
-    return -ll + prior
 
 
 def _kinetic(state: HmcState) -> float:
@@ -612,31 +496,24 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     state.a = rng.generator.normal(size=len(state.masks)) * np.sqrt(state.mass)
     u_cur = _true_potential(state, stats, cfg)
     h_cur = u_cur + _kinetic(state)
-    saved = state.copy_coords()
+    saved = (list(state.masks), state.d.copy(), state.a.copy())
 
     state.proposed += 1
-    failed = False
     for _ in range(cfg.leapfrog_steps):
         hmc_leapfrog(state, stats, cfg, rng, chooser)
         if state.potential == math.inf:
-            failed = True
+            u_prop = h_prop = math.inf
             break
-    if failed:
-        u_prop, h_prop = math.inf, math.inf
     else:
         u_prop = _true_potential(state, stats, cfg)
         h_prop = u_prop + _kinetic(state)
 
-    accept = False
-    if math.isfinite(h_prop):
-        accept = math.log(rng.uniform()) < h_cur - h_prop
-    if accept:
+    if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1
         state.potential = u_prop
     else:
-        state.restore_coords(saved)
+        state.masks, state.d, state.a = saved
         state.potential = u_cur
-    state.kinetic = _kinetic(state)
     return state
 
 
@@ -644,7 +521,29 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 # chain driver
 # ---------------------------------------------------------------------------
 
-def run_chain(data: DataSet | None, init: Tree, algo: str,
+def _drive(archive: PosteriorArchive, cfg: MhConfig | HmcConfig, step):
+    """Run every iteration, tracing its log likelihood and keeping retained states.
+
+    ``step()`` advances the chain and returns ``(log_lik, snapshot)``;
+    ``snapshot()`` gives the current tree and log prior.
+    """
+    for it in range(1, cfg.iterations + 1):
+        log_lik, snapshot = step()
+        archive.trace.append((it, log_lik))
+        if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
+            t, log_prior = snapshot()
+            archive.records.append(ArchiveRecord(
+                iteration=it,
+                log_prior=log_prior,
+                log_lik=log_lik,
+                splits=tuple(t.internal_lengths),
+                lengths=dict(t.internal_lengths),
+                leaf_lengths=t.leaf_lengths,
+                root_length=t.root_length,
+            ))
+
+
+def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
               cfg: MhConfig | HmcConfig) -> PosteriorArchive:
     """Run one chain and collect every retained state plus the full trace.
 
@@ -653,14 +552,12 @@ def run_chain(data: DataSet | None, init: Tree, algo: str,
     """
     if data is None:
         stats = SufficientStats.empty(init.p)
-    elif isinstance(data, SufficientStats):
-        stats = data
     else:
         if data.p != init.p:
             raise InvalidArgumentError(
                 f"data have p={data.p} but init tree has p={init.p}"
             )
-        stats = suff_stats(data)
+        stats = data if isinstance(data, SufficientStats) else suff_stats(data)
 
     rng = RngStream(cfg.seed, stream_id=0)
     archive = PosteriorArchive(
@@ -675,22 +572,13 @@ def run_chain(data: DataSet | None, init: Tree, algo: str,
         if cfg.mode == "binary" and not init.topology.is_resolved:
             raise InvalidTreeError("binary mode requires a resolved initial tree")
         state = ChainState(init, stats, cfg.prior)
-        for it in range(1, cfg.iterations + 1):
-            state.iteration = it
+
+        def mh_step():
             mh_topology_update(state, stats, cfg, rng)
             mh_length_update(state, stats, cfg, rng)
-            archive.trace.append((it, state.log_lik))
-            if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
-                t = state.tree()
-                archive.records.append(ArchiveRecord(
-                    iteration=it,
-                    log_prior=state.log_prior,
-                    log_lik=state.log_lik,
-                    splits=tuple(sorted(t.internal_lengths, key=lambda s: s.mask)),
-                    lengths=dict(t.internal_lengths),
-                    leaf_lengths=t.leaf_lengths,
-                    root_length=t.root_length,
-                ))
+            return state.log_lik, lambda: (state.tree(), state.log_prior)
+
+        _drive(archive, cfg, mh_step)
         archive.provenance["accept_topology"] = state.accepted_topology
         archive.provenance["accept_lengths"] = state.accepted_lengths
         archive.provenance["proposed_topology"] = state.proposed_topology
@@ -703,27 +591,21 @@ def run_chain(data: DataSet | None, init: Tree, algo: str,
         if not init.topology.is_resolved:
             raise InvalidTreeError("the Hamiltonian kernel requires a resolved tree")
         state = HmcState(init, cfg)
-        topo_lp = beta_split_log_prior(init.topology, -1.5)
-        for it in range(1, cfg.iterations + 1):
+        topo_lp = beta_split_log_prior(init.topology, BETA_UNIFORM)
+
+        def log_prior() -> float:
+            out = topo_lp
+            if cfg.lam > 0.0:
+                out += len(state.masks) * math.log(cfg.lam) \
+                    - cfg.lam * float(np.sum(state.d))
+            return out
+
+        def hmc_chain_step():
             hmc_step(state, stats, cfg, rng)
             t = state.tree()
-            ll = _loglik(tree_to_matrix(t).values if stats.n else None, stats)
-            archive.trace.append((it, ll))
-            if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
-                q = len(state.masks)
-                log_prior = topo_lp
-                if cfg.lam > 0.0:
-                    log_prior += q * math.log(cfg.lam) \
-                        - cfg.lam * float(np.sum(state.d))
-                archive.records.append(ArchiveRecord(
-                    iteration=it,
-                    log_prior=log_prior,
-                    log_lik=ll,
-                    splits=tuple(sorted(t.internal_lengths, key=lambda s: s.mask)),
-                    lengths=dict(t.internal_lengths),
-                    leaf_lengths=t.leaf_lengths,
-                    root_length=t.root_length,
-                ))
+            return gaussian_loglik(stats, tree_to_matrix(t)), lambda: (t, log_prior())
+
+        _drive(archive, cfg, hmc_chain_step)
         archive.provenance["accept_hmc"] = state.accepted
         archive.provenance["proposed_hmc"] = state.proposed
         return archive

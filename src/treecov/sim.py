@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -252,13 +251,12 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     )
 
 
-def run_scenario(s: Scenario, threads: int = 1, force: bool = False,
+def run_scenario(s: Scenario, force: bool = False,
                  cost_cap_seconds: float = 3600.0) -> ScenarioReport:
     """Execute every (distribution, sample size, replicate) cell and score it.
 
     Refuses scenarios whose estimated cost exceeds the cap unless forced.
-    Replicates run on independent streams, so thread-level fan-out does not
-    change any result.
+    Replicates run serially, each on its own independent streams.
     """
     est = estimate_cost_seconds(s)
     if est > cost_cap_seconds and not force:
@@ -275,11 +273,7 @@ def run_scenario(s: Scenario, threads: int = 1, force: bool = False,
             cell_idx += 1
 
     t0 = time.time()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda j: _run_replicate(s, *j), jobs))
-    else:
-        outputs = [_run_replicate(s, *j) for j in jobs]
+    outputs = [_run_replicate(s, *j) for j in jobs]
     elapsed = time.time() - t0
 
     results = [o[0] for o in outputs]

@@ -112,31 +112,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BasisMatrix:
-    """The rank-one 0/1 basis matrix of a split, stored implicitly."""
-
-    split: Split
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.split.p, self.split.p))
-        idx = np.array(self.split.leaves()) - 1
-        out[np.ix_(idx, idx)] = 1.0
-        return out
-
-    def indicator(self) -> np.ndarray:
-        v = np.zeros(self.split.p)
-        v[np.array(self.split.leaves()) - 1] = 1.0
-        return v
-
-
-@dataclass(frozen=True)
 class DecompositionLevel:
     """One peeling step: smallest entry, blocks, and the induced permutation."""
 
     alpha: float
     blocks: tuple[tuple[int, ...], ...]      # leaf labels, 1-based
     permutation: tuple[int, ...]             # new position -> original index, 0-based
-    basis: tuple[BasisMatrix, ...]
 
     @property
     def k(self) -> int:
@@ -213,14 +194,35 @@ def _three_point_witness(arr: np.ndarray, tol: float):
     return None
 
 
+def _positions(p: int, mask: int) -> list[int]:
+    """0-based row indices of the leaves in a split bitmask."""
+    return [i for i in range(p) if mask >> i & 1]
+
+
+def add_split(sigma: np.ndarray, mask: int, value: float) -> None:
+    """Add ``value * E_A`` to ``sigma`` in place, for the split ``A`` = ``mask``.
+
+    The root split adds to every entry, a leaf edge to one diagonal entry,
+    and an internal split to the block of its leaves.
+    """
+    p = sigma.shape[0]
+    if mask == (1 << p) - 1:
+        sigma += value
+    elif mask.bit_count() == 1:
+        i = mask.bit_length() - 1
+        sigma[i, i] += value
+    else:
+        idx = _positions(p, mask)
+        sigma[np.ix_(idx, idx)] += value
+
+
 def tree_to_matrix(t: Tree) -> UltrametricMatrix:
     """The linear split representation of a tree (always strictly ultrametric)."""
     p = t.p
     out = np.full((p, p), t.root_length, dtype=float)
     out[np.diag_indices(p)] += np.asarray(t.leaf_lengths)
     for s, v in t.internal_lengths.items():
-        idx = np.array(s.leaves()) - 1
-        out[np.ix_(idx, idx)] += v
+        add_split(out, s.mask, v)
     return UltrametricMatrix(out)
 
 
@@ -270,8 +272,7 @@ def decompose_step(m, tol: float = DEFAULT_TOL) -> DecompositionLevel:
     labels = tuple(range(1, p + 1))
     blocks = _blocks_of(arr, labels, alpha, tol)
     order = [i - 1 for block in blocks for i in block]
-    basis = tuple(BasisMatrix(Split.from_leaves(p, block)) for block in blocks)
-    return DecompositionLevel(alpha, tuple(blocks), tuple(order), basis)
+    return DecompositionLevel(alpha, tuple(blocks), tuple(order))
 
 
 def matrix_to_tree(m, tol: float = DEFAULT_TOL) -> Tree:

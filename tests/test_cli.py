@@ -192,6 +192,29 @@ seed = 5
         assert (tmp_path / "a-chain1.jsonl").exists()
         assert (tmp_path / "t-chain2.csv").exists()
 
+    def test_non_positive_definite_init_exit_one(self, tmp_path, capsys):
+        # leaf lengths below the root's rounding give a singular covariance
+        (tmp_path / "init.nwk").write_text(tree_to_newick(star_tree((1e-17, 1e-17), 1.0)))
+        write_dataset_csv(tmp_path / "data.csv",
+                          sample_gaussian(np.eye(2), 20, RngStream(1)))
+        cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 2
+
+[sampler]
+iterations = 10
+burn_in = 5
+
+[io]
+data = {tmp_path / 'data.csv'}
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+""")
+        assert main(["sample", "--config", cfg,
+                     "--inits", str(tmp_path / "init.nwk")]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert "positive definite" in out["error"]
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.ini", "[model]\np = 3\nwhat = 1\n")
         assert main(["sample", "--config", cfg]) == 2
@@ -223,6 +246,13 @@ seed = 4
         assert main(["simulate", "--config", cfg]) == 0
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert "cells" in rep and rep["p"] == 4
+
+    @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir")])
+    def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "sim.ini",
+                           f"[scenario]\np = 4\n\n[{section}]\n{key} = 2\n")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert key in json.loads(capsys.readouterr().out)["error"]
 
     def test_mean_from_newick_list(self, tmp_path, capsys):
         trees = [random_tree(4, "uniform-binary", 1.0, RngStream(7, i))

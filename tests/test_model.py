@@ -16,6 +16,7 @@ from treecov.model import (
     loglik_gradient,
     sample_gaussian,
     sample_t,
+    split_gradient,
     suff_stats,
 )
 from treecov.rng import RngStream
@@ -89,6 +90,11 @@ class TestGaussianLoglik:
         stats = SufficientStats(2, np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
             gaussian_loglik(stats, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_gradient_not_positive_definite(self):
+        stats = SufficientStats(2, np.eye(2))
+        with pytest.raises(NotPositiveDefiniteError):
+            split_gradient(stats, np.ones((2, 2)), [0b01, 0b11])
 
     def test_permutation_invariance(self, rng):
         p = 5

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from _oracles import ks_statistic_exponential
-from treecov.errors import InvalidArgumentError, InvalidTreeError
+from treecov.errors import (
+    InvalidArgumentError,
+    InvalidTreeError,
+    NotPositiveDefiniteError,
+)
 from treecov.model import SufficientStats, sample_gaussian, suff_stats
 from treecov.priors import PriorSpec
 from treecov.rng import RngStream
@@ -20,7 +24,7 @@ from treecov.samplers import (
     mh_topology_update,
     run_chain,
 )
-from treecov.treespace import Split, Topology, Tree, random_tree
+from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import tree_to_matrix, validate_ultrametric
 
 
@@ -110,6 +114,38 @@ class TestTopologyUpdate:
             state.tree()  # structure stays valid
         assert saw_unresolved
         state.check_consistency(stats, cfg.prior)
+
+    def test_multifurcating_consistency_with_data(self, rng):
+        # drop, grow and replacement moves interleaved with length sweeps keep
+        # the cached covariance, likelihood and prior equal to a fresh
+        # computation
+        truth = random_tree(6, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 60, rng))
+        cfg = MhConfig(mode="multifurcating", prior=PriorSpec(kind="poisson-dirichlet"))
+        state = ChainState(random_tree(6, "uniform-binary", 1.0, rng), stats, cfg.prior)
+        sizes = set()
+        for i in range(300):
+            mh_topology_update(state, stats, cfg, rng)
+            mh_length_update(state, stats, cfg, rng)
+            sizes.add(len(state.internal))
+            if i % 30 == 29:
+                state.check_consistency(stats, cfg.prior)
+        assert len(sizes) > 1
+        assert state.accepted_topology > 0
+
+    def test_multifurcating_two_leaves_has_no_topology_move(self):
+        cfg = MhConfig(iterations=50, burn_in=10, mode="multifurcating",
+                       prior=PriorSpec(kind="poisson-dirichlet"))
+        init = random_tree(2, "uniform-binary", 1.0, RngStream(1))
+        archive = run_chain(None, init, "mh", cfg)
+        assert archive.provenance["proposed_topology"] == 0
+        assert len(archive) == 40
+
+    def test_non_positive_definite_start_is_typed(self):
+        # lengths far below the root's rounding make the covariance singular
+        tree = star_tree((1e-17, 1e-17), 1.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            ChainState(tree, SufficientStats(5, np.eye(2)), PriorSpec())
 
 
 class TestLengthUpdate:
@@ -255,6 +291,24 @@ class TestRunChain:
             [r.to_json_dict() for r in a2.records]
         assert a1.trace == a2.trace
 
+    @pytest.mark.parametrize("algo,cfg", [
+        ("hmc", HmcConfig(iterations=20, burn_in=10, step_size=0.02,
+                          leapfrog_steps=8, seed=7)),
+        ("mh", MhConfig(iterations=300, burn_in=150, seed=7, mode="multifurcating",
+                        prior=PriorSpec(kind="poisson-dirichlet"))),
+    ])
+    def test_deterministic_archives_hmc_and_multifurcating(self, rng, algo, cfg):
+        truth = random_tree(5, "uniform-binary", 1.0, rng)
+        data = sample_gaussian(tree_to_matrix(truth), 60, rng)
+        init = random_tree(5, "uniform-binary", 1.0, RngStream(2))
+        a1 = run_chain(data, init, algo, cfg)
+        a2 = run_chain(data, init, algo, cfg)
+        assert len(a1) > 0
+        assert [r.to_json_dict() for r in a1.records] == \
+            [r.to_json_dict() for r in a2.records]
+        assert a1.trace == a2.trace
+        assert a1.provenance == a2.provenance
+
     def test_all_states_valid(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, rng)
         data = sample_gaussian(tree_to_matrix(truth), 50, rng)
@@ -316,6 +370,16 @@ class TestRunChain:
         init = random_tree(5, "uniform-binary", 1.0, rng)
         with pytest.raises(InvalidArgumentError):
             run_chain(data, init, "mh", MhConfig(iterations=10, burn_in=0))
+
+    @pytest.mark.parametrize("algo,cfg", [
+        ("mh", MhConfig(iterations=10, burn_in=0)),
+        ("hmc", HmcConfig(iterations=2, burn_in=0, leapfrog_steps=2)),
+    ])
+    def test_stats_p_mismatch_rejected(self, algo, cfg):
+        init = random_tree(5, "uniform-binary", 1.0, RngStream(3))
+        for stats in (SufficientStats(10, np.eye(4)), SufficientStats.empty(4)):
+            with pytest.raises(InvalidArgumentError):
+                run_chain(stats, init, algo, cfg)
 
     def test_small_instance_posterior_recovery(self):
         # p=3 with plenty of data: the true topology dominates the retained

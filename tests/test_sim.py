@@ -107,12 +107,6 @@ class TestScenario:
                 assert 0.0 <= f <= 1.0
             assert row.mean_d >= 0.0 and row.map_frob >= 0.0
 
-    def test_threads_do_not_change_results(self):
-        s = small_scenario()
-        seq = run_scenario(s, threads=1)
-        par = run_scenario(s, threads=2)
-        assert seq.to_json_dict()["cells"] == par.to_json_dict()["cells"]
-
     def test_cost_guard(self):
         s = Scenario(p=30, multipliers=(50,), replicates=50,
                      mh=MhConfig(iterations=10000, burn_in=9000))

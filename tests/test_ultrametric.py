@@ -5,6 +5,7 @@ from _oracles import path_sum_matrix
 from treecov.errors import DimensionError, UltrametricViolationError
 from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import (
+    add_split,
     decompose_step,
     matrix_to_tree,
     tree_to_matrix,
@@ -23,6 +24,26 @@ def drop_random_splits(tree, count, rng):
     keep = {s: tree.internal_lengths[s] for s in splits}
     return Tree(Topology(tree.p, frozenset(keep)), keep,
                 tree.leaf_lengths, tree.root_length)
+
+
+class TestAddSplit:
+    def test_root_leaf_and_internal(self):
+        sigma = np.zeros((4, 4))
+        add_split(sigma, 0b1111, 1.0)  # root edge: every entry
+        add_split(sigma, 0b0010, 2.0)  # leaf 2: one diagonal entry
+        add_split(sigma, 0b0101, 3.0)  # split {1, 3}: its block
+        expected = np.ones((4, 4))
+        expected[1, 1] += 2.0
+        expected[np.ix_([0, 2], [0, 2])] += 3.0
+        assert np.array_equal(sigma, expected)
+
+    def test_sum_over_coordinates_is_tree_to_matrix(self, rng):
+        for p in (2, 3, 7, 12):
+            t = random_tree(p, "uniform-binary", 1.0, rng)
+            sigma = np.zeros((p, p))
+            for s, v in t.coordinates():
+                add_split(sigma, s.mask, v)
+            assert np.allclose(sigma, tree_to_matrix(t).values, rtol=0.0, atol=1e-12)
 
 
 class TestValidation:
