@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 domain violation (invalid matrix or tree),
 
 The run config is an INI file with sections ``[model]``, ``[prior]``,
 ``[sampler]``, ``[io]``, ``[run]`` and, for ``simulate``, ``[scenario]``;
-unknown keys are rejected.
+unknown keys are rejected, and ``;`` after whitespace starts a comment.
+``[prior]`` sets the posterior target of both sampler algos.
 """
 
 from __future__ import annotations
@@ -88,34 +89,46 @@ def read_dataset_csv(path) -> DataSet:
 # run config parsing
 # ---------------------------------------------------------------------------
 
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in raw.split(","))
+
+
+# every recognized key, with the type its value is parsed to
 _KNOWN_KEYS = {
-    "model": {"p"},
-    "prior": {"kind", "beta", "theta", "alpha_pd", "edge_mean"},
-    "sampler": {"algo", "mode", "iterations", "burn_in", "sigma_l", "epsilon",
-                "leapfrog_steps", "delta", "mass", "lambda", "thin"},
-    "io": {"data", "archive", "trace", "report", "splits_csv"},
-    "run": {"seed", "chains", "inits"},
-    "scenario": {"p", "multipliers", "distributions", "truth_mode", "drop_count",
-                 "drop_rule", "replicates", "fixed_truth", "length_mean",
-                 "interval_level", "mean_passes"},
+    "model": {"p": int},
+    "prior": {"kind": str, "beta": float, "theta": float, "alpha_pd": float,
+              "edge_mean": float},
+    "sampler": {"algo": str, "mode": str, "iterations": int, "burn_in": int,
+                "sigma_l": float, "epsilon": float, "leapfrog_steps": int,
+                "delta": float, "mass": float, "thin": int},
+    "io": dict.fromkeys(("data", "archive", "trace", "report", "splits_csv"), str),
+    "run": {"seed": int, "chains": int, "inits": str},
+    "scenario": {"p": int, "multipliers": _ints, "distributions": str,
+                 "truth_mode": str, "drop_count": int, "drop_rule": str,
+                 "replicates": int, "fixed_truth": str, "length_mean": float,
+                 "interval_level": float, "mean_passes": int},
 }
 
 
 def load_run_config(path) -> dict:
-    """Parse and validate the INI run config into plain nested dicts."""
-    parser = configparser.ConfigParser()
+    """Parse and validate the INI run config into nested dicts of typed values."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, dict] = {}
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         out[section] = {}
         for key, value in parser.items(section):
-            if key not in _KNOWN_KEYS[section]:
+            kind = _KNOWN_KEYS[section].get(key)
+            if kind is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            out[section][key] = value
+            try:
+                out[section][key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} = {value!r} is not a number") from None
     return out
 
 
@@ -123,10 +136,10 @@ def _prior_from_config(cfg: dict) -> PriorSpec:
     sec = cfg.get("prior", {})
     return PriorSpec(
         kind=sec.get("kind", "beta-splitting"),
-        beta=float(sec.get("beta", -1.5)),
-        theta=float(sec.get("theta", 1.0)),
-        alpha_pd=float(sec.get("alpha_pd", 0.0)),
-        edge_mean=float(sec.get("edge_mean", 1.0)),
+        beta=sec.get("beta", -1.5),
+        theta=sec.get("theta", 1.0),
+        alpha_pd=sec.get("alpha_pd", 0.0),
+        edge_mean=sec.get("edge_mean", 1.0),
     )
 
 
@@ -135,25 +148,25 @@ def _sampler_from_config(cfg: dict, seed: int):
     algo = sec.get("algo", "mh")
     if algo == "mh":
         return algo, MhConfig(
-            iterations=int(sec.get("iterations", 10000)),
-            burn_in=int(sec.get("burn_in", 9000)),
-            sigma_L=float(sec.get("sigma_l", 0.1)),
+            iterations=sec.get("iterations", 10000),
+            burn_in=sec.get("burn_in", 9000),
+            sigma_L=sec.get("sigma_l", 0.1),
             mode=sec.get("mode", "binary"),
             prior=_prior_from_config(cfg),
             seed=seed,
-            thin=int(sec.get("thin", 1)),
+            thin=sec.get("thin", 1),
         )
     if algo == "hmc":
         return algo, HmcConfig(
-            iterations=int(sec.get("iterations", 300)),
-            burn_in=int(sec.get("burn_in", 225)),
-            step_size=float(sec.get("epsilon", 0.0015)),
-            leapfrog_steps=int(sec.get("leapfrog_steps", 200)),
-            delta=float(sec.get("delta", 0.003)),
-            mass=float(sec.get("mass", 1.0)),
-            lam=float(sec.get("lambda", 1.0)),
+            iterations=sec.get("iterations", 300),
+            burn_in=sec.get("burn_in", 225),
+            step_size=sec.get("epsilon", 0.0015),
+            leapfrog_steps=sec.get("leapfrog_steps", 200),
+            delta=sec.get("delta", 0.003),
+            mass=sec.get("mass", 1.0),
+            prior=_prior_from_config(cfg),
             seed=seed,
-            thin=int(sec.get("thin", 1)),
+            thin=sec.get("thin", 1),
         )
     raise ConfigError(f"unknown sampler algo {algo!r}")
 
@@ -225,9 +238,9 @@ def cmd_sample(args) -> int:
     cfg = load_run_config(args.config)
     if "model" not in cfg or "p" not in cfg["model"]:
         raise ConfigError("config must set [model] p")
-    p = int(cfg["model"]["p"])
-    seed = int(cfg.get("run", {}).get("seed", 0))
-    chains = args.chains or int(cfg.get("run", {}).get("chains", 1))
+    p = cfg["model"]["p"]
+    seed = cfg.get("run", {}).get("seed", 0)
+    chains = args.chains or cfg.get("run", {}).get("chains", 1)
 
     io_sec = cfg.get("io", {})
     data = None
@@ -285,23 +298,23 @@ def cmd_simulate(args) -> int:
     sec = cfg.get("scenario", {})
     if "p" not in sec:
         raise ConfigError("config must set [scenario] p")
-    seed = int(cfg.get("run", {}).get("seed", 0))
+    seed = cfg.get("run", {}).get("seed", 0)
     algo, scfg = _sampler_from_config(cfg, seed)
     scenario = Scenario(
-        p=int(sec["p"]),
-        multipliers=tuple(int(x) for x in sec.get("multipliers", "3,5,10,25,50").split(",")),
+        p=sec["p"],
+        multipliers=sec.get("multipliers", (3, 5, 10, 25, 50)),
         distributions=tuple(s.strip() for s in sec.get("distributions", "normal").split(",")),
         truth_mode=sec.get("truth_mode", "resolved"),
-        drop_count=int(sec.get("drop_count", 3)),
+        drop_count=sec.get("drop_count", 3),
         drop_rule=sec.get("drop_rule", "uniform"),
-        replicates=int(sec.get("replicates", 50)),
+        replicates=sec.get("replicates", 50),
         algo=algo,
         mh=scfg if algo == "mh" else MhConfig(),
         hmc=scfg if algo == "hmc" else HmcConfig(),
         fixed_truth=sec.get("fixed_truth", "false").lower() in ("1", "true", "yes"),
-        length_mean=float(sec.get("length_mean", 1.0)),
-        interval_level=float(sec.get("interval_level", 0.95)),
-        mean_passes=int(sec.get("mean_passes", 3)),
+        length_mean=sec.get("length_mean", 1.0),
+        interval_level=sec.get("interval_level", 0.95),
+        mean_passes=sec.get("mean_passes", 3),
         master_seed=seed,
     )
     report = run_scenario(scenario, force=args.force)

@@ -42,8 +42,9 @@ class PriorSpec:
 
     ``kind`` selects the topology family; ``beta`` is the beta-splitting
     parameter in ``(-2, inf)``, ``theta``/``alpha_pd`` the Poisson-Dirichlet
-    pair with ``0 <= alpha_pd < 1`` and ``theta > -2 * alpha_pd``, and
-    ``edge_mean`` the common exponential mean of all edge lengths.
+    pair with ``0 <= alpha_pd < 1``, ``theta > -2 * alpha_pd`` and
+    ``theta + alpha_pd > 0``, and ``edge_mean`` the common exponential mean
+    of all edge lengths (``inf`` gives the flat length prior).
     """
 
     kind: str = "beta-splitting"
@@ -59,14 +60,9 @@ class PriorSpec:
             raise InvalidArgumentError(
                 f"beta must be finite and > -2, got {self.beta}"
             )
-        if not 0.0 <= self.alpha_pd < 1.0:
-            raise InvalidArgumentError(f"alpha_pd must be in [0, 1), got {self.alpha_pd}")
-        if self.theta <= -2.0 * self.alpha_pd:
-            raise InvalidArgumentError(
-                f"theta must exceed -2*alpha_pd, got theta={self.theta}"
-            )
-        if self.edge_mean <= 0:
-            raise InvalidArgumentError("edge_mean must be positive")
+        _check_pd_params(self.theta, self.alpha_pd)
+        if not self.edge_mean > 0:  # inf is the flat length prior
+            raise InvalidArgumentError(f"edge_mean must be positive, got {self.edge_mean}")
 
     def topology_log_prior(self, topology: Topology) -> float:
         if self.kind == "beta-splitting":
@@ -98,7 +94,7 @@ def beta_split_log_prior(topology: Topology, beta: float) -> float:
 def _check_pd_params(theta: float, alpha_pd: float):
     if not 0.0 <= alpha_pd < 1.0:
         raise InvalidArgumentError(f"alpha_pd must be in [0, 1), got {alpha_pd}")
-    if theta <= -2.0 * alpha_pd:
+    if not math.isfinite(theta) or theta <= -2.0 * alpha_pd:
         raise InvalidArgumentError(f"theta must exceed -2*alpha_pd, got {theta}")
     if theta + alpha_pd <= 0.0:
         raise InvalidArgumentError(
@@ -143,17 +139,23 @@ def pd_log_prior(topology: Topology, theta: float = 1.0,
     return total
 
 
-def edge_length_log_prior(t: Tree, a: float = 1.0) -> float:
-    """Sum of exponential(mean ``a``) log densities over all stored lengths."""
-    if a <= 0:
-        raise InvalidArgumentError("edge mean must be positive")
+def lengths_log_prior(lengths, a: float = 1.0) -> float:
+    """Sum of exponential(mean ``a``) log densities; ``a = inf`` is flat (0)."""
+    if not a > 0:
+        raise InvalidArgumentError(f"edge mean must be positive, got {a}")
+    if a == math.inf:
+        return 0.0
     log_a = math.log(a)
-    total = -(t.root_length / a + log_a)
-    for x in t.leaf_lengths:
-        total -= x / a + log_a
-    for x in t.internal_lengths.values():
+    total = 0.0
+    for x in lengths:
         total -= x / a + log_a
     return total
+
+
+def edge_length_log_prior(t: Tree, a: float = 1.0) -> float:
+    """Sum of exponential(mean ``a``) log densities over all stored lengths."""
+    return lengths_log_prior(
+        (t.root_length, *t.leaf_lengths, *t.internal_lengths.values()), a)
 
 
 def tree_log_prior(t: Tree, spec: PriorSpec) -> float:

@@ -1,8 +1,8 @@
 """Posterior samplers over tree-structured covariance matrices.
 
-Two kernels target the same posterior (Gaussian likelihood times the
-fragmentation/edge-length prior), both moving along geodesics of the
-stratified geometry:
+Two kernels target the same posterior, the Gaussian likelihood times the
+fragmentation and edge-length prior of one :class:`PriorSpec`, both moving
+along geodesics of the stratified geometry:
 
 * a Metropolis-Hastings sweep that first proposes a topology change by
   shrinking one internal edge to zero and regrowing one of the compatible
@@ -32,13 +32,7 @@ import numpy as np
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
 from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
 from .model import DataSet, SufficientStats, gaussian_loglik, split_gradient, suff_stats
-from .priors import (
-    BETA_UNIFORM,
-    PriorSpec,
-    beta_split_log_prior,
-    edge_length_log_prior,
-    tree_log_prior,
-)
+from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
 from .treespace import Split, Topology, Tree, _growth_candidates
 from .ultrametric import add_split, tree_to_matrix
@@ -80,11 +74,17 @@ class MhConfig(_Schedule):
             raise InvalidArgumentError("sigma_L must be positive")
         if self.mode not in ("binary", "multifurcating"):
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
+        if not math.isfinite(self.prior.edge_mean):  # grow draws from the prior
+            raise InvalidArgumentError("MH needs a finite prior edge_mean")
 
 
 @dataclass(frozen=True)
 class HmcConfig(_Schedule):
-    """Hamiltonian run settings; ``lam`` is the edge-length prior rate."""
+    """Hamiltonian run settings.
+
+    ``prior`` is the same posterior target as :class:`MhConfig`'s; its
+    length rate ``1 / edge_mean`` is zero for the flat prior ``edge_mean=inf``.
+    """
 
     algo: ClassVar[str] = "hmc"
     iterations: int = 300
@@ -93,7 +93,7 @@ class HmcConfig(_Schedule):
     leapfrog_steps: int = 200
     delta: float = 0.003
     mass: float = 1.0
-    lam: float = 1.0
+    prior: PriorSpec = field(default_factory=PriorSpec)
     seed: int = 0
     thin: int = 1
 
@@ -107,10 +107,6 @@ class HmcConfig(_Schedule):
             raise InvalidArgumentError("delta must be non-negative")
         if self.mass <= 0:
             raise InvalidArgumentError("mass entries must be positive")
-        if self.lam < 0:
-            raise InvalidArgumentError(
-                "lam must be non-negative (zero means a flat length prior)"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,9 @@ class HmcState:
 
     Coordinate slots hold ``(mask, length, momentum)`` triples; slots keep
     their mass when a boundary crossing reassigns an internal coordinate to
-    a different split.
+    a different split.  ``log_lik`` and ``log_prior`` belong to the current
+    slots once :func:`hmc_step` has scored them; a leapfrog step moves the
+    slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig):
@@ -352,7 +350,7 @@ class HmcState:
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
         self.mass = np.full(len(items), float(cfg.mass))
-        self.potential = math.nan
+        self.log_lik = self.log_prior = math.nan
         self.accepted = 0
         self.proposed = 0
 
@@ -395,7 +393,7 @@ def _grad_potential(state: HmcState, stats: SufficientStats,
                     cfg: HmcConfig) -> np.ndarray | None:
     """Gradient of the surrogate potential; ``None`` if factorization fails."""
     g, dg = _surrogate(state.d, cfg.delta)
-    grad = np.full(len(state.masks), cfg.lam)
+    grad = np.full(len(state.masks), 1.0 / cfg.prior.edge_mean)
     if stats.n:
         try:
             grad -= split_gradient(stats, state.covariance(g), state.masks)
@@ -406,17 +404,24 @@ def _grad_potential(state: HmcState, stats: SufficientStats,
 
 def _true_potential(state: HmcState, stats: SufficientStats,
                     cfg: HmcConfig) -> float:
-    """Negative log posterior at the actual (unsmoothed) coordinates."""
-    q = len(state.masks)
-    prior = 0.0
-    if cfg.lam > 0.0:
-        prior = cfg.lam * float(np.sum(state.d)) - q * math.log(cfg.lam)
-    if stats.n == 0:
-        return prior
+    """Negative log posterior at the actual (unsmoothed) slot coordinates.
+
+    Leaves both terms in ``state.log_lik`` and ``state.log_prior``.  Reads the
+    slots, not :meth:`HmcState.tree`, which drops zero lengths; beta-splitting
+    gives unresolved shapes no mass, so one (``run_chain`` refuses it) gets a
+    flat topology term.
+    """
+    prior = cfg.prior
+    topology = _topology(state.p, [m for m in state.masks if 2 <= m.bit_count() < state.p])
+    topo_lp = prior.topology_log_prior(topology) \
+        if topology.is_resolved or prior.kind != "beta-splitting" else 0.0
+    state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
     try:
-        return -gaussian_loglik(stats, state.covariance(state.d)) + prior
+        state.log_lik = gaussian_loglik(stats, state.covariance(state.d)) \
+            if stats.n else 0.0
     except NotPositiveDefiniteError:
-        return math.inf
+        state.log_lik = -math.inf
+    return -state.log_lik - state.log_prior
 
 
 def _kinetic(state: HmcState) -> float:
@@ -470,17 +475,19 @@ def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     """One leapfrog step: half kick, boundary-crossing drift, half kick.
 
     Returns the state unchanged (apart from a momentum flip bookkeeping)
-    when a gradient evaluation fails; the enclosing step then rejects.
+    when a gradient evaluation fails, with ``log_lik`` set to -inf; the
+    enclosing step then rejects.
     """
+    state.log_lik = math.nan
     grad = _grad_potential(state, stats, cfg)
     if grad is None:
-        state.potential = math.inf
+        state.log_lik = -math.inf
         return state
     state.a -= 0.5 * cfg.step_size * grad
     _drift(state, cfg.step_size, rng, chooser)
     grad = _grad_potential(state, stats, cfg)
     if grad is None:
-        state.potential = math.inf
+        state.log_lik = -math.inf
         return state
     state.a -= 0.5 * cfg.step_size * grad
     return state
@@ -492,28 +499,29 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
     the true-Hamiltonian ratio; a non-finite Hamiltonian rejects outright.
+    Either way the state's cached log likelihood and log prior are those of
+    the slots it keeps, and the next step starts from them.
     """
     state.a = rng.generator.normal(size=len(state.masks)) * np.sqrt(state.mass)
-    u_cur = _true_potential(state, stats, cfg)
-    h_cur = u_cur + _kinetic(state)
-    saved = (list(state.masks), state.d.copy(), state.a.copy())
+    if math.isnan(state.log_lik):
+        _true_potential(state, stats, cfg)
+    h_cur = -state.log_lik - state.log_prior + _kinetic(state)
+    saved = (list(state.masks), state.d.copy(), state.a.copy(),
+             state.log_lik, state.log_prior)
 
     state.proposed += 1
     for _ in range(cfg.leapfrog_steps):
         hmc_leapfrog(state, stats, cfg, rng, chooser)
-        if state.potential == math.inf:
-            u_prop = h_prop = math.inf
+        if state.log_lik == -math.inf:
+            h_prop = math.inf
             break
     else:
-        u_prop = _true_potential(state, stats, cfg)
-        h_prop = u_prop + _kinetic(state)
+        h_prop = _true_potential(state, stats, cfg) + _kinetic(state)
 
     if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1
-        state.potential = u_prop
     else:
-        state.masks, state.d, state.a = saved
-        state.potential = u_cur
+        state.masks, state.d, state.a, state.log_lik, state.log_prior = saved
     return state
 
 
@@ -521,21 +529,22 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 # chain driver
 # ---------------------------------------------------------------------------
 
-def _drive(archive: PosteriorArchive, cfg: MhConfig | HmcConfig, step):
-    """Run every iteration, tracing its log likelihood and keeping retained states.
+def _drive(archive: PosteriorArchive, cfg: MhConfig | HmcConfig,
+           state: ChainState | HmcState, step):
+    """Run every iteration, tracing the log likelihood and keeping retained states.
 
-    ``step()`` advances the chain and returns ``(log_lik, snapshot)``;
-    ``snapshot()`` gives the current tree and log prior.
+    ``step()`` advances ``state``, whose cached ``log_lik`` and ``log_prior``
+    are those of its current ``tree()``.
     """
     for it in range(1, cfg.iterations + 1):
-        log_lik, snapshot = step()
-        archive.trace.append((it, log_lik))
+        step()
+        archive.trace.append((it, state.log_lik))
         if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
-            t, log_prior = snapshot()
+            t = state.tree()
             archive.records.append(ArchiveRecord(
                 iteration=it,
-                log_prior=log_prior,
-                log_lik=log_lik,
+                log_prior=state.log_prior,
+                log_lik=state.log_lik,
                 splits=tuple(t.internal_lengths),
                 lengths=dict(t.internal_lengths),
                 leaf_lengths=t.leaf_lengths,
@@ -576,9 +585,8 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
         def mh_step():
             mh_topology_update(state, stats, cfg, rng)
             mh_length_update(state, stats, cfg, rng)
-            return state.log_lik, lambda: (state.tree(), state.log_prior)
 
-        _drive(archive, cfg, mh_step)
+        _drive(archive, cfg, state, mh_step)
         archive.provenance["accept_topology"] = state.accepted_topology
         archive.provenance["accept_lengths"] = state.accepted_lengths
         archive.provenance["proposed_topology"] = state.proposed_topology
@@ -591,21 +599,7 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
         if not init.topology.is_resolved:
             raise InvalidTreeError("the Hamiltonian kernel requires a resolved tree")
         state = HmcState(init, cfg)
-        topo_lp = beta_split_log_prior(init.topology, BETA_UNIFORM)
-
-        def log_prior() -> float:
-            out = topo_lp
-            if cfg.lam > 0.0:
-                out += len(state.masks) * math.log(cfg.lam) \
-                    - cfg.lam * float(np.sum(state.d))
-            return out
-
-        def hmc_chain_step():
-            hmc_step(state, stats, cfg, rng)
-            t = state.tree()
-            return gaussian_loglik(stats, tree_to_matrix(t)), lambda: (t, log_prior())
-
-        _drive(archive, cfg, hmc_chain_step)
+        _drive(archive, cfg, state, lambda: hmc_step(state, stats, cfg, rng))
         archive.provenance["accept_hmc"] = state.accepted
         archive.provenance["proposed_hmc"] = state.proposed
         return archive

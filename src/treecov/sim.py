@@ -19,13 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .geometry import MeanConfig, matrix_distance
 from .model import DataSet, sample_gaussian, sample_t
-from .posterior import (
-    credible_intervals,
-    coverage,
-    map_sample,
-    posterior_mean,
-    split_frequencies,
-)
+from .posterior import build_summary
 from .rng import RngStream
 from .samplers import HmcConfig, MhConfig, run_chain
 from .treespace import Split, Tree, Topology, random_tree
@@ -224,28 +218,22 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
         cfg = replace(s.hmc, seed=s.master_seed + base)
     archive = run_chain(data, init, s.algo, cfg)
 
-    freqs = split_frequencies(archive)
-    recovery = {sp: freqs.get(sp, 0.0) for sp in truth.topology.sorted_splits()}
-    lo, hi = credible_intervals(archive, s.interval_level)
-    _, cov_rate = coverage(lo, hi, truth_matrix)
     mean_cfg = MeanConfig(max_iterations=max(1, s.mean_passes * len(archive)))
-    mean_mat = posterior_mean(archive, mean_cfg)
-    map_mat = tree_to_matrix(map_sample(archive))
-    mean_d, mean_frob = score_point_estimate(mean_mat, truth_matrix)
-    map_d, map_frob = score_point_estimate(map_mat, truth_matrix)
+    summary = build_summary(archive, s.interval_level, truth_matrix, mean_cfg)
+    mean_d, mean_frob = score_point_estimate(summary.mean_matrix, truth_matrix)
+    map_d, map_frob = score_point_estimate(tree_to_matrix(summary.map_tree), truth_matrix)
     num_splits = float(np.mean([len(r.splits) for r in archive.records]))
-    window = [v for _, v in archive.trace[-max(1, len(archive.trace) // 10):]]
 
     from .newick import tree_to_newick
 
     return (
         ReplicateResult(
             distribution=dist, n=n, replicate=rep,
-            recovery=recovery, coverage_rate=cov_rate,
+            recovery=summary.recovery, coverage_rate=summary.coverage_rate,
             mean_d=mean_d, mean_frob=mean_frob,
             map_d=map_d, map_frob=map_frob,
             mean_num_splits=num_splits,
-            final_window_mean_loglik=float(np.mean(window)),
+            final_window_mean_loglik=summary.trace_stats["final_window_mean"],
         ),
         tree_to_newick(truth),
     )

@@ -210,7 +210,8 @@ def test_c05_leapfrog_worked_example():
     s34 = Split.from_leaves(4, (3, 4))
     tree = Tree(Topology(4, frozenset([s12, s34])), {s12: 0.5, s34: 0.3},
                 (1.0, 1.0, 1.0, 1.0), 0.5)
-    cfg = HmcConfig(step_size=1.0, leapfrog_steps=1, delta=0.0, lam=0.0)
+    cfg = HmcConfig(step_size=1.0, leapfrog_steps=1, delta=0.0,
+                    prior=PriorSpec(edge_mean=math.inf))
     state = HmcState(tree, cfg)
     for j, m in enumerate(state.masks):
         state.a[j] = {s12.mask: -1.0, s34.mask: -1.2}.get(m, 0.0)
@@ -267,7 +268,7 @@ def test_c06_prior_recovery():
 
     # Hamiltonian kernel over the same prior
     hmc_cfg = HmcConfig(iterations=10500, burn_in=500, step_size=0.25,
-                        leapfrog_steps=12, delta=0.003, lam=1.0, seed=607)
+                        leapfrog_steps=12, delta=0.003, seed=607)
     hmc_archive = run_chain(None, init, "hmc", hmc_cfg)
     assert len(hmc_archive.records) == 10000
     hmc_ks = ks_statistic_exponential(
@@ -377,7 +378,7 @@ def test_c10_hmc_mh_agreement(shared_p10_problem):
     hmc_archive = run_chain(data, init, "hmc",
                             HmcConfig(iterations=300, burn_in=225,
                                       step_size=0.0015, leapfrog_steps=200,
-                                      delta=0.003, lam=1.0, seed=2))
+                                      delta=0.003, seed=2))
     mh_ll = np.array([r.log_lik for r in mh_archive.records])
     hmc_ll = np.array([r.log_lik for r in hmc_archive.records])
     se = math.hypot(batch_se(mh_ll, 10), batch_se(hmc_ll, 10))

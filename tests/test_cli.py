@@ -1,9 +1,19 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treecov.cli import main, read_matrix_csv, write_dataset_csv, write_matrix_csv
+from treecov.cli import (
+    _KNOWN_KEYS,
+    _prior_from_config,
+    _sampler_from_config,
+    load_run_config,
+    main,
+    read_matrix_csv,
+    write_dataset_csv,
+    write_matrix_csv,
+)
 from treecov.model import sample_gaussian
 from treecov.newick import newick_to_tree, tree_to_newick
 from treecov.rng import RngStream
@@ -215,6 +225,72 @@ trace = {tmp_path / 't.csv'}
         out = json.loads(capsys.readouterr().out)
         assert "positive definite" in out["error"]
 
+    def test_hmc_reads_prior_section(self, tmp_path, capsys):
+        truth = random_tree(4, "uniform-binary", 1.0, RngStream(3))
+        (tmp_path / "init.nwk").write_text(tree_to_newick(truth))
+        write_dataset_csv(tmp_path / "data.csv",
+                          sample_gaussian(tree_to_matrix(truth), 40, RngStream(4)))
+        archives = []
+        for edge_mean in (1, 5):
+            cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 4
+
+[prior]
+beta = 0
+edge_mean = {edge_mean}
+
+[sampler]
+algo = hmc
+iterations = 20
+burn_in = 10
+epsilon = 0.02
+leapfrog_steps = 10
+
+[io]
+data = {tmp_path / 'data.csv'}
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+""")
+            assert main(["sample", "--config", cfg,
+                         "--inits", str(tmp_path / "init.nwk")]) == 0
+            archives.append((tmp_path / "a.jsonl").read_bytes())
+        assert archives[0] != archives[1]
+
+    def test_inline_comments_stripped(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 3                ; dimension
+
+[prior]
+beta = 0.5           ; yule-ish
+
+[sampler]
+iterations = 40      ; total
+burn_in = 20
+
+[io]
+data =               ; omit for prior-only runs
+archive = {tmp_path / 'a.jsonl'}   ; output
+trace = {tmp_path / 't.csv'}
+""")
+        assert main(["sample", "--config", cfg]) == 0
+        assert (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("prior", "beta", "yule"), ("sampler", "iterations", "1.5"),
+        ("run", "seed", "x"), ("model", "p", "three"),
+    ])
+    def test_malformed_number_exit_two(self, tmp_path, capsys, section, key, value):
+        body = {"model": {"p": "3"}, section: {}}
+        body[section][key] = value
+        text = "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                         for sec, kv in body.items())
+        cfg = write_config(tmp_path / "bad.ini", text)
+        assert main(["sample", "--config", cfg]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert f"[{section}] {key}" in error
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.ini", "[model]\np = 3\nwhat = 1\n")
         assert main(["sample", "--config", cfg]) == 2
@@ -247,7 +323,8 @@ seed = 4
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert "cells" in rep and rep["p"] == 4
 
-    @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir")])
+    @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir"),
+                                             ("sampler", "lambda")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path / "sim.ini",
                            f"[scenario]\np = 4\n\n[{section}]\n{key} = 2\n")
@@ -266,3 +343,25 @@ seed = 4
 
         assert validate_ultrametric(mean).valid
         assert newick_to_tree((tmp_path / "m.nwk").read_text()).p == 4
+
+
+class TestExampleConfig:
+    EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "run.example.ini"
+
+    @pytest.mark.parametrize("algo", ["mh", "hmc"])
+    def test_example_loads(self, algo):
+        cfg = load_run_config(self.EXAMPLE)
+        assert cfg["io"]["data"] == "data.csv"  # inline comment stripped
+        cfg["sampler"]["algo"] = algo
+        prior = _prior_from_config(cfg)
+        got, scfg = _sampler_from_config(cfg, 0)
+        assert got == algo and scfg.prior == prior
+
+    def test_example_lists_every_key(self):
+        cfg = load_run_config(self.EXAMPLE)
+        text = self.EXAMPLE.read_text()
+        for section, keys in _KNOWN_KEYS.items():
+            for key in keys:
+                present = key in cfg.get(section, {}) or \
+                    f"; {key} =" in text  # commented-out example value
+                assert present, f"[{section}] {key} missing from the example"

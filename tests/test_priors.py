@@ -89,6 +89,8 @@ class TestPoissonDirichlet:
             pd_log_prior(topo, 1.0, 1.0)
         with pytest.raises(InvalidArgumentError):
             pd_log_prior(topo, -0.5, 0.2)
+        with pytest.raises(InvalidArgumentError):
+            pd_log_prior(topo, math.nan, 0.0)
 
 
 class TestEdgeLengthPrior:
@@ -118,6 +120,12 @@ class TestEdgeLengthPrior:
                           *t.internal_lengths.values()]
             )
             assert edge_length_log_prior(t, a) == pytest.approx(naive, abs=1e-12)
+
+    def test_flat_prior_is_zero(self, rng):
+        t = random_tree(5, "uniform-binary", 1.0, rng)
+        assert edge_length_log_prior(t, math.inf) == 0.0
+        with pytest.raises(InvalidArgumentError):
+            edge_length_log_prior(t, math.nan)
 
     def test_tree_log_prior_combines(self, rng):
         t = random_tree(5, "uniform-binary", 1.0, rng)
@@ -206,6 +214,14 @@ class TestPriorSpec:
             PriorSpec(edge_mean=0.0)
         with pytest.raises(InvalidArgumentError):
             PriorSpec(kind="bogus")
+        with pytest.raises(InvalidArgumentError):
+            PriorSpec(kind="poisson-dirichlet", theta=-0.5, alpha_pd=0.4)
+        with pytest.raises(InvalidArgumentError):
+            PriorSpec(edge_mean=math.nan)
+        with pytest.raises(InvalidArgumentError):
+            PriorSpec(theta=math.nan)
+        # an infinite mean is the flat length prior
+        assert PriorSpec(edge_mean=math.inf).edge_mean == math.inf
 
 
 def test_set_partitions_oracle_counts():

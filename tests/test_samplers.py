@@ -19,6 +19,7 @@ from treecov.samplers import (
     HmcState,
     MhConfig,
     hmc_leapfrog,
+    hmc_step,
     mh_length_log_ratio,
     mh_length_update,
     mh_topology_update,
@@ -43,6 +44,8 @@ class TestConfigs:
             MhConfig(sigma_L=0.0)
         with pytest.raises(InvalidArgumentError):
             MhConfig(mode="both")
+        with pytest.raises(InvalidArgumentError):  # grow draws from the prior
+            MhConfig(prior=PriorSpec(edge_mean=math.inf))
 
     def test_hmc_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -183,7 +186,8 @@ class TestLengthUpdate:
 class TestHmcLeapfrog:
     def test_boundary_crossing_worked_example(self):
         t = two_split_tree()
-        cfg = HmcConfig(step_size=1.0, leapfrog_steps=1, delta=0.0, lam=0.0)
+        cfg = HmcConfig(step_size=1.0, leapfrog_steps=1, delta=0.0,
+                        prior=PriorSpec(edge_mean=math.inf))
         state = HmcState(t, cfg)
         s12 = Split.from_leaves(4, (1, 2)).mask
         s34 = Split.from_leaves(4, (3, 4)).mask
@@ -211,7 +215,7 @@ class TestHmcLeapfrog:
     def test_reversibility_away_from_boundaries(self, rng):
         t = random_tree(5, "uniform-binary", 2.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 20, rng))
-        cfg = HmcConfig(step_size=1e-3, leapfrog_steps=1, delta=0.0, lam=1.0)
+        cfg = HmcConfig(step_size=1e-3, leapfrog_steps=1, delta=0.0)
         state = HmcState(t, cfg)
         state.a = rng.generator.normal(size=len(state.masks)) * 0.2
         d0, a0 = state.d.copy(), state.a.copy()
@@ -229,7 +233,7 @@ class TestHmcLeapfrog:
 
         t = random_tree(5, "uniform-binary", 1.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 30, rng))
-        cfg = HmcConfig(delta=0.0, lam=1.3)
+        cfg = HmcConfig(delta=0.0, prior=PriorSpec(edge_mean=1 / 1.3))
         state = HmcState(t, cfg)
         grad = _grad_potential(state, stats, cfg)
         reference = loglik_gradient(stats, t)
@@ -245,8 +249,7 @@ class TestHmcLeapfrog:
 
         drifts = []
         for eps, steps in ((0.004, 50), (0.002, 100)):  # same trajectory length
-            cfg = HmcConfig(step_size=eps, leapfrog_steps=steps, delta=0.0,
-                            lam=1.0)
+            cfg = HmcConfig(step_size=eps, leapfrog_steps=steps, delta=0.0)
             state = HmcState(t, cfg)
             state.a = RngStream(14).generator.normal(size=len(state.masks)) * 0.5
             h0 = _true_potential(state, stats, cfg) + _kinetic(state)
@@ -261,11 +264,26 @@ class TestHmcLeapfrog:
 class TestHmcStep:
     def test_prior_recovery(self):
         cfg = HmcConfig(iterations=4000, burn_in=200, step_size=0.25,
-                        leapfrog_steps=12, delta=0.003, lam=1.0, seed=9)
+                        leapfrog_steps=12, delta=0.003, seed=9)
         init = random_tree(3, "uniform-binary", 1.0, RngStream(8))
         archive = run_chain(None, init, "hmc", cfg)
         draws = [r.leaf_lengths[1] for r in archive.records]
         assert ks_statistic_exponential(draws, 1.0) < 0.05
+
+    def test_unresolved_state_has_flat_topology_term(self):
+        # beta-splitting gives unresolved shapes no mass; a state built
+        # directly from one still steps, scoring only its lengths
+        from treecov.priors import edge_length_log_prior
+
+        s12 = Split.from_leaves(4, (1, 2))
+        t = Tree(Topology(4, frozenset([s12])), {s12: 0.5}, (1.0, 1.0, 1.0, 1.0), 0.5)
+        cfg = HmcConfig(step_size=0.05, leapfrog_steps=5, prior=PriorSpec(edge_mean=2.0))
+        state = HmcState(t, cfg)
+        for _ in range(5):
+            hmc_step(state, SufficientStats.empty(4), cfg, RngStream(3))
+        assert state.log_lik == 0.0
+        assert state.log_prior == pytest.approx(
+            edge_length_log_prior(state.tree(), 2.0), rel=1e-12)
 
     def test_posterior_moves_toward_truth(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, RngStream(41))
@@ -416,6 +434,29 @@ class TestRunChain:
                 pytest.approx(r.log_lik, abs=1e-9)
             assert tree_log_prior(t, cfg.prior) == \
                 pytest.approx(r.log_prior, abs=1e-9)
+
+    @pytest.mark.parametrize("algo,cfg", [
+        ("mh", MhConfig(iterations=300, burn_in=100, seed=4,
+                        prior=PriorSpec(beta=0.0, edge_mean=2.0))),
+        ("hmc", HmcConfig(iterations=40, burn_in=10, step_size=0.02,
+                          leapfrog_steps=10, seed=4,
+                          prior=PriorSpec(beta=0.0, edge_mean=2.0))),
+    ])
+    def test_recorded_log_prior_is_configured_prior(self, algo, cfg):
+        # the cached values of every kept state match a fresh evaluation
+        from treecov.model import gaussian_loglik
+        from treecov.priors import tree_log_prior
+
+        truth = random_tree(5, "uniform-binary", 1.0, RngStream(21))
+        data = sample_gaussian(tree_to_matrix(truth), 60, RngStream(22))
+        archive = run_chain(data, truth, algo, cfg)
+        assert len(archive) > 0
+        for r in archive.records:
+            assert r.log_prior == pytest.approx(
+                tree_log_prior(r.tree(), cfg.prior), rel=1e-12, abs=0.0)
+            assert r.log_lik == pytest.approx(
+                gaussian_loglik(suff_stats(data), tree_to_matrix(r.tree())),
+                rel=1e-12, abs=0.0)
 
     def test_archive_roundtrip_disk(self, rng, tmp_path):
         from treecov.archive import PosteriorArchive
