@@ -111,9 +111,16 @@ _KNOWN_KEYS = {
 
 
 def load_run_config(path) -> dict:
-    """Parse and validate the INI run config into nested dicts of typed values."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    read = parser.read(path)
+    """Parse and validate the INI run config into nested dicts of typed values.
+
+    Values are literal (``%`` is not an interpolation marker); a file that
+    does not parse as INI raises ``ConfigError``.
+    """
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     out: dict[str, dict] = {}

@@ -2,17 +2,25 @@
 
 Observations are i.i.d. ``N_p(0, S)`` with ``S`` strictly ultrametric.  The
 likelihood only ever reads the sample count and the scatter matrix
-``sum_i x_i x_i^T``, so those are carried as sufficient statistics.  The
-gradient with respect to each stored edge length ``d_j`` (indicator vector
-``v_j``) is
+``sum_i x_i x_i^T``, so those are carried as sufficient statistics.  With
+``V`` the ``p x q`` indicator matrix of the stored splits (column ``v_j`` for
+edge length ``d_j``), the gradient is
 
     d loglik / d d_j = -(n/2) v_j' S^-1 v_j + (1/2) v_j' S^-1 A S^-1 v_j,
 
-where ``A`` is the scatter matrix; one factorization serves all coordinates.
+the diagonal of one ``V' (...) V`` product, where ``A`` is the scatter matrix;
+one factorization serves all coordinates.
+
+Changing one length by ``delta`` adds ``delta v v'`` to the covariance, so
+:class:`LikelihoodKernel` keeps ``W = S^-1`` and prices such a move in
+``O(p^2)`` by the matrix determinant lemma and Sherman-Morrison instead of a
+new factorization.  Every failed factorization raises
+``NotPositiveDefiniteError`` from :func:`_factor`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +34,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import _positions, as_matrix, tree_to_matrix
+from .ultrametric import add_split, as_matrix, tree_to_matrix
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -91,13 +99,28 @@ def suff_stats(data: DataSet) -> SufficientStats:
     return SufficientStats(data.n, 0.5 * (S + S.T))
 
 
-def _factor(sigma: np.ndarray):
+def _cho_factor(sigma: np.ndarray):
+    return cho_factor(sigma, lower=True, check_finite=False)
+
+
+def _factor(sigma: np.ndarray, factor=_cho_factor):
+    """``factor(sigma)``, raising ``NotPositiveDefiniteError`` when it fails.
+
+    Every likelihood, gradient and sampling factorization goes through here.
+    """
     try:
-        return cho_factor(sigma, lower=True, check_finite=False)
+        return factor(sigma)
     except LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"covariance matrix is not numerically positive definite ({exc})"
         ) from exc
+
+
+def _loglik_from_factor(stats: SufficientStats, cf) -> float:
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+    quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
+    n, p = stats.n, stats.p
+    return -0.5 * (n * p * LOG_2PI + n * logdet + quad)
 
 
 def gaussian_loglik(stats: SufficientStats, m) -> float:
@@ -112,11 +135,16 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     arr = as_matrix(m)
     if arr.shape[0] != stats.p:
         raise DimensionError(f"matrix is {arr.shape[0]}x, data are {stats.p}-variate")
-    cf = _factor(arr)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
-    n, p = stats.n, stats.p
-    return -0.5 * (n * p * LOG_2PI + n * logdet + quad)
+    return _loglik_from_factor(stats, _factor(arr))
+
+
+def split_indicators(p: int, masks) -> np.ndarray:
+    """The ``p x q`` 0/1 matrix whose column ``j`` marks the leaves of ``masks[j]``.
+
+    Bits are read as unsigned 64-bit words, so the 64-leaf root mask fits.
+    """
+    bits = np.array(masks, dtype=np.uint64)
+    return (bits >> np.arange(p, dtype=np.uint64)[:, None] & np.uint64(1)).astype(float)
 
 
 def split_gradient(stats: SufficientStats, sigma: np.ndarray,
@@ -124,19 +152,101 @@ def split_gradient(stats: SufficientStats, sigma: np.ndarray,
     """Log-likelihood gradient in the length of each split bitmask at ``sigma``.
 
     Entry ``j`` is ``-(n/2) v' W v + (1/2) v' W A W v`` for the indicator
-    ``v`` of ``masks[j]``, with ``W = sigma^-1`` from one factorization.
+    ``v`` of ``masks[j]``, with ``W = sigma^-1`` from one factorization: the
+    diagonals of ``V'WV`` and ``(WV)' A (WV)`` for the indicator matrix ``V``.
     Raises ``NotPositiveDefiniteError`` when the factorization fails.
     """
-    cf = _factor(sigma)
     p = sigma.shape[0]
-    W = cho_solve(cf, np.eye(p), check_finite=False)
-    G = W @ stats.S @ W
-    out = np.empty(len(masks))
-    for j, m in enumerate(masks):
-        idx = _positions(p, m)
-        block = np.ix_(idx, idx)
-        out[j] = -0.5 * stats.n * float(W[block].sum()) + 0.5 * float(G[block].sum())
-    return out
+    W = cho_solve(_factor(sigma), np.eye(p), check_finite=False)
+    V = split_indicators(p, masks)
+    WV = W @ V
+    return -0.5 * stats.n * np.einsum("ij,ij->j", V, WV) \
+        + 0.5 * np.einsum("ij,ij->j", WV, stats.S @ WV)
+
+
+class LikelihoodKernel:
+    """The log likelihood of one covariance matrix, kept current under split moves.
+
+    Caches ``sigma``, ``W = sigma^-1`` and ``log_lik`` from one full
+    factorization.  :meth:`propose` prices adding ``(mask, value)`` changes to
+    ``sigma`` and :meth:`accept` applies the last proposal.  A single change by
+    ``delta`` on a split with indicator ``v`` is rank one: with ``u = W v``,
+    ``c = v'u`` and the scatter matrix ``A``, the determinant lemma and
+    Sherman-Morrison give
+
+        delta loglik = -(1/2) (n log(1 + delta c) - delta u'Au / (1 + delta c))
+
+    in ``O(p^2)``, and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
+    Several changes at once, or a single one whose ``1 + delta c`` is not
+    positive and finite (a move to a matrix that is not positive definite, or
+    rounding in an ill-conditioned ``W``), are priced by a full
+    factorization, which raises ``NotPositiveDefiniteError`` if it fails.
+    :meth:`refresh` refactorizes after rank-one updates so their rounding
+    does not accumulate.  Without data the likelihood is identically zero
+    and nothing is built.
+    """
+
+    def __init__(self, stats: SufficientStats, sigma: np.ndarray):
+        self.stats = stats
+        self.sigma = np.array(sigma, dtype=float) if stats.n else None
+        self.W = None
+        self.log_lik = 0.0
+        self._pending = None
+        self._updated = True
+        self.refresh()
+
+    def refresh(self):
+        """Recompute ``W`` and ``log_lik`` from ``sigma`` if a rank-one update was applied."""
+        if self.sigma is not None and self._updated:
+            cf = _factor(self.sigma)
+            self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
+            self.log_lik = _loglik_from_factor(self.stats, cf)
+        self._updated = False
+
+    def propose(self, changes) -> float:
+        """Log-likelihood change from adding each ``(mask, value)`` to ``sigma``.
+
+        Nothing cached changes until :meth:`accept`.
+        """
+        if self.sigma is None:
+            self._pending = (0.0, lambda: None)
+            return 0.0
+        if len(changes) == 1:
+            mask, delta = changes[0]
+            v = split_indicators(self.stats.p, [mask])[:, 0]
+            u = self.W @ v
+            denom = 1.0 + delta * float(v @ u)
+            if 0.0 < denom < math.inf:
+                dll = -0.5 * (self.stats.n * math.log(denom)
+                              - delta * float(self.stats.S.dot(u).dot(u)) / denom)
+
+                def apply():
+                    # entrywise the same sums as add_split(sigma, mask, delta)
+                    self.sigma += (delta * v)[:, None] * v
+                    self.W -= (delta / denom * u)[:, None] * u
+                    self._updated = True
+
+                self._pending = (self.log_lik + dll, apply)
+                return dll
+        sigma = self.sigma.copy()
+        for mask, value in changes:
+            add_split(sigma, mask, value)
+        cf = _factor(sigma)
+        new_ll = _loglik_from_factor(self.stats, cf)
+
+        def apply():
+            self.sigma = sigma
+            self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
+            self._updated = False
+
+        self._pending = (new_ll, apply)
+        return new_ll - self.log_lik
+
+    def accept(self):
+        """Apply the last proposal to ``sigma``, ``W`` and ``log_lik``."""
+        self.log_lik, apply = self._pending
+        apply()
+        self._pending = None
 
 
 def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
@@ -155,10 +265,7 @@ def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     arr = as_matrix(m)
-    try:
-        L = np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    L = _factor(arr, np.linalg.cholesky)
     Z = rng.generator.normal(size=(n, arr.shape[0]))
     return DataSet(Z @ L.T, kind="normal")
 
@@ -178,10 +285,7 @@ def sample_t(m, df: int, n: int, rng: RngStream) -> DataSet:
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     arr = as_matrix(m)
-    try:
-        L = np.linalg.cholesky(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    L = _factor(arr, np.linalg.cholesky)
     Z = rng.generator.normal(size=(n, arr.shape[0]))
     w = np.sum(rng.generator.normal(size=(n, df)) ** 2, axis=1)
     X = (Z @ L.T) * np.sqrt(df / w)[:, None]

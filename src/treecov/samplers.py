@@ -31,7 +31,14 @@ import numpy as np
 
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
 from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
-from .model import DataSet, SufficientStats, gaussian_loglik, split_gradient, suff_stats
+from .model import (
+    DataSet,
+    LikelihoodKernel,
+    SufficientStats,
+    gaussian_loglik,
+    split_gradient,
+    suff_stats,
+)
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
 from .treespace import Split, Topology, Tree, _growth_candidates
@@ -120,9 +127,12 @@ def _topology(p: int, masks) -> Topology:
 class ChainState:
     """Mutable working state of one MH chain.
 
-    Caches the covariance matrix, log likelihood and the two log-prior
-    pieces; every update keeps the caches consistent, and
-    :meth:`check_consistency` recomputes them from scratch for tests.
+    ``kernel`` caches the covariance matrix, its inverse and the log
+    likelihood (:class:`LikelihoodKernel`); the two log-prior pieces are
+    cached alongside.  Length moves update the kernel by rank one, and
+    :func:`mh_length_update` refactorizes it once per sweep.  Every update
+    keeps the caches consistent, and :meth:`check_consistency` recomputes
+    them from scratch for tests.
     """
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
@@ -132,14 +142,17 @@ class ChainState:
         }
         self.leaf = np.asarray(tree.leaf_lengths, dtype=float).copy()
         self.root = float(tree.root_length)
-        self.sigma = tree_to_matrix(tree).values.copy() if stats.n else None
-        self.log_lik = gaussian_loglik(stats, self.sigma)
+        self.kernel = LikelihoodKernel(stats, tree_to_matrix(tree).values)
         self.log_prior_topo = prior.topology_log_prior(tree.topology)
         self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0
         self.accepted_lengths = 0
         self.proposed_lengths = 0
+
+    @property
+    def log_lik(self) -> float:
+        return self.kernel.log_lik
 
     @property
     def log_prior(self) -> float:
@@ -150,23 +163,22 @@ class ChainState:
         return Tree(Topology(self.p, frozenset(splits)), splits,
                     tuple(self.leaf), self.root)
 
-    def propose(self, stats: SufficientStats,
-                changes) -> tuple[np.ndarray | None, float]:
-        """Covariance and log likelihood after adding each ``(mask, value)`` change.
-
-        The cached state is left untouched; without data nothing is built.
-        """
-        if not stats.n:
-            return None, self.log_lik
-        sigma = self.sigma.copy()
-        for mask, value in changes:
-            add_split(sigma, mask, value)
-        return sigma, gaussian_loglik(stats, sigma)
-
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
+        """Raise ``AssertionError`` unless every cache matches a fresh recomputation.
+
+        The covariance and its inverse are compared entrywise, relative to
+        their largest entry.
+        """
         t = self.tree()
-        ll = gaussian_loglik(stats, tree_to_matrix(t))
+        sigma = tree_to_matrix(t).values
+        if stats.n:
+            for name, cached, fresh in (("sigma", self.kernel.sigma, sigma),
+                                        ("W", self.kernel.W, np.linalg.inv(sigma))):
+                err = float(np.max(np.abs(cached - fresh)))
+                if err > tol * float(np.max(np.abs(fresh))):
+                    raise AssertionError(f"stale {name}: off by {err}")
+        ll = gaussian_loglik(stats, sigma)
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
         lp = tree_log_prior(t, prior)
@@ -226,16 +238,15 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         mask_b = grow_cands[rng.integers(len(grow_cands))]
         d_new = rng.exponential(a)
         new_topo_lp = cfg.prior.topology_log_prior(_topology(p, masks + [mask_b]))
-        sigma, new_ll = state.propose(stats, [(mask_b, d_new)])
+        dll = state.kernel.propose([(mask_b, d_new)])
         # reverse move: the shrink branch picks this split and stays
-        log_alpha = (new_topo_lp - state.log_prior_topo) \
-            + (new_ll - state.log_lik) \
+        log_alpha = (new_topo_lp - state.log_prior_topo) + dll \
             + _log_shrink_prob(m + 1, p) - math.log(m + 1) \
             - _log_grow_prob(m, p)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_topology += 1
             state.internal[mask_b] = d_new
-            state.sigma, state.log_lik = sigma, new_ll
+            state.kernel.accept()
             state.log_prior_topo = new_topo_lp
             state.log_prior_len -= d_new / a + math.log(a)
         return state
@@ -252,9 +263,9 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     new_masks = remainder if stay else remainder + [mask_b]
     new_topo_lp = cfg.prior.topology_log_prior(_topology(p, new_masks))
     changes = [(mask_a, -d)] if stay else [(mask_a, -d), (mask_b, d)]
-    sigma, new_ll = state.propose(stats, changes)
+    dll = state.kernel.propose(changes)
 
-    log_alpha = (new_topo_lp - state.log_prior_topo) + (new_ll - state.log_lik)
+    log_alpha = (new_topo_lp - state.log_prior_topo) + dll
     if stay:
         # reverse move: the grow branch at the boundary regrows this split;
         # the Exp density of the dropped length cancels against the prior
@@ -267,7 +278,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
             state.log_prior_len += d / a + math.log(a)
         else:
             state.internal[mask_b] = d
-        state.sigma, state.log_lik = sigma, new_ll
+        state.kernel.accept()
         state.log_prior_topo = new_topo_lp
     return state
 
@@ -299,7 +310,12 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     Coordinates are visited in ascending bitmask order (leaves, internal
     splits and the root edge interleaved canonically).  The acceptance
     ratio carries the exponential prior, the likelihood, and the
-    truncated-normal normalization asymmetry.
+    truncated-normal normalization asymmetry.  Each move is a rank-one
+    change priced and applied by ``state.kernel`` in ``O(p^2)``; the sweep
+    ends with one full refactorization (skipped when no move was applied), so
+    rounding drift never outlives a sweep and an MH iteration makes at most
+    two factorizations, one for the topology proposal and this one.
+    ``stats`` are the statistics ``state`` was built with.
     """
     full = (1 << state.p) - 1
     coords = sorted([1 << i for i in range(state.p)] + list(state.internal) + [full])
@@ -314,8 +330,8 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
             cur = state.internal[mask]
         prop = _sample_truncnorm(cur, sd, rng)
         state.proposed_lengths += 1
-        sigma, new_ll = state.propose(stats, [(mask, prop - cur)])
-        log_alpha = mh_length_log_ratio(cur, prop, new_ll - state.log_lik, a, sd)
+        dll = state.kernel.propose([(mask, prop - cur)])
+        log_alpha = mh_length_log_ratio(cur, prop, dll, a, sd)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_lengths += 1
             if mask == full:
@@ -324,8 +340,9 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
                 state.leaf[mask.bit_length() - 1] = prop
             else:
                 state.internal[mask] = prop
-            state.sigma, state.log_lik = sigma, new_ll
+            state.kernel.accept()
             state.log_prior_len -= (prop - cur) / a
+    state.kernel.refresh()
     return state
 
 

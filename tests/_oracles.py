@@ -197,6 +197,25 @@ def downdate_gradient(stats_n: int, scatter: np.ndarray, tree: Tree,
     return -0.5 * stats_n * q / (1 + d * q) + 0.5 * num / (1 + d * q) ** 2
 
 
+def loop_split_gradient(stats_n: int, scatter: np.ndarray, sigma: np.ndarray,
+                        masks) -> np.ndarray:
+    """Per-split gradient as block sums, one split at a time.
+
+    Entry ``j`` sums the ``A_j x A_j`` blocks of ``W = sigma^-1`` and
+    ``W A W``: ``-(n/2) sum W[A,A] + (1/2) sum (W A W)[A,A]``.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    p = sigma.shape[0]
+    W = cho_solve(cho_factor(sigma, lower=True), np.eye(p))
+    G = W @ scatter @ W
+    out = np.empty(len(masks))
+    for j, m in enumerate(masks):
+        block = np.ix_(*[[i for i in range(p) if m >> i & 1]] * 2)
+        out[j] = -0.5 * stats_n * float(W[block].sum()) + 0.5 * float(G[block].sum())
+    return out
+
+
 # ---------------------------------------------------------------------------
 # misc statistics helpers
 # ---------------------------------------------------------------------------

@@ -291,6 +291,30 @@ trace = {tmp_path / 't.csv'}
         error = json.loads(capsys.readouterr().out)["error"]
         assert f"[{section}] {key}" in error
 
+    def test_percent_is_literal(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 3
+
+[sampler]
+iterations = 40
+burn_in = 20
+
+[io]
+archive = {tmp_path / 'out%1.jsonl'}
+trace = {tmp_path / 't%1.csv'}
+""")
+        assert main(["sample", "--config", cfg]) == 0
+        assert (tmp_path / "out%1.jsonl").exists()
+        assert (tmp_path / "t%1.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[model]\np = 3\np = 4\n", "p = 3\n[model]\n"],
+                             ids=["duplicate-key", "no-section-header"])
+    def test_unparseable_ini_exit_two(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path / "bad.ini", text)
+        assert main(["sample", "--config", cfg]) == 2
+        assert "bad.ini" in json.loads(capsys.readouterr().out)["error"]
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.ini", "[model]\np = 3\nwhat = 1\n")
         assert main(["sample", "--config", cfg]) == 2

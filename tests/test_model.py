@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import downdate_gradient
+from _oracles import downdate_gradient, loop_split_gradient
 from treecov.errors import (
     DataError,
     InvalidArgumentError,
@@ -11,17 +12,19 @@ from treecov.errors import (
 )
 from treecov.model import (
     DataSet,
+    LikelihoodKernel,
     SufficientStats,
     gaussian_loglik,
     loglik_gradient,
     sample_gaussian,
     sample_t,
     split_gradient,
+    split_indicators,
     suff_stats,
 )
 from treecov.rng import RngStream
 from treecov.treespace import Split, Tree, random_tree, star_tree
-from treecov.ultrametric import tree_to_matrix
+from treecov.ultrametric import add_split, tree_to_matrix
 
 
 class TestSuffStats:
@@ -218,3 +221,136 @@ class TestSampling:
         a = sample_t(m, 4, 8, RngStream(1, 5)).values
         b = sample_t(m, 4, 8, RngStream(1, 5)).values
         assert np.array_equal(a, b)
+
+
+class TestSplitProduct:
+    """The one-product gradient against the per-split loop and the downdate identity.
+
+    The product sums in a different order, so the tolerance is 1e-12 of the
+    size of the gradient's two terms, which can cancel each other.
+    """
+
+    @staticmethod
+    def check(stats, sigma, masks, tree=None):
+        got = split_gradient(stats, sigma, masks)
+        W = np.linalg.inv(sigma)
+        V = np.array([[m >> k & 1 for m in masks] for k in range(len(sigma))], float)
+        scale = 0.5 * stats.n * np.abs(np.diag(V.T @ W @ V)) \
+            + 0.5 * np.abs(np.diag(V.T @ W @ stats.S @ W @ V))
+        want = loop_split_gradient(stats.n, stats.S, sigma, masks)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        if tree is not None:
+            alt = np.array([downdate_gradient(stats.n, stats.S, tree, Split(tree.p, m))
+                            for m in masks])
+            assert np.all(np.abs(got - alt) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 20, 64])
+    def test_matches_loop_and_downdate(self, rng, p):
+        for _ in range(3):
+            t = random_tree(p, "uniform-binary", 1.0, rng)
+            sigma = tree_to_matrix(t).values
+            stats = suff_stats(sample_gaussian(sigma, 10 * p, rng))
+            self.check(stats, sigma, [s.mask for s, _ in t.coordinates()], t)
+
+    def test_leaf_and_root_masks_alone(self, rng):
+        t = random_tree(6, "uniform-binary", 1.0, rng)
+        sigma = tree_to_matrix(t).values
+        stats = suff_stats(sample_gaussian(sigma, 40, rng))
+        self.check(stats, sigma, [0b1], t)
+        self.check(stats, sigma, [(1 << 6) - 1], t)
+        self.check(stats, sigma, [1 << 5, 0b1, (1 << 6) - 1], t)
+
+    def test_indicators_of_64_leaves(self):
+        V = split_indicators(64, [(1 << 64) - 1, 1 << 63, 1, 0b110])
+        assert V.shape == (64, 4)
+        assert np.all(V[:, 0] == 1.0)
+        assert np.flatnonzero(V[:, 1]).tolist() == [63]
+        assert np.flatnonzero(V[:, 2]).tolist() == [0]
+        assert np.flatnonzero(V[:, 3]).tolist() == [1, 2]
+
+
+def _fresh_sigma(p, lengths):
+    sigma = np.zeros((p, p))
+    for mask, value in lengths.items():
+        add_split(sigma, mask, value)
+    return sigma
+
+
+class TestLikelihoodKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+           moves=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                    st.floats(-0.6, 1.5), st.booleans()),
+                          min_size=1, max_size=25))
+    def test_rank_one_moves_match_fresh(self, p, seed, moves):
+        # each move scales one stored length by a factor in [0.4, 2.5] and
+        # is accepted or rejected; the caches track a fresh recomputation
+        rng = RngStream(seed)
+        t = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 3 * p, rng))
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        masks = sorted(lengths)
+        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        for pick, frac, accept in moves:
+            mask = masks[pick % len(masks)]
+            delta = frac * lengths[mask]
+            dll = kernel.propose([(mask, delta)])
+            before = kernel.log_lik
+            moved = dict(lengths)
+            moved[mask] += delta
+            assert before + dll == pytest.approx(
+                gaussian_loglik(stats, _fresh_sigma(p, moved)), rel=1e-9)
+            if accept:
+                kernel.accept()
+                lengths = moved
+            sigma = _fresh_sigma(p, lengths)
+            W = np.linalg.inv(sigma)
+            assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
+            assert np.allclose(kernel.sigma, sigma, rtol=0.0, atol=1e-12 * np.abs(sigma).max())
+            assert np.allclose(kernel.W, W, rtol=0.0, atol=1e-9 * np.abs(W).max())
+
+    def test_refresh_only_after_rank_one_updates(self, rng):
+        t = random_tree(5, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 30, rng))
+        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        W = kernel.W
+        kernel.refresh()
+        assert kernel.W is W  # nothing moved: no refactorization
+        kernel.propose([(0b1, 0.3)])
+        kernel.accept()
+        kernel.refresh()
+        sigma = tree_to_matrix(t).values.copy()
+        sigma[0, 0] += 0.3
+        assert kernel.log_lik == gaussian_loglik(stats, sigma)
+
+    def test_no_data_builds_nothing(self):
+        kernel = LikelihoodKernel(SufficientStats.empty(3), np.eye(3))
+        assert kernel.sigma is None
+        assert kernel.propose([(0b1, 5.0)]) == 0.0
+        kernel.accept()
+        assert kernel.log_lik == 0.0
+
+    def test_singular_move_is_typed(self):
+        # p=2 with both leaf lengths driven to 1e-17 under a unit root: the
+        # second move's 1 + delta c rounds to zero, and the full
+        # factorization it falls back to fails on the singular matrix
+        stats = SufficientStats(5, np.eye(2))
+        kernel = LikelihoodKernel(stats, tree_to_matrix(star_tree((1.0, 1.0), 1.0)).values)
+        kernel.propose([(0b01, 1e-17 - 1.0)])
+        kernel.accept()
+        with pytest.raises(NotPositiveDefiniteError):
+            kernel.propose([(0b10, 1e-17 - 1.0)])
+
+    def test_non_positive_denominator_falls_back_to_fresh(self, rng):
+        # a corrupted inverse makes 1 + delta c negative; the move is then
+        # priced and applied by a full factorization
+        t = random_tree(4, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 20, rng))
+        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        kernel.W = -kernel.W
+        delta = 2.0 / abs(kernel.W[0, 0])
+        sigma = tree_to_matrix(t).values.copy()
+        sigma[0, 0] += delta
+        assert kernel.propose([(0b1, delta)]) == gaussian_loglik(stats, sigma) - kernel.log_lik
+        kernel.accept()
+        assert np.allclose(kernel.W, np.linalg.inv(sigma))

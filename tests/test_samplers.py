@@ -10,7 +10,7 @@ from treecov.errors import (
     InvalidTreeError,
     NotPositiveDefiniteError,
 )
-from treecov.model import SufficientStats, sample_gaussian, suff_stats
+from treecov.model import SufficientStats, gaussian_loglik, sample_gaussian, suff_stats
 from treecov.priors import PriorSpec
 from treecov.rng import RngStream
 from treecov.samplers import (
@@ -180,6 +180,39 @@ class TestLengthUpdate:
         state = ChainState(two_split_tree(), stats, cfg.prior)
         for _ in range(50):
             mh_length_update(state, stats, cfg, rng)
+        state.check_consistency(stats, cfg.prior)
+
+
+    def test_consistency_check_sees_stale_inverse(self, rng):
+        truth = random_tree(4, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 50, rng))
+        cfg = MhConfig()
+        state = ChainState(two_split_tree(), stats, cfg.prior)
+        mh_length_update(state, stats, cfg, rng)
+        state.check_consistency(stats, cfg.prior)
+        state.kernel.W[0, 1] += 1e-3
+        with pytest.raises(AssertionError, match="stale W"):
+            state.check_consistency(stats, cfg.prior)
+
+    @pytest.mark.parametrize("mode", ["binary", "multifurcating"])
+    def test_at_most_two_factorizations_per_iteration(self, rng, monkeypatch, mode):
+        import treecov.model as model
+
+        calls = []
+        real = model._factor
+        monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
+        truth = random_tree(8, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 80, rng))
+        cfg = MhConfig(mode=mode, prior=PriorSpec(kind="poisson-dirichlet"))
+        state = ChainState(random_tree(8, "uniform-binary", 1.0, rng), stats, cfg.prior)
+        for _ in range(40):
+            calls.clear()
+            mh_topology_update(state, stats, cfg, rng)
+            mh_length_update(state, stats, cfg, rng)
+            assert len(calls) <= 2
+            # each sweep ends on the exact full-factorization value
+            assert state.log_lik == gaussian_loglik(stats, state.kernel.sigma)
+        assert state.accepted_lengths > 0
         state.check_consistency(stats, cfg.prior)
 
 
