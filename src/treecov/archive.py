@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import InvalidArgumentError
+from .errors import DataError, DimensionError, InvalidArgumentError
 from .treespace import Split, Topology, Tree
 
 
@@ -104,14 +104,25 @@ class PosteriorArchive:
         records = []
         p = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                d = json.loads(line)
-                if p is None:
-                    p = len(d["leaf_lengths"])
-                records.append(ArchiveRecord.from_json_dict(d, p))
+                try:
+                    d = json.loads(line)
+                    leaves = len(d["leaf_lengths"])
+                    p = leaves if p is None else p
+                    if leaves != p:
+                        raise DimensionError(
+                            f"archive {path} line {lineno}: record has {leaves} "
+                            f"leaves, earlier records have {p}")
+                    records.append(ArchiveRecord.from_json_dict(d, p))
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"archive {path} line {lineno}: "
+                                    f"not valid JSON ({exc})") from exc
+                except KeyError as exc:
+                    raise DataError(f"archive {path} line {lineno}: "
+                                    f"missing key {exc}") from exc
         if p is None:
             raise InvalidArgumentError(f"archive {path} contains no records")
         out = cls(p=p, records=records, provenance=provenance or {})

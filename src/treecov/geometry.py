@@ -20,6 +20,7 @@ combinatorial decisions are immune to float noise.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -67,9 +68,9 @@ def _min_weight_cover(wa: Sequence[Fraction], wb: Sequence[Fraction],
     # Edmonds-Karp: BFS augmenting paths until none remain
     while True:
         parent = {source: source}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in parent:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj[u]:
                 if v not in parent and cap[(u, v)] > 0:
                     parent[v] = u
@@ -91,9 +92,9 @@ def _min_weight_cover(wa: Sequence[Fraction], wb: Sequence[Fraction],
             v = u
 
     reached = {source}
-    queue = [source]
+    queue = deque([source])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in adj[u]:
             if v not in reached and cap[(u, v)] > 0:
                 reached.add(v)
@@ -237,7 +238,8 @@ def _compute_support(t1: Tree, t2: Tree) -> GeodesicSupport:
     bps = [pr.breakpoint for pr in pairs]
     for x, y in zip(bps, bps[1:]):
         if x > y + 1e-9:
-            raise RuntimeError(f"support refinement produced unsorted ratios: {bps}")
+            raise InvalidArgumentError(
+                f"geodesic support refinement produced unsorted ratios: {bps}")
     return GeodesicSupport(common, pairs)
 
 

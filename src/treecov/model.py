@@ -9,7 +9,8 @@ edge length ``d_j``), the gradient is
     d loglik / d d_j = -(n/2) v_j' S^-1 v_j + (1/2) v_j' S^-1 A S^-1 v_j,
 
 the diagonal of one ``V' (...) V`` product, where ``A`` is the scatter matrix;
-one factorization serves all coordinates.
+one factorization serves all coordinates.  ``V`` and every covariance
+``V diag(d) V'`` come from :mod:`treecov.ultrametric`.
 
 Changing one length by ``delta`` adds ``delta v v'`` to the covariance, so
 :class:`LikelihoodKernel` keeps ``W = S^-1`` and prices such a move in
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import add_split, as_matrix, tree_to_matrix
+from .ultrametric import as_matrix, split_indicators, split_matrix, tree_to_matrix
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -138,15 +139,6 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     return _loglik_from_factor(stats, _factor(arr))
 
 
-def split_indicators(p: int, masks) -> np.ndarray:
-    """The ``p x q`` 0/1 matrix whose column ``j`` marks the leaves of ``masks[j]``.
-
-    Bits are read as unsigned 64-bit words, so the 64-leaf root mask fits.
-    """
-    bits = np.array(masks, dtype=np.uint64)
-    return (bits >> np.arange(p, dtype=np.uint64)[:, None] & np.uint64(1)).astype(float)
-
-
 def split_gradient(stats: SufficientStats, sigma: np.ndarray,
                    masks) -> np.ndarray:
     """Log-likelihood gradient in the length of each split bitmask at ``sigma``.
@@ -221,16 +213,15 @@ class LikelihoodKernel:
                               - delta * float(self.stats.S.dot(u).dot(u)) / denom)
 
                 def apply():
-                    # entrywise the same sums as add_split(sigma, mask, delta)
+                    # delta v v', entrywise the one-split split_matrix(p, [mask], [delta])
                     self.sigma += (delta * v)[:, None] * v
                     self.W -= (delta / denom * u)[:, None] * u
                     self._updated = True
 
                 self._pending = (self.log_lik + dll, apply)
                 return dll
-        sigma = self.sigma.copy()
-        for mask, value in changes:
-            add_split(sigma, mask, value)
+        masks, values = zip(*changes)
+        sigma = self.sigma + split_matrix(self.stats.p, masks, values)
         cf = _factor(sigma)
         new_ll = _loglik_from_factor(self.stats, cf)
 

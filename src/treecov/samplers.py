@@ -42,7 +42,7 @@ from .model import (
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
 from .treespace import Split, Topology, Tree, _growth_candidates
-from .ultrametric import add_split, tree_to_matrix
+from .ultrametric import split_matrix, tree_to_matrix
 
 
 def _norm_cdf(x: float) -> float:
@@ -371,13 +371,6 @@ class HmcState:
         self.accepted = 0
         self.proposed = 0
 
-    def covariance(self, lengths: np.ndarray) -> np.ndarray:
-        """The matrix with the given length on each slot's split, in slot order."""
-        sigma = np.zeros((self.p, self.p))
-        for m, v in zip(self.masks, lengths):
-            add_split(sigma, m, v)
-        return sigma
-
     def tree(self) -> Tree:
         p = self.p
         full = (1 << p) - 1
@@ -413,7 +406,8 @@ def _grad_potential(state: HmcState, stats: SufficientStats,
     grad = np.full(len(state.masks), 1.0 / cfg.prior.edge_mean)
     if stats.n:
         try:
-            grad -= split_gradient(stats, state.covariance(g), state.masks)
+            sigma = split_matrix(state.p, state.masks, g)
+            grad -= split_gradient(stats, sigma, state.masks)
         except NotPositiveDefiniteError:
             return None
     return grad * dg
@@ -434,8 +428,8 @@ def _true_potential(state: HmcState, stats: SufficientStats,
         if topology.is_resolved or prior.kind != "beta-splitting" else 0.0
     state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
     try:
-        state.log_lik = gaussian_loglik(stats, state.covariance(state.d)) \
-            if stats.n else 0.0
+        state.log_lik = gaussian_loglik(
+            stats, split_matrix(state.p, state.masks, state.d)) if stats.n else 0.0
     except NotPositiveDefiniteError:
         state.log_lik = -math.inf
     return -state.log_lik - state.log_prior

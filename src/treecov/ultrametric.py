@@ -7,9 +7,12 @@ rooted leaf-labeled trees under the linear map
 
     tree_to_matrix(t) = sum over stored edges of  length * E_A,
 
-where ``E_A`` is the 0/1 matrix with ones on ``A x A``.  Entry ``(i, j)`` is
-the sum of edge lengths from the root down to the most recent common ancestor
-of leaves ``i`` and ``j``.  ``matrix_to_tree`` inverts the map by recursively
+where ``E_A`` is the 0/1 matrix with ones on ``A x A``: with ``V`` the
+``p x q`` indicator matrix of the stored splits and ``d`` their lengths, it
+is ``V diag(d) V'``, and :func:`split_matrix` builds every covariance from
+(split, length) pairs in that one form.  Entry ``(i, j)`` is the sum of edge
+lengths from the root down to the most recent common ancestor of leaves
+``i`` and ``j``.  ``matrix_to_tree`` inverts the map by recursively
 splitting off the smallest entry and reading block structure from the
 zero pattern of the remainder.
 """
@@ -194,36 +197,30 @@ def _three_point_witness(arr: np.ndarray, tol: float):
     return None
 
 
-def _positions(p: int, mask: int) -> list[int]:
-    """0-based row indices of the leaves in a split bitmask."""
-    return [i for i in range(p) if mask >> i & 1]
+def split_indicators(p: int, masks) -> np.ndarray:
+    """The ``p x q`` 0/1 matrix whose column ``j`` marks the leaves of ``masks[j]``.
 
-
-def add_split(sigma: np.ndarray, mask: int, value: float) -> None:
-    """Add ``value * E_A`` to ``sigma`` in place, for the split ``A`` = ``mask``.
-
-    The root split adds to every entry, a leaf edge to one diagonal entry,
-    and an internal split to the block of its leaves.
+    Bits are read as unsigned 64-bit words, so the 64-leaf root mask fits.
     """
-    p = sigma.shape[0]
-    if mask == (1 << p) - 1:
-        sigma += value
-    elif mask.bit_count() == 1:
-        i = mask.bit_length() - 1
-        sigma[i, i] += value
-    else:
-        idx = _positions(p, mask)
-        sigma[np.ix_(idx, idx)] += value
+    bits = np.array(masks, dtype=np.uint64)
+    return (bits >> np.arange(p, dtype=np.uint64)[:, None] & np.uint64(1)).astype(float)
+
+
+def split_matrix(p: int, masks, lengths) -> np.ndarray:
+    """``V diag(d) V'``: the sum of ``lengths[j] * E_A`` over the splits ``A = masks[j]``.
+
+    ``V`` is :func:`split_indicators` of ``masks``.  Entry ``(i, j)`` sums
+    the lengths of the splits that hold both leaves.
+    """
+    V = split_indicators(p, masks)
+    return (V * np.asarray(lengths, dtype=float)) @ V.T
 
 
 def tree_to_matrix(t: Tree) -> UltrametricMatrix:
     """The linear split representation of a tree (always strictly ultrametric)."""
-    p = t.p
-    out = np.full((p, p), t.root_length, dtype=float)
-    out[np.diag_indices(p)] += np.asarray(t.leaf_lengths)
-    for s, v in t.internal_lengths.items():
-        add_split(out, s.mask, v)
-    return UltrametricMatrix(out)
+    items = list(t.coordinates())
+    return UltrametricMatrix(split_matrix(t.p, [s.mask for s, _ in items],
+                                          [v for _, v in items]))
 
 
 def _blocks_of(arr: np.ndarray, labels: tuple[int, ...], floor: float,

@@ -36,6 +36,32 @@ def path_sum_matrix(tree: Tree) -> np.ndarray:
     return out
 
 
+def add_split(sigma: np.ndarray, mask: int, value: float) -> None:
+    """Add ``value * E_A`` to ``sigma`` in place, for the split ``A`` = ``mask``.
+
+    The root split adds to every entry, a leaf edge to one diagonal entry,
+    and an internal split to the block of its leaves.
+    """
+    p = sigma.shape[0]
+    if mask == (1 << p) - 1:
+        sigma += value
+    elif mask.bit_count() == 1:
+        i = mask.bit_length() - 1
+        sigma[i, i] += value
+    else:
+        idx = [i for i in range(p) if mask >> i & 1]
+        sigma[np.ix_(idx, idx)] += value
+
+
+def block_sum_matrix(p: int, masks, lengths) -> np.ndarray:
+    """``sum_j lengths[j] * E_{masks[j]}`` by one in-place block add per split,
+    in the given order."""
+    sigma = np.zeros((p, p))
+    for mask, value in zip(masks, lengths):
+        add_split(sigma, mask, float(value))
+    return sigma
+
+
 # ---------------------------------------------------------------------------
 # brute-force geodesic distance over all valid support sequences
 # ---------------------------------------------------------------------------

@@ -177,6 +177,25 @@ seed = 5
         assert main(["sample", "--config", cfg]) == 0
         assert (tmp_path / "a.jsonl").read_bytes() == first
 
+    GOOD_RECORD = {"iter": 1, "log_prior": 0.0, "log_lik": 0.0, "splits": [[1, 2]],
+                   "lengths": {"1,2": 0.5}, "leaf_lengths": [1.0, 1.0, 1.0],
+                   "root_length": 0.5}
+
+    @pytest.mark.parametrize("second, message", [
+        ('{"iter": 2, "log_prior": 0.0,', "line 2: not valid JSON"),
+        (json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "root_length"}
+                    | {"iter": 2}), "line 2: missing key 'root_length'"),
+        (json.dumps(GOOD_RECORD | {"iter": 2, "splits": [], "lengths": {},
+                                   "leaf_lengths": [1.0, 1.0]}),
+         "line 2: record has 2 leaves, earlier records have 3"),
+    ], ids=["bad-json", "missing-key", "fewer-leaves"])
+    def test_bad_archive_exit_one(self, tmp_path, capsys, second, message):
+        path = tmp_path / "arch.jsonl"
+        path.write_text(json.dumps(self.GOOD_RECORD) + "\n" + second + "\n")
+        assert main(["summarize", str(path), "--out", str(tmp_path / "s.json")]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert str(path) in err and message in err
+
     def test_two_chains_with_inits(self, tmp_path, capsys):
         t1 = random_tree(3, "uniform-binary", 1.0, RngStream(1))
         t2 = random_tree(3, "uniform-binary", 1.0, RngStream(2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_internal_distance
+from treecov import geometry
 from treecov.errors import DimensionError, InvalidArgumentError
 from treecov.geometry import (
     MeanConfig,
@@ -110,6 +111,19 @@ class TestBhvDistance:
                     else:
                         active.extend(s for s, _ in pr.source)
                 assert set_compatible(set(active))
+
+    def test_unsorted_support_is_typed(self, monkeypatch):
+        # a refinement that returns its pairs out of ratio order: the first
+        # pair breaks at 0.9, the second at 0.1
+        def unsorted(a_items, b_items):
+            (m1, _), (m2, _) = a_items[0], b_items[0]
+            return [([(m1, 0.9)], [(m2, 0.1)]), ([(m1, 0.1)], [(m2, 0.9)])]
+
+        monkeypatch.setattr(geometry, "_refine_pairs", unsorted)
+        t1 = single_split_tree(4, (1, 2), 0.5)
+        t2 = single_split_tree(4, (1, 3), 0.3)
+        with pytest.raises(InvalidArgumentError, match="unsorted ratios"):
+            bhv_distance(t1, t2)
 
     def test_metric_axioms(self):
         rng = RngStream(77)

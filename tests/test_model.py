@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import downdate_gradient, loop_split_gradient
+from _oracles import (
+    block_sum_matrix,
+    downdate_gradient,
+    loop_split_gradient,
+    path_sum_matrix,
+)
 from treecov.errors import (
     DataError,
     InvalidArgumentError,
@@ -19,12 +24,18 @@ from treecov.model import (
     sample_gaussian,
     sample_t,
     split_gradient,
-    split_indicators,
     suff_stats,
 )
 from treecov.rng import RngStream
-from treecov.treespace import Split, Tree, random_tree, star_tree
-from treecov.ultrametric import add_split, tree_to_matrix
+from treecov.treespace import (
+    Split,
+    Topology,
+    Tree,
+    random_tree,
+    resolution_candidates,
+    star_tree,
+)
+from treecov.ultrametric import split_indicators, split_matrix, tree_to_matrix
 
 
 class TestSuffStats:
@@ -270,9 +281,12 @@ class TestSplitProduct:
 
 
 def _fresh_sigma(p, lengths):
-    sigma = np.zeros((p, p))
-    for mask, value in lengths.items():
-        add_split(sigma, mask, value)
+    """The covariance of ``{mask: length}`` from ``split_matrix``, checked
+    against the block-add reference within 1e-14 of its largest entry."""
+    masks, values = list(lengths), list(lengths.values())
+    sigma = split_matrix(p, masks, values)
+    ref = block_sum_matrix(p, masks, values)
+    assert np.all(np.abs(sigma - ref) <= 1e-14 * np.abs(ref).max())
     return sigma
 
 
@@ -308,6 +322,28 @@ class TestLikelihoodKernel:
             assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
             assert np.allclose(kernel.sigma, sigma, rtol=0.0, atol=1e-12 * np.abs(sigma).max())
             assert np.allclose(kernel.W, W, rtol=0.0, atol=1e-9 * np.abs(W).max())
+
+    @pytest.mark.parametrize("p", [4, 7, 20])
+    def test_two_changes_match_fresh_build(self, rng, p):
+        # a topology swap: one internal split shrinks to zero and a
+        # compatible alternative regrows with its length
+        t = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 3 * p, rng))
+        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        old, length = max(t.internal_lengths.items(), key=lambda kv: kv[0].mask)
+        new = next(s for s in resolution_candidates(t.topology, old) if s != old)
+        kept = {s: v for s, v in t.internal_lengths.items() if s != old}
+        kept[new] = length
+        swapped = Tree(Topology(p, frozenset(kept)), kept, t.leaf_lengths, t.root_length)
+        sigma = _fresh_sigma(p, {s.mask: v for s, v in swapped.coordinates()})
+        assert np.all(np.abs(sigma - path_sum_matrix(swapped)) <= 1e-14 * np.abs(sigma).max())
+        before = kernel.log_lik
+        dll = kernel.propose([(old.mask, -length), (new.mask, length)])
+        assert before + dll == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
+        kernel.accept()
+        assert np.all(np.abs(kernel.sigma - sigma) <= 1e-14 * np.abs(sigma).max())
+        assert np.allclose(kernel.W, np.linalg.inv(sigma), rtol=0.0,
+                           atol=1e-9 * np.abs(kernel.W).max())
 
     def test_refresh_only_after_rank_one_updates(self, rng):
         t = random_tree(5, "uniform-binary", 1.0, rng)

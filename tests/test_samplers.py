@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import ks_statistic_exponential
+from _oracles import block_sum_matrix, ks_statistic_exponential, loop_split_gradient
 from treecov.errors import (
     InvalidArgumentError,
     InvalidTreeError,
@@ -274,6 +274,34 @@ class TestHmcLeapfrog:
             assert grad[j] == pytest.approx(
                 -reference[Split(5, m)] + 1.3, rel=1e-10, abs=1e-10
             )
+
+    def test_slots_in_any_order_with_zero_lengths(self, rng):
+        # shuffled slots, two internal ones at zero: the potential and its
+        # gradient read the covariance of the slots in their current order
+        from treecov.samplers import _grad_potential, _true_potential
+
+        p = 7
+        t = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 40, rng))
+        cfg = HmcConfig(delta=0.05)
+        state = HmcState(t, cfg)
+        order = rng.generator.permutation(len(state.masks))
+        state.masks = [state.masks[i] for i in order]
+        state.d = state.d[order]
+        internal = [j for j, m in enumerate(state.masks) if 2 <= m.bit_count() < p]
+        state.d[internal[:2]] = 0.0
+        _true_potential(state, stats, cfg)
+        fresh = block_sum_matrix(p, state.masks, state.d)
+        assert state.log_lik == pytest.approx(gaussian_loglik(stats, fresh), rel=1e-12)
+        assert state.log_lik == pytest.approx(
+            gaussian_loglik(stats, tree_to_matrix(state.tree())), rel=1e-12)
+        g = np.where(state.d < cfg.delta, (state.d ** 2 + cfg.delta ** 2) / (2 * cfg.delta),
+                     state.d)
+        dg = np.where(state.d < cfg.delta, state.d / cfg.delta, 1.0)
+        loop = loop_split_gradient(stats.n, stats.S, block_sum_matrix(p, state.masks, g),
+                                   state.masks)
+        want = (1.0 / cfg.prior.edge_mean - loop) * dg
+        assert _grad_potential(state, stats, cfg) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_energy_drift_second_order(self, rng):
         t = random_tree(4, "uniform-binary", 2.0, RngStream(12))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from _oracles import path_sum_matrix
+from _oracles import add_split, block_sum_matrix, path_sum_matrix
 from treecov.errors import DimensionError, UltrametricViolationError
 from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import (
-    add_split,
     decompose_step,
     matrix_to_tree,
+    split_matrix,
     tree_to_matrix,
     validate_ultrametric,
     vech_leq,
@@ -26,8 +26,21 @@ def drop_random_splits(tree, count, rng):
                 tree.leaf_lengths, tree.root_length)
 
 
+def assert_close_to_largest(got, want, rel=1e-14):
+    """Entrywise agreement within ``rel`` of the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want).max())
+
+
 class TestAddSplit:
+    """``split_matrix`` against the in-place block adds it replaced.
+
+    BLAS sums each entry in its own order, so the two agree to rounding,
+    not bit for bit.
+    """
+
     def test_root_leaf_and_internal(self):
+        masks, lengths = [0b1111, 0b0010, 0b0101], [1.0, 2.0, 3.0]
         sigma = np.zeros((4, 4))
         add_split(sigma, 0b1111, 1.0)  # root edge: every entry
         add_split(sigma, 0b0010, 2.0)  # leaf 2: one diagonal entry
@@ -36,14 +49,50 @@ class TestAddSplit:
         expected[1, 1] += 2.0
         expected[np.ix_([0, 2], [0, 2])] += 3.0
         assert np.array_equal(sigma, expected)
+        assert np.array_equal(split_matrix(4, masks, lengths), expected)
 
     def test_sum_over_coordinates_is_tree_to_matrix(self, rng):
-        for p in (2, 3, 7, 12):
+        for p in (2, 3, 3, 7, 7, 20, 20, 40, 64):
             t = random_tree(p, "uniform-binary", 1.0, rng)
-            sigma = np.zeros((p, p))
-            for s, v in t.coordinates():
-                add_split(sigma, s.mask, v)
-            assert np.allclose(sigma, tree_to_matrix(t).values, rtol=0.0, atol=1e-12)
+            masks = [s.mask for s, _ in t.coordinates()]
+            lengths = [v for _, v in t.coordinates()]
+            sigma = split_matrix(p, masks, lengths)
+            assert np.array_equal(sigma, sigma.T)
+            assert np.array_equal(tree_to_matrix(t).values, sigma)
+            assert_close_to_largest(sigma, block_sum_matrix(p, masks, lengths))
+            assert_close_to_largest(sigma, path_sum_matrix(t))
+
+    def test_64_leaf_root_and_last_leaf(self):
+        sigma = split_matrix(64, [(1 << 64) - 1, 1 << 63, 0b11], [0.5, 2.0, 1.0])
+        expected = np.full((64, 64), 0.5)
+        expected[63, 63] += 2.0
+        expected[:2, :2] += 1.0
+        assert np.array_equal(sigma, expected)
+
+    def test_no_splits_is_zero(self):
+        assert np.array_equal(split_matrix(3, [], []), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("p", [3, 7, 20])
+    def test_slots_in_any_order_with_zero_lengths(self, rng, p):
+        # Hamiltonian slots: every coordinate of a tree in shuffled order,
+        # some internal ones at zero, plus zero-length slots on splits the
+        # tree does not hold
+        gen = rng.generator
+        t = random_tree(p, "uniform-binary", 1.0, rng)
+        other = random_tree(p, "uniform-binary", 1.0, rng)
+        slots = [(s.mask, v) for s, v in t.coordinates()]
+        slots = [(m, 0.0 if 2 <= m.bit_count() < p and gen.uniform() < 0.4 else v)
+                 for m, v in slots]
+        slots += [(s.mask, 0.0) for s in other.internal_lengths
+                  if s not in t.internal_lengths]
+        order = gen.permutation(len(slots))
+        masks = [slots[i][0] for i in order]
+        lengths = [slots[i][1] for i in order]
+        sigma = split_matrix(p, masks, lengths)
+        kept = {Split(p, m): v for m, v in slots if 2 <= m.bit_count() < p and v > 0}
+        pruned = Tree(Topology(p, frozenset(kept)), kept, t.leaf_lengths, t.root_length)
+        assert_close_to_largest(sigma, block_sum_matrix(p, masks, lengths))
+        assert_close_to_largest(sigma, path_sum_matrix(pruned))
 
 
 class TestValidation:
