@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import DataError, DimensionError, InvalidArgumentError
+from .errors import DataError, DimensionError, InvalidArgumentError, TreecovError
 from .treespace import Split, Topology, Tree
 
 
@@ -108,21 +108,27 @@ class PosteriorArchive:
                 line = line.strip()
                 if not line:
                     continue
+                where = f"archive {path} line {lineno}"
                 try:
                     d = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{where}: not valid JSON ({exc})") from exc
+                if not isinstance(d, dict):
+                    raise DataError(
+                        f"{where}: expected a JSON object, got {type(d).__name__}")
+                try:
                     leaves = len(d["leaf_lengths"])
                     p = leaves if p is None else p
                     if leaves != p:
-                        raise DimensionError(
-                            f"archive {path} line {lineno}: record has {leaves} "
-                            f"leaves, earlier records have {p}")
+                        raise DimensionError(f"{where}: record has {leaves} "
+                                             f"leaves, earlier records have {p}")
                     records.append(ArchiveRecord.from_json_dict(d, p))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"archive {path} line {lineno}: "
-                                    f"not valid JSON ({exc})") from exc
                 except KeyError as exc:
-                    raise DataError(f"archive {path} line {lineno}: "
-                                    f"missing key {exc}") from exc
+                    raise DataError(f"{where}: missing key {exc}") from exc
+                except TreecovError:
+                    raise
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise DataError(f"{where}: malformed value ({exc})") from exc
         if p is None:
             raise InvalidArgumentError(f"archive {path} contains no records")
         out = cls(p=p, records=records, provenance=provenance or {})

@@ -13,8 +13,8 @@ The support is refined from the single cone pair by repeatedly solving a
 minimum-weight vertex cover on the bipartite incompatibility graph of each
 pair (squared-length vertex weights, normalized per side); a cover of weight
 strictly below one yields a strictly shorter path.  Cover problems are
-solved exactly by max-flow over rational capacities so that the
-combinatorial decisions are immune to float noise.
+solved exactly by max-flow over integer capacities on a 10^12 grid so that
+the combinatorial decisions are immune to float noise.
 """
 
 from __future__ import annotations
@@ -22,92 +22,93 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
-from .treespace import Split, Topology, Tree, _masks_compatible
+from .treespace import Split, Topology, Tree
 from .ultrametric import as_matrix, matrix_to_tree, DEFAULT_TOL
 
-_RATIONAL_GRID = 10 ** 12
+_GRID = 10 ** 12
 
 
 # ---------------------------------------------------------------------------
-# minimum-weight vertex cover via max-flow (exact rational arithmetic)
+# minimum-weight vertex cover via max-flow (exact integer arithmetic)
 # ---------------------------------------------------------------------------
 
-def _min_weight_cover(wa: Sequence[Fraction], wb: Sequence[Fraction],
+def _min_weight_cover(wa: Sequence[int], wb: Sequence[int],
                       edges: Sequence[tuple[int, int]]):
     """Minimum-weight vertex cover of a bipartite graph.
 
-    Vertices on side A have weights ``wa``, side B ``wb``; ``edges`` are
-    (i, j) index pairs that must be covered.  Returns ``(cover_a, cover_b,
-    weight)`` with index sets per side.  Solved as a source/sink min cut.
+    Vertices on side A have integer weights ``wa``, side B ``wb``; ``edges``
+    are (i, j) index pairs that must be covered.  Returns ``(cover_a,
+    cover_b, weight)`` with index sets per side.
+
+    Solved as a min cut of the network source -> i (capacity ``wa[i]``),
+    i -> j (unbounded), j -> sink (capacity ``wb[j]``).  The cover is the
+    cut nearest the source: A vertices the source cannot reach in the
+    residual graph and B vertices it can.  That vertex set is the same for
+    every maximum flow, so the cover does not depend on the order in which
+    paths are augmented.
     """
     na, nb = len(wa), len(wb)
-    source, sink = na + nb, na + nb + 1
-    inf = sum(wa, Fraction(0)) + sum(wb, Fraction(0)) + 1
-    cap: dict[tuple[int, int], Fraction] = {}
-    adj: dict[int, list[int]] = {v: [] for v in range(na + nb + 2)}
-
-    def add_edge(u, v, c):
-        if (u, v) not in cap:
-            cap[(u, v)] = Fraction(0)
-            cap[(v, u)] = Fraction(0)
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] += c
-
-    for i, w in enumerate(wa):
-        add_edge(source, i, w)
-    for j, w in enumerate(wb):
-        add_edge(na + j, sink, w)
+    adj: list[list[int]] = [[] for _ in range(na)]
     for i, j in edges:
-        add_edge(i, na + j, inf)
-
-    # Edmonds-Karp: BFS augmenting paths until none remain
+        adj[i].append(j)
+    ra = list(wa)                                  # residual source -> i
+    rb = list(wb)                                  # residual j -> sink
+    flow: list[dict[int, int]] = [{} for _ in range(nb)]   # flow[j][i] on i -> j
+    # saturate the shortest paths source -> i -> j -> sink greedily
+    for i in range(na):
+        for j in adj[i]:
+            d = min(ra[i], rb[j])
+            if d > 0:
+                ra[i] -= d
+                rb[j] -= d
+                flow[j][i] = flow[j].get(i, 0) + d
+    # then shortest augmenting paths source -> i -> j (-> i' -> j')* -> sink,
+    # stepping back from j to i' along an edge that carries flow
     while True:
-        parent = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+        from_b: dict[int, int | None] = {i: None for i in range(na) if ra[i] > 0}
+        from_a: dict[int, int] = {}
+        queue = deque(from_b)
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for j in adj[i]:
+                if j in from_a:
+                    continue
+                from_a[j] = i
+                if rb[j] > 0:
+                    end = j
+                    break
+                for k, f in flow[j].items():
+                    if f > 0 and k not in from_b:
+                        from_b[k] = j
+                        queue.append(k)
+        if end is None:
             break
-        # bottleneck along the path
-        bottleneck = inf
-        v = sink
-        while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, cap[(u, v)])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-            v = u
+        forward, backward = [], []
+        j = end
+        while j is not None:
+            i = from_a[j]
+            forward.append((i, j))
+            j = from_b[i]
+            if j is not None:
+                backward.append((i, j))
+        d = min(ra[i], rb[end], *(flow[j][i] for i, j in backward))
+        ra[i] -= d
+        rb[end] -= d
+        for i, j in forward:
+            flow[j][i] = flow[j].get(i, 0) + d
+        for i, j in backward:
+            flow[j][i] -= d
 
-    reached = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reached and cap[(u, v)] > 0:
-                reached.add(v)
-                queue.append(v)
-    cover_a = {i for i in range(na) if i not in reached}
-    cover_b = {j for j in range(nb) if na + j in reached}
-    weight = sum((wa[i] for i in cover_a), Fraction(0)) + \
-        sum((wb[j] for j in cover_b), Fraction(0))
+    # the last search found no path, so it visited all the source reaches
+    cover_a = {i for i in range(na) if i not in from_b}
+    cover_b = set(from_a)
+    weight = sum(wa[i] for i in cover_a) + sum(wb[j] for j in cover_b)
     return cover_a, cover_b, weight
-
-
-def _rationalize(x: float) -> Fraction:
-    return Fraction(round(x * _RATIONAL_GRID), _RATIONAL_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +122,15 @@ class SupportPair:
     source: tuple[tuple[Split, float], ...]
     target: tuple[tuple[Split, float], ...]
 
-    @property
+    @cached_property
     def source_norm(self) -> float:
         return math.sqrt(math.fsum(l * l for _, l in self.source))
 
-    @property
+    @cached_property
     def target_norm(self) -> float:
         return math.sqrt(math.fsum(l * l for _, l in self.target))
 
-    @property
+    @cached_property
     def breakpoint(self) -> float:
         """Path fraction at which this pair crosses its boundary."""
         a, b = self.source_norm, self.target_norm
@@ -169,62 +170,74 @@ class GeodesicSupport:
         }
 
 
+def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
+    """The two sub-pairs of a support pair, or ``None`` when it is final.
+
+    Squared lengths are normalized per side and snapped to integers
+    ``R_i`` and ``S_j`` on the 10^12 grid, with side totals ``TA`` and
+    ``TB``.  The cover weights ``R_i/TA`` and ``S_j/TB`` are scaled by
+    ``TA*TB`` to the integers ``R_i*TB`` and ``S_j*TA``, so a whole side
+    weighs exactly ``TA*TB`` and the strict test ``weight < 1`` is exact.
+    """
+    if not A or not B:
+        return None
+    a_sq = math.fsum(l * l for _, l in A)
+    b_sq = math.fsum(l * l for _, l in B)
+    if a_sq <= 0.0 or b_sq <= 0.0:
+        return None
+    # the masks differ, so they clash unless nested or disjoint
+    edges = [
+        (i, j)
+        for i, (ma, _) in enumerate(A)
+        for j, (mb, _) in enumerate(B)
+        if ma & mb and ma & ~mb and mb & ~ma
+    ]
+    ra = [round(l * l / a_sq * _GRID) for _, l in A]
+    rb = [round(l * l / b_sq * _GRID) for _, l in B]
+    ta, tb = sum(ra), sum(rb)
+    cover_a, cover_b, weight = _min_weight_cover(
+        [r * tb for r in ra], [r * ta for r in rb], edges)
+    if weight >= ta * tb:
+        return None
+    c1 = [A[i] for i in range(len(A)) if i in cover_a]
+    c2 = [A[i] for i in range(len(A)) if i not in cover_a]
+    d2 = [B[j] for j in range(len(B)) if j in cover_b]
+    d1 = [B[j] for j in range(len(B)) if j not in cover_b]
+    return (c1, d1), (c2, d2)
+
+
 def _refine_pairs(a_items: list[tuple[int, float]], b_items: list[tuple[int, float]]):
-    """Split support pairs until no pair admits a cover of weight < 1."""
-    pairs = [(a_items, b_items)]
-    while True:
+    """Split support pairs until no pair admits a cover of weight < 1.
+
+    A pair that does not split is final: its cover problem would come out
+    the same on every later round, so it is not solved again.
+    """
+    pairs = [(a_items, b_items, False)]
+    changed = True
+    while changed:
         changed = False
-        new_pairs: list[tuple[list, list]] = []
-        for A, B in pairs:
-            if not A or not B:
-                new_pairs.append((A, B))
-                continue
-            edges = [
-                (i, j)
-                for i, (ma, _) in enumerate(A)
-                for j, (mb, _) in enumerate(B)
-                if not _masks_compatible(ma, mb)
-            ]
-            a_sq = math.fsum(l * l for _, l in A)
-            b_sq = math.fsum(l * l for _, l in B)
-            if a_sq <= 0.0 or b_sq <= 0.0:
-                new_pairs.append((A, B))
-                continue
-            # normalize squared lengths, snap to a rational grid, then
-            # renormalize exactly so a whole side always weighs exactly 1
-            # and can never pass the strict cover test through rounding
-            wa = [_rationalize(l * l / a_sq) for _, l in A]
-            wb = [_rationalize(l * l / b_sq) for _, l in B]
-            ta, tb = sum(wa), sum(wb)
-            wa = [w / ta for w in wa]
-            wb = [w / tb for w in wb]
-            cover_a, cover_b, weight = _min_weight_cover(wa, wb, edges)
-            if weight < 1:
-                c1 = [A[i] for i in range(len(A)) if i in cover_a]
-                c2 = [A[i] for i in range(len(A)) if i not in cover_a]
-                d2 = [B[j] for j in range(len(B)) if j in cover_b]
-                d1 = [B[j] for j in range(len(B)) if j not in cover_b]
-                new_pairs.append((c1, d1))
-                new_pairs.append((c2, d2))
-                changed = True
+        new_pairs: list[tuple[list, list, bool]] = []
+        for A, B, final in pairs:
+            halves = None if final else _split_pair(A, B)
+            if halves is None:
+                new_pairs.append((A, B, True))
             else:
-                new_pairs.append((A, B))
+                new_pairs.extend((C, D, False) for C, D in halves)
+                changed = True
         pairs = new_pairs
-        if not changed:
-            return [pr for pr in pairs if pr[0] or pr[1]]
+    return [(A, B) for A, B, _ in pairs if A or B]
 
 
 def _compute_support(t1: Tree, t2: Tree) -> GeodesicSupport:
     if t1.p != t2.p:
         raise DimensionError(f"trees have different leaf counts: {t1.p} != {t2.p}")
+    # a tree keeps its internal lengths in ascending mask order
     s1, s2 = t1.internal_lengths, t2.internal_lengths
-    common = tuple(
-        (s, s1[s], s2[s]) for s in sorted(set(s1) & set(s2), key=lambda x: x.mask)
-    )
-    a_items = [(s.mask, l) for s, l in sorted(s1.items(), key=lambda kv: kv[0].mask)
-               if s not in s2]
-    b_items = [(s.mask, l) for s, l in sorted(s2.items(), key=lambda kv: kv[0].mask)
-               if s not in s1]
+    in1 = {s.mask for s in s1}
+    in2 = {s.mask: l for s, l in s2.items()}
+    common = tuple((s, l, in2[s.mask]) for s, l in s1.items() if s.mask in in2)
+    a_items = [(s.mask, l) for s, l in s1.items() if s.mask not in in2]
+    b_items = [(s.mask, l) for s, l in s2.items() if s.mask not in in1]
     raw = _refine_pairs(a_items, b_items)
     p = t1.p
     pairs = tuple(
@@ -312,7 +325,8 @@ def _point_from_support(t1: Tree, t2: Tree, support: GeodesicSupport,
         for x, y in zip(t1.leaf_lengths, t2.leaf_lengths)
     )
     root = (1.0 - s) * t1.root_length + s * t2.root_length
-    return Tree(Topology(p, frozenset(internal)), internal, leaf, root)
+    # common splits plus one side of each pair: compatible by construction
+    return Tree(Topology._trusted(p, frozenset(internal)), internal, leaf, root)
 
 
 def geodesic_point(t1: Tree, t2: Tree, s: float) -> Tree:
@@ -331,9 +345,11 @@ def geodesic_point(t1: Tree, t2: Tree, s: float) -> Tree:
 class MeanConfig:
     """Controls for iterative mean computation.
 
-    ``max_iterations`` defaults to ``5000 * len(trees)`` when left ``None``;
-    the tolerance stops the iteration once successive iterates are closer
-    than ``tolerance`` under the tree metric.
+    ``max_iterations`` defaults to ``5000 * len(trees)`` when left ``None``.
+    The iteration also stops after ``len(trees)`` steps in a row shorter
+    than ``tolerance`` under the tree metric, but step ``k`` moves
+    ``dist / (k + 1)``, so at 1e-8 that takes about 10^8 steps: in practice
+    ``max_iterations`` is the stop.
     """
 
     max_iterations: int | None = None

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,6 +150,119 @@ def brute_force_internal_distance(t1: Tree, t2: Tree) -> float:
                 total = common_sq + sum((na + nb) ** 2 for na, nb in norms)
                 best = min(best, math.sqrt(total))
     return best
+
+
+# ---------------------------------------------------------------------------
+# geodesic support refinement over exact rationals
+# ---------------------------------------------------------------------------
+
+_RATIONAL_GRID = 10 ** 12
+
+
+def fraction_min_weight_cover(wa, wb, edges):
+    """Minimum-weight bipartite vertex cover by Edmonds-Karp on ``Fraction``
+    capacities; returns ``(cover_a, cover_b, weight)``."""
+    na, nb = len(wa), len(wb)
+    source, sink = na + nb, na + nb + 1
+    inf = sum(wa, Fraction(0)) + sum(wb, Fraction(0)) + 1
+    cap: dict[tuple[int, int], Fraction] = {}
+    adj: dict[int, list[int]] = {v: [] for v in range(na + nb + 2)}
+
+    def add_edge(u, v, c):
+        if (u, v) not in cap:
+            cap[(u, v)] = Fraction(0)
+            cap[(v, u)] = Fraction(0)
+            adj[u].append(v)
+            adj[v].append(u)
+        cap[(u, v)] += c
+
+    for i, w in enumerate(wa):
+        add_edge(source, i, w)
+    for j, w in enumerate(wb):
+        add_edge(na + j, sink, w)
+    for i, j in edges:
+        add_edge(i, na + j, inf)
+
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and cap[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        bottleneck = inf
+        v = sink
+        while v != source:
+            u = parent[v]
+            bottleneck = min(bottleneck, cap[(u, v)])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            cap[(u, v)] -= bottleneck
+            cap[(v, u)] += bottleneck
+            v = u
+
+    reached = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in reached and cap[(u, v)] > 0:
+                reached.add(v)
+                queue.append(v)
+    cover_a = {i for i in range(na) if i not in reached}
+    cover_b = {j for j in range(nb) if na + j in reached}
+    weight = sum((wa[i] for i in cover_a), Fraction(0)) + \
+        sum((wb[j] for j in cover_b), Fraction(0))
+    return cover_a, cover_b, weight
+
+
+def fraction_refine_pairs(a_items, b_items):
+    """Support refinement with rational cover weights: squared lengths are
+    normalized per side, snapped to the 10^12 grid, then renormalized
+    exactly so a whole side weighs 1; every pair is solved again each round
+    until no cover weighs less than 1."""
+    def rationalize(x: float) -> Fraction:
+        return Fraction(round(x * _RATIONAL_GRID), _RATIONAL_GRID)
+
+    pairs = [(a_items, b_items)]
+    while True:
+        changed = False
+        new_pairs = []
+        for A, B in pairs:
+            if not A or not B:
+                new_pairs.append((A, B))
+                continue
+            edges = [(i, j) for i, (ma, _) in enumerate(A)
+                     for j, (mb, _) in enumerate(B)
+                     if not _masks_compatible(ma, mb)]
+            a_sq = math.fsum(l * l for _, l in A)
+            b_sq = math.fsum(l * l for _, l in B)
+            if a_sq <= 0.0 or b_sq <= 0.0:
+                new_pairs.append((A, B))
+                continue
+            wa = [rationalize(l * l / a_sq) for _, l in A]
+            wb = [rationalize(l * l / b_sq) for _, l in B]
+            ta, tb = sum(wa), sum(wb)
+            wa = [w / ta for w in wa]
+            wb = [w / tb for w in wb]
+            cover_a, cover_b, weight = fraction_min_weight_cover(wa, wb, edges)
+            if weight < 1:
+                new_pairs.append(([A[i] for i in range(len(A)) if i in cover_a],
+                                  [B[j] for j in range(len(B)) if j not in cover_b]))
+                new_pairs.append(([A[i] for i in range(len(A)) if i not in cover_a],
+                                  [B[j] for j in range(len(B)) if j in cover_b]))
+                changed = True
+            else:
+                new_pairs.append((A, B))
+        pairs = new_pairs
+        if not changed:
+            return [pr for pr in pairs if pr[0] or pr[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -188,13 +188,23 @@ seed = 5
         (json.dumps(GOOD_RECORD | {"iter": 2, "splits": [], "lengths": {},
                                    "leaf_lengths": [1.0, 1.0]}),
          "line 2: record has 2 leaves, earlier records have 3"),
-    ], ids=["bad-json", "missing-key", "fewer-leaves"])
+        ("[1, 2]", "line 2: expected a JSON object, got list"),
+        (json.dumps(GOOD_RECORD | {"iter": 2, "root_length": "x"}),
+         "line 2: malformed value"),
+        (json.dumps(GOOD_RECORD | {"iter": 2, "lengths": {"1,a": 0.5}}),
+         "line 2: malformed value"),
+        (json.dumps(GOOD_RECORD | {"iter": 2, "leaf_lengths": 3}),
+         "line 2: malformed value"),
+    ], ids=["bad-json", "missing-key", "fewer-leaves", "not-object",
+            "non-numeric", "bad-split-key", "leaf-lengths-not-list"])
     def test_bad_archive_exit_one(self, tmp_path, capsys, second, message):
         path = tmp_path / "arch.jsonl"
         path.write_text(json.dumps(self.GOOD_RECORD) + "\n" + second + "\n")
         assert main(["summarize", str(path), "--out", str(tmp_path / "s.json")]) == 1
-        err = json.loads(capsys.readouterr().out)["error"]
+        out, err_stream = capsys.readouterr()
+        err = json.loads(out)["error"]
         assert str(path) in err and message in err
+        assert "Traceback" not in err_stream
 
     def test_two_chains_with_inits(self, tmp_path, capsys):
         t1 = random_tree(3, "uniform-binary", 1.0, RngStream(1))

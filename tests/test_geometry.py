@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import brute_force_internal_distance
+from _oracles import brute_force_internal_distance, fraction_refine_pairs
 from treecov import geometry
 from treecov.errors import DimensionError, InvalidArgumentError
 from treecov.geometry import (
@@ -43,6 +45,116 @@ def random_pair(rng, p):
     if p > 3 and rng.uniform() < 0.4:
         t2 = drop_random_splits(t2, 1, rng)
     return t1, t2
+
+
+def shaped_tree(p, lengths, rng):
+    """A random tree, sometimes unresolved, with internal lengths that are
+    random, all equal (ties in every ratio), or partly near 1e-9."""
+    t = random_tree(p, "uniform-binary", 1.0, rng)
+    if p > 3 and rng.uniform() < 0.5:
+        t = drop_random_splits(t, rng.integers(p - 2), rng)
+    internal = dict(t.internal_lengths)
+    for s in internal:
+        if lengths == "equal":
+            internal[s] = 1.0
+        elif lengths == "tiny" and rng.uniform() < 0.5:
+            internal[s] = 1e-9 * (1.0 + rng.uniform())
+    return Tree(t.topology, internal, t.leaf_lengths, t.root_length)
+
+
+@st.composite
+def tree_tuples(draw, count, p_max=20, modes=("random", "equal", "tiny")):
+    p = draw(st.integers(3, p_max))
+    lengths = draw(st.sampled_from(modes))
+    rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    return tuple(shaped_tree(p, lengths, rng) for _ in range(count))
+
+
+def uncommon_items(t1, t2):
+    """The (mask, length) lists that geodesic refinement starts from."""
+    s1, s2 = t1.internal_lengths, t2.internal_lengths
+    return ([(s.mask, l) for s, l in s1.items() if s not in s2],
+            [(s.mask, l) for s, l in s2.items() if s not in s1])
+
+
+def distance_or_error(t1, t2):
+    try:
+        return tree_distance(t1, t2)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def oracle_distance(t1, t2):
+    with mock.patch.object(geometry, "_refine_pairs", fraction_refine_pairs):
+        return distance_or_error(t1, t2)
+
+
+class TestIntegerRefinement:
+    """The integer max-flow refinement against the ``Fraction`` oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=tree_tuples(2))
+    def test_same_support_as_fraction_oracle(self, pair):
+        t1, t2 = pair
+        for a, b in ((t1, t2), (t2, t1)):
+            assert geometry._refine_pairs(*uncommon_items(a, b)) == \
+                fraction_refine_pairs(*uncommon_items(a, b))
+            # near-1e-9 lengths can snap to weight 0 on the grid and leave the
+            # ratios unsorted; the oracle then fails with the same message
+            assert distance_or_error(a, b) == oracle_distance(a, b)
+
+    @pytest.mark.parametrize("p", [10, 20, 40])
+    def test_seeded_distances_bit_identical(self, p):
+        rng = RngStream(606, p)
+        for _ in range(30):
+            t1 = random_tree(p, "uniform-binary", 1.0, rng)
+            t2 = random_tree(p, "uniform-binary", 1.0, rng)
+            assert tree_distance(t1, t2) == oracle_distance(t1, t2)
+
+    def test_final_pairs_not_solved_again(self, monkeypatch):
+        # a pair that does not split is final: each pair is solved once
+        calls = []
+        real = geometry._split_pair
+        monkeypatch.setattr(geometry, "_split_pair",
+                            lambda A, B: calls.append((A, B)) or real(A, B))
+        rng = RngStream(7)
+        for _ in range(20):
+            t1, t2 = random_pair(rng, 12)
+            calls.clear()
+            _, support = bhv_distance(t1, t2)
+            solved = [(tuple(A), tuple(B)) for A, B in calls]
+            assert len(solved) == len(set(solved))
+            # a binary refinement tree whose leaves are the final pairs
+            assert len(calls) == max(2 * len(support.pairs) - 1, 1)
+
+    @pytest.mark.xfail(strict=True, raises=InvalidArgumentError,
+                       reason="a 1e-9 length snaps to cover weight 0 on the "
+                              "10^12 grid and the support comes out unsorted")
+    def test_near_zero_length_keeps_ratios_sorted(self, tree_factory):
+        leaves = (1.0,) * 8
+        t1 = tree_factory(8, {(3, 5, 6, 7, 8): 1.2278518400410308e-09,
+                              (6, 7, 8): 0.24127945573267312,
+                              (3, 5): 0.2770152326553761}, leaves)
+        t2 = tree_factory(8, {(1, 2): 0.796092254369959,
+                              (3, 4): 0.34962631782536846,
+                              (1, 2, 7): 1.4122125108845533e-09,
+                              (1, 2, 5, 7): 1.4534356735835886e-09,
+                              (1, 2, 5, 6, 7): 1.034479673375221e-09,
+                              (1, 2, 3, 4, 5, 6, 7): 0.8276863099259908}, leaves)
+        tree_distance(t1, t2)
+
+    # near-zero lengths are left to the oracle test and the xfail above: the
+    # distance can raise on them instead of returning a value to check
+    @settings(max_examples=80, deadline=None)
+    @given(trio=tree_tuples(3, p_max=12, modes=("random", "equal")))
+    def test_metric_axioms(self, trio):
+        a, b, c = trio
+        dab, dba = tree_distance(a, b), tree_distance(b, a)
+        assert tree_distance(a, a) == 0.0
+        assert dab == pytest.approx(dba, rel=1e-12, abs=1e-15)
+        assert (dab > 0.0) == (a != b)
+        scale = dab + tree_distance(a, c) + tree_distance(c, b)
+        assert dab <= tree_distance(a, c) + tree_distance(c, b) + 1e-12 * scale
 
 
 class TestBhvDistance:
@@ -195,7 +307,23 @@ class TestMatrixDistance:
             )
 
 
+def assert_fully_validated(tree):
+    """The tree's topology survives the validating constructor unchanged."""
+    rebuilt = Topology(tree.p, tree.topology.splits)
+    assert rebuilt == tree.topology and hash(rebuilt) == hash(tree.topology)
+    assert Tree(rebuilt, tree.internal_lengths, tree.leaf_lengths,
+                tree.root_length) == tree
+
+
 class TestGeodesicPoint:
+    @pytest.mark.parametrize("p", [4, 8, 20])
+    def test_points_pass_full_validation(self, p):
+        rng = RngStream(31, p)
+        for _ in range(10):
+            t1, t2 = random_pair(rng, p)
+            for k in range(1, 10):
+                assert_fully_validated(geodesic_point(t1, t2, k / 10))
+
     def test_endpoints(self, rng):
         t1, t2 = random_pair(rng, 5)
         assert geodesic_point(t1, t2, 0.0) == t1
@@ -270,3 +398,9 @@ class TestFrechetMean:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             frechet_mean([])
+
+    def test_mean_passes_full_validation(self, rng):
+        trees = [shaped_tree(8, "random", rng) for _ in range(6)]
+        mean = frechet_mean(trees, MeanConfig(max_iterations=300))
+        assert mean.topology.splits
+        assert_fully_validated(mean)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from treecov.errors import DimensionError, InvalidArgumentError
+from treecov.errors import DimensionError, InvalidArgumentError, InvalidTreeError
 from treecov.rng import RngStream
 from treecov.treespace import (
     Split,
@@ -185,6 +185,12 @@ class TestTreeInvariants:
         s = S(4, 1, 2)
         with pytest.raises(Exception):
             Tree(Topology(4, frozenset([s])), {}, (1, 1, 1, 1), 0.0)
+
+    def test_topology_rejects_incompatible_splits(self):
+        with pytest.raises(InvalidTreeError, match="incompatible"):
+            Topology(5, frozenset([S(5, 1, 2), S(5, 2, 3)]))
+        assert Topology._trusted(5, frozenset([S(5, 1, 2), S(5, 1, 2, 3)])) == \
+            Topology(5, frozenset([S(5, 1, 2), S(5, 1, 2, 3)]))
 
     def test_positive_lengths_enforced(self):
         s = S(4, 1, 2)
