@@ -12,13 +12,18 @@ Exit codes: 0 success, 1 domain violation (invalid matrix or tree),
 The run config is an INI file with sections ``[model]``, ``[prior]``,
 ``[sampler]``, ``[io]``, ``[run]`` and, for ``simulate``, ``[scenario]``;
 unknown keys are rejected, and ``;`` after whitespace starts a comment.
-``[prior]`` sets the posterior target of both sampler algos.
+``[prior]`` sets the posterior target of both sampler algos.  A key sets the
+config dataclass field of the same name (``sigma_l`` sets ``sigma_L`` and
+``epsilon`` sets ``step_size``); the defaults live only in those dataclasses,
+:class:`PriorSpec`, :class:`MhConfig`, :class:`HmcConfig` and
+:class:`Scenario`, and every field a section leaves unset keeps its default.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,9 +55,17 @@ _CHAIN_STREAM_BASE = 1000
 # file formats
 # ---------------------------------------------------------------------------
 
+def _read_csv(path) -> np.ndarray:
+    """Headerless CSV of decimals as a 2-d array; ``ConfigError`` if malformed."""
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a CSV of numbers: {exc}") from None
+
+
 def read_matrix_csv(path, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Headerless p x p CSV of decimals, symmetric within tolerance."""
-    arr = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    arr = _read_csv(path)
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{path}: expected a square matrix, got {arr.shape}")
     if np.max(np.abs(arr - arr.T), initial=0.0) > tol:
@@ -82,7 +95,7 @@ def write_dataset_csv(path, data: DataSet, sidecar: dict | None = None):
 
 
 def read_dataset_csv(path) -> DataSet:
-    return DataSet(np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float)))
+    return DataSet(_read_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +104,14 @@ def read_dataset_csv(path) -> DataSet:
 
 def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split(","))
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in raw.split(","))
+
+
+def _flag(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
 
 
 # every recognized key, with the type its value is parsed to
@@ -103,11 +124,16 @@ _KNOWN_KEYS = {
                 "delta": float, "mass": float, "thin": int},
     "io": dict.fromkeys(("data", "archive", "trace", "report", "splits_csv"), str),
     "run": {"seed": int, "chains": int, "inits": str},
-    "scenario": {"p": int, "multipliers": _ints, "distributions": str,
+    "scenario": {"p": int, "multipliers": _ints, "distributions": _names,
                  "truth_mode": str, "drop_count": int, "drop_rule": str,
-                 "replicates": int, "fixed_truth": str, "length_mean": float,
+                 "replicates": int, "fixed_truth": _flag, "length_mean": float,
                  "interval_level": float, "mean_passes": int},
 }
+
+# keys whose config dataclass field has another name
+_FIELD_NAMES = {"sigma_l": "sigma_L", "epsilon": "step_size"}
+
+_SAMPLERS = {cls.algo: cls for cls in (MhConfig, HmcConfig)}
 
 
 def load_run_config(path) -> dict:
@@ -139,43 +165,37 @@ def load_run_config(path) -> dict:
     return out
 
 
+def _build(cls, section: dict, **fixed):
+    """``cls`` from the keys a config section sets, matched to its fields by name.
+
+    Keys ``cls`` has no field for are ignored, ``fixed`` fields override the
+    section, and every other field keeps its dataclass default.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    kwargs = {_FIELD_NAMES.get(k, k): v for k, v in section.items()}
+    return cls(**{k: v for k, v in kwargs.items() if k in names} | fixed)
+
+
 def _prior_from_config(cfg: dict) -> PriorSpec:
-    sec = cfg.get("prior", {})
-    return PriorSpec(
-        kind=sec.get("kind", "beta-splitting"),
-        beta=sec.get("beta", -1.5),
-        theta=sec.get("theta", 1.0),
-        alpha_pd=sec.get("alpha_pd", 0.0),
-        edge_mean=sec.get("edge_mean", 1.0),
-    )
+    return _build(PriorSpec, cfg.get("prior", {}))
 
 
 def _sampler_from_config(cfg: dict, seed: int):
     sec = cfg.get("sampler", {})
-    algo = sec.get("algo", "mh")
-    if algo == "mh":
-        return algo, MhConfig(
-            iterations=sec.get("iterations", 10000),
-            burn_in=sec.get("burn_in", 9000),
-            sigma_L=sec.get("sigma_l", 0.1),
-            mode=sec.get("mode", "binary"),
-            prior=_prior_from_config(cfg),
-            seed=seed,
-            thin=sec.get("thin", 1),
-        )
-    if algo == "hmc":
-        return algo, HmcConfig(
-            iterations=sec.get("iterations", 300),
-            burn_in=sec.get("burn_in", 225),
-            step_size=sec.get("epsilon", 0.0015),
-            leapfrog_steps=sec.get("leapfrog_steps", 200),
-            delta=sec.get("delta", 0.003),
-            mass=sec.get("mass", 1.0),
-            prior=_prior_from_config(cfg),
-            seed=seed,
-            thin=sec.get("thin", 1),
-        )
-    raise ConfigError(f"unknown sampler algo {algo!r}")
+    algo = sec.get("algo", Scenario.algo)
+    if algo not in _SAMPLERS:
+        raise ConfigError(f"unknown sampler algo {algo!r}")
+    return algo, _build(_SAMPLERS[algo], sec, prior=_prior_from_config(cfg), seed=seed)
+
+
+def _scenario_from_config(cfg: dict) -> Scenario:
+    sec = cfg.get("scenario", {})
+    if "p" not in sec:
+        raise ConfigError("config must set [scenario] p")
+    seed = cfg.get("run", {}).get("seed", 0)
+    algo, scfg = _sampler_from_config(cfg, seed)
+    # the sampler config fills the Scenario field named after its algo
+    return _build(Scenario, sec, algo=algo, master_seed=seed, **{algo: scfg})
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +203,7 @@ def _sampler_from_config(cfg: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        arr = read_matrix_csv(args.matrix, args.tol)
-    except (OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
+    arr = read_matrix_csv(args.matrix, args.tol)
     report = validate_ultrametric(arr, args.tol)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.valid else 1
@@ -302,29 +318,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    sec = cfg.get("scenario", {})
-    if "p" not in sec:
-        raise ConfigError("config must set [scenario] p")
-    seed = cfg.get("run", {}).get("seed", 0)
-    algo, scfg = _sampler_from_config(cfg, seed)
-    scenario = Scenario(
-        p=sec["p"],
-        multipliers=sec.get("multipliers", (3, 5, 10, 25, 50)),
-        distributions=tuple(s.strip() for s in sec.get("distributions", "normal").split(",")),
-        truth_mode=sec.get("truth_mode", "resolved"),
-        drop_count=sec.get("drop_count", 3),
-        drop_rule=sec.get("drop_rule", "uniform"),
-        replicates=sec.get("replicates", 50),
-        algo=algo,
-        mh=scfg if algo == "mh" else MhConfig(),
-        hmc=scfg if algo == "hmc" else HmcConfig(),
-        fixed_truth=sec.get("fixed_truth", "false").lower() in ("1", "true", "yes"),
-        length_mean=sec.get("length_mean", 1.0),
-        interval_level=sec.get("interval_level", 0.95),
-        mean_passes=sec.get("mean_passes", 3),
-        master_seed=seed,
-    )
-    report = run_scenario(scenario, force=args.force)
+    report = run_scenario(_scenario_from_config(cfg), force=args.force)
     io_sec = cfg.get("io", {})
     json_path = io_sec.get("report", "scenario.json")
     csv_path = io_sec.get("splits_csv", "recovery.csv")

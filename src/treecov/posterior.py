@@ -130,13 +130,15 @@ class SummaryReport:
         return out
 
 
-def trace_statistics(trace: list[tuple[int, float]], window: int = 0) -> dict:
-    """Simple likelihood-trace descriptors for convergence eyeballing."""
+def trace_statistics(trace: list[tuple[int, float]]) -> dict:
+    """Simple likelihood-trace descriptors for convergence eyeballing.
+
+    The final window is the last tenth of the trace (at least one value).
+    """
     if not trace:
         return {}
     values = np.array([v for _, v in trace])
-    window = window or max(1, len(values) // 10)
-    tail = values[-window:]
+    tail = values[-max(1, len(values) // 10):]
     return {
         "iterations": len(values),
         "max_log_lik": float(values.max()),

@@ -41,7 +41,7 @@ from .model import (
 )
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
-from .treespace import Split, Topology, Tree, _growth_candidates
+from .treespace import Split, Topology, Tree, _growth_candidates, _replacements
 from .ultrametric import split_matrix, tree_to_matrix
 
 
@@ -113,7 +113,7 @@ class HmcConfig(_Schedule):
         if self.delta < 0:
             raise InvalidArgumentError("delta must be non-negative")
         if self.mass <= 0:
-            raise InvalidArgumentError("mass entries must be positive")
+            raise InvalidArgumentError("mass must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +124,36 @@ def _topology(p: int, masks) -> Topology:
     return Topology(p, frozenset(Split(p, m) for m in masks))
 
 
+def _is_internal(p: int, mask: int) -> bool:
+    return 2 <= mask.bit_count() < p
+
+
+def _tree(p: int, masks, lengths) -> Tree:
+    """The tree of stored ``(mask, length)`` coordinates.
+
+    Internal splits of length zero are left out; leaf and root coordinates
+    are always kept.
+    """
+    full = (1 << p) - 1
+    leaf = [0.0] * p
+    internal: dict[Split, float] = {}
+    root = 0.0
+    for m, v in zip(masks, lengths):
+        if m == full:
+            root = float(v)
+        elif m.bit_count() == 1:
+            leaf[m.bit_length() - 1] = float(v)
+        elif v > 0.0:
+            internal[Split(p, m)] = float(v)
+    return Tree(Topology(p, frozenset(internal)), internal, tuple(leaf), root)
+
+
 class ChainState:
     """Mutable working state of one MH chain.
 
+    ``lengths`` maps the mask of every stored coordinate (leaves, internal
+    splits and the root) to its length; ``internal`` is a fresh dict of its
+    internal-split entries, so writing to it does not change the state.
     ``kernel`` caches the covariance matrix, its inverse and the log
     likelihood (:class:`LikelihoodKernel`); the two log-prior pieces are
     cached alongside.  Length moves update the kernel by rank one, and
@@ -137,11 +164,7 @@ class ChainState:
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
         self.p = tree.p
-        self.internal: dict[int, float] = {
-            s.mask: v for s, v in tree.internal_lengths.items()
-        }
-        self.leaf = np.asarray(tree.leaf_lengths, dtype=float).copy()
-        self.root = float(tree.root_length)
+        self.lengths: dict[int, float] = {s.mask: v for s, v in tree.coordinates()}
         self.kernel = LikelihoodKernel(stats, tree_to_matrix(tree).values)
         self.log_prior_topo = prior.topology_log_prior(tree.topology)
         self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
@@ -149,6 +172,10 @@ class ChainState:
         self.proposed_topology = 0
         self.accepted_lengths = 0
         self.proposed_lengths = 0
+
+    @property
+    def internal(self) -> dict[int, float]:
+        return {m: v for m, v in self.lengths.items() if _is_internal(self.p, m)}
 
     @property
     def log_lik(self) -> float:
@@ -159,9 +186,7 @@ class ChainState:
         return self.log_prior_topo + self.log_prior_len
 
     def tree(self) -> Tree:
-        splits = {Split(self.p, m): v for m, v in self.internal.items()}
-        return Tree(Topology(self.p, frozenset(splits)), splits,
-                    tuple(self.leaf), self.root)
+        return _tree(self.p, self.lengths, self.lengths.values())
 
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
@@ -234,52 +259,47 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     state.proposed_topology += 1
 
     if grow:
-        grow_cands = [s.mask for s in _growth_candidates(p, masks)]
-        mask_b = grow_cands[rng.integers(len(grow_cands))]
+        cands = _growth_candidates(p, masks)
+        mask_b = cands[rng.integers(len(cands))]
         d_new = rng.exponential(a)
-        new_topo_lp = cfg.prior.topology_log_prior(_topology(p, masks + [mask_b]))
-        dll = state.kernel.propose([(mask_b, d_new)])
-        # reverse move: the shrink branch picks this split and stays
-        log_alpha = (new_topo_lp - state.log_prior_topo) + dll \
-            + _log_shrink_prob(m + 1, p) - math.log(m + 1) \
-            - _log_grow_prob(m, p)
-        if math.log(rng.uniform()) < log_alpha:
-            state.accepted_topology += 1
-            state.internal[mask_b] = d_new
-            state.kernel.accept()
-            state.log_prior_topo = new_topo_lp
-            state.log_prior_len -= d_new / a + math.log(a)
-        return state
-
-    mask_a = masks[rng.integers(m)]
-    d = state.internal[mask_a]
-    remainder = [x for x in masks if x != mask_a]
-    cands = [s.mask for s in _growth_candidates(p, remainder)
-             if s.mask != mask_a]
-    # binary mode never stays at the boundary
-    j = rng.integers(len(cands) if binary else len(cands) + 1)
-    stay = j == len(cands)
-    mask_b = None if stay else cands[j]
-    new_masks = remainder if stay else remainder + [mask_b]
+        new_masks = masks + [mask_b]
+        changes = [(mask_b, d_new)]
+        len_lp = -(d_new / a + math.log(a))
+    else:
+        mask_a = masks[rng.integers(m)]
+        d = state.lengths[mask_a]
+        remainder = [x for x in masks if x != mask_a]
+        cands = _replacements(p, remainder, mask_a)
+        # binary mode never stays at the boundary
+        j = rng.integers(len(cands) if binary else len(cands) + 1)
+        stay = j == len(cands)
+        new_masks = remainder if stay else remainder + [cands[j]]
+        changes = [(mask_a, -d)] if stay else [(mask_a, -d), (cands[j], d)]
+        len_lp = d / a + math.log(a) if stay else 0.0
     new_topo_lp = cfg.prior.topology_log_prior(_topology(p, new_masks))
-    changes = [(mask_a, -d)] if stay else [(mask_a, -d), (mask_b, d)]
     dll = state.kernel.propose(changes)
 
     log_alpha = (new_topo_lp - state.log_prior_topo) + dll
-    if stay:
+    if grow:
+        # reverse move: the shrink branch picks this split and stays (summed
+        # left to right, not with +=, so the accept test rounds as before)
+        log_alpha = log_alpha + _log_shrink_prob(m + 1, p) - math.log(m + 1) \
+            - _log_grow_prob(m, p)
+    elif stay:
         # reverse move: the grow branch at the boundary regrows this split;
         # the Exp density of the dropped length cancels against the prior
         log_alpha += _log_grow_prob(m - 1, p) + math.log(m) \
             - _log_shrink_prob(m, p)
     if math.log(rng.uniform()) < log_alpha:
         state.accepted_topology += 1
-        del state.internal[mask_a]
-        if stay:
-            state.log_prior_len += d / a + math.log(a)
-        else:
-            state.internal[mask_b] = d
+        for mask, delta in changes:
+            if mask in state.lengths:
+                del state.lengths[mask]  # shrunk to zero
+            else:
+                state.lengths[mask] = delta
         state.kernel.accept()
         state.log_prior_topo = new_topo_lp
+        state.log_prior_len += len_lp
     return state
 
 
@@ -317,29 +337,17 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     two factorizations, one for the topology proposal and this one.
     ``stats`` are the statistics ``state`` was built with.
     """
-    full = (1 << state.p) - 1
-    coords = sorted([1 << i for i in range(state.p)] + list(state.internal) + [full])
     a = cfg.prior.edge_mean
     sd = cfg.sigma_L
-    for mask in coords:
-        if mask == full:
-            cur = state.root
-        elif mask.bit_count() == 1:
-            cur = float(state.leaf[mask.bit_length() - 1])
-        else:
-            cur = state.internal[mask]
+    for mask in sorted(state.lengths):
+        cur = state.lengths[mask]
         prop = _sample_truncnorm(cur, sd, rng)
         state.proposed_lengths += 1
         dll = state.kernel.propose([(mask, prop - cur)])
         log_alpha = mh_length_log_ratio(cur, prop, dll, a, sd)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_lengths += 1
-            if mask == full:
-                state.root = prop
-            elif mask.bit_count() == 1:
-                state.leaf[mask.bit_length() - 1] = prop
-            else:
-                state.internal[mask] = prop
+            state.lengths[mask] = prop
             state.kernel.accept()
             state.log_prior_len -= (prop - cur) / a
     state.kernel.refresh()
@@ -353,11 +361,12 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
 class HmcState:
     """Mutable working state of one Hamiltonian chain.
 
-    Coordinate slots hold ``(mask, length, momentum)`` triples; slots keep
-    their mass when a boundary crossing reassigns an internal coordinate to
-    a different split.  ``log_lik`` and ``log_prior`` belong to the current
-    slots once :func:`hmc_step` has scored them; a leapfrog step moves the
-    slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
+    Coordinate slots hold ``(mask, length, momentum)`` triples; a boundary
+    crossing reassigns an internal slot to a different split.  ``mass`` is
+    the one momentum mass of every slot, ``cfg.mass``.  ``log_lik`` and
+    ``log_prior`` belong to the current slots once :func:`hmc_step` has
+    scored them; a leapfrog step moves the slots and sets ``log_lik`` to
+    nan, or to -inf when its gradient fails.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig):
@@ -366,25 +375,13 @@ class HmcState:
         self.masks = [s.mask for s, _ in items]
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
-        self.mass = np.full(len(items), float(cfg.mass))
+        self.mass = float(cfg.mass)
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
         self.proposed = 0
 
     def tree(self) -> Tree:
-        p = self.p
-        full = (1 << p) - 1
-        leaf = [0.0] * p
-        internal: dict[Split, float] = {}
-        root = 0.0
-        for m, v in zip(self.masks, self.d):
-            if m == full:
-                root = float(v)
-            elif m.bit_count() == 1:
-                leaf[m.bit_length() - 1] = float(v)
-            elif v > 0.0:
-                internal[Split(p, m)] = float(v)
-        return Tree(Topology(p, frozenset(internal)), internal, tuple(leaf), root)
+        return _tree(self.p, self.masks, self.d)
 
 
 def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -423,7 +420,7 @@ def _true_potential(state: HmcState, stats: SufficientStats,
     flat topology term.
     """
     prior = cfg.prior
-    topology = _topology(state.p, [m for m in state.masks if 2 <= m.bit_count() < state.p])
+    topology = _topology(state.p, [m for m in state.masks if _is_internal(state.p, m)])
     topo_lp = prior.topology_log_prior(topology) \
         if topology.is_resolved or prior.kind != "beta-splitting" else 0.0
     state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
@@ -468,11 +465,9 @@ def _drift(state: HmcState, eps: float, rng: RngStream, chooser=None):
         remaining -= t_hit
         state.a[j_hit] = -state.a[j_hit]
         mask = state.masks[j_hit]
-        if 2 <= mask.bit_count() <= state.p - 1:
-            others = [m for m in state.masks
-                      if m != mask and 2 <= m.bit_count() <= state.p - 1]
-            cands = [s.mask for s in _growth_candidates(state.p, others)
-                     if s.mask != mask]
+        if _is_internal(state.p, mask):
+            others = [m for m in state.masks if m != mask and _is_internal(state.p, m)]
+            cands = _replacements(state.p, others, mask)
             if cands:
                 if chooser is not None:
                     new_mask = chooser([Split(state.p, c) for c in cands]).mask

@@ -93,16 +93,11 @@ def split_compatible(a: Split, b: Split) -> bool:
     """
     if a.p != b.p:
         raise DimensionError(f"splits have different leaf counts: {a.p} != {b.p}")
-    if a.mask == b.mask:
-        return True
-    both = a.mask & b.mask
-    a_only = a.mask & ~b.mask
-    b_only = b.mask & ~a.mask
-    return (both == 0) + (a_only == 0) + (b_only == 0) == 1
+    return _masks_compatible(a.mask, b.mask)
 
 
 def _masks_compatible(a: int, b: int) -> bool:
-    """Compatibility on raw bitmasks (hot-path variant of split_compatible)."""
+    """Compatibility of two nonempty bitmasks (see :func:`split_compatible`)."""
     return a == b or (a & b) == 0 or (a & ~b) == 0 or (b & ~a) == 0
 
 
@@ -223,11 +218,20 @@ def resolution_candidates(topology: Topology, removed: Split) -> list[Split]:
     if removed not in topology.splits:
         raise InvalidArgumentError(f"{removed} is not a split of {topology}")
     remainder = [m for m in topology.sorted_masks() if m != removed.mask]
-    return _growth_candidates(topology.p, remainder)
+    return [Split(topology.p, m) for m in _growth_candidates(topology.p, remainder)]
 
 
-def _growth_candidates(p: int, masks: list[int]) -> list[Split]:
-    """All internal splits compatible with (and absent from) a split set.
+def _replacements(p: int, remainder: list[int], removed: int) -> list[int]:
+    """Masks that can replace ``removed``, a split deleted from ``remainder``.
+
+    In ascending order, with ``removed`` itself left out, so that every
+    entry is a strict topology change.
+    """
+    return [m for m in _growth_candidates(p, remainder) if m != removed]
+
+
+def _growth_candidates(p: int, masks: list[int]) -> list[int]:
+    """Masks of all internal splits compatible with (and absent from) a split set.
 
     A compatible new split is exactly a union of 2..(c-1) children of some
     node with c >= 3 children in the containment tree; unions from distinct
@@ -246,7 +250,7 @@ def _growth_candidates(p: int, masks: list[int]) -> list[Split]:
                     m |= x
                 out.append(m)
     out.sort()
-    return [Split(p, m) for m in out]
+    return out
 
 
 @dataclass(frozen=True)

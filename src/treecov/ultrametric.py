@@ -81,16 +81,6 @@ class UltrametricMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def from_values(cls, values, tol: float = DEFAULT_TOL,
-                    validate: bool = True) -> "UltrametricMatrix":
-        arr = np.asarray(values, dtype=float)
-        if validate:
-            report = validate_ultrametric(arr, tol)
-            if not report.valid:
-                raise UltrametricViolationError(report)
-        return cls(arr)
-
     @property
     def p(self) -> int:
         return self.values.shape[0]

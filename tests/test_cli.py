@@ -8,6 +8,7 @@ from treecov.cli import (
     _KNOWN_KEYS,
     _prior_from_config,
     _sampler_from_config,
+    _scenario_from_config,
     load_run_config,
     main,
     read_matrix_csv,
@@ -16,7 +17,10 @@ from treecov.cli import (
 )
 from treecov.model import sample_gaussian
 from treecov.newick import newick_to_tree, tree_to_newick
+from treecov.priors import PriorSpec
 from treecov.rng import RngStream
+from treecov.samplers import HmcConfig, MhConfig, run_chain
+from treecov.sim import Scenario
 from treecov.treespace import random_tree, star_tree
 from treecov.ultrametric import tree_to_matrix
 
@@ -113,6 +117,31 @@ class TestDistance:
 def write_config(path, body):
     path.write_text(body)
     return str(path)
+
+
+class TestMalformedCsv:
+    """A matrix or data CSV that does not parse exits 2 with a JSON error."""
+
+    @pytest.mark.parametrize("command",
+                             ["validate", "convert", "distance", "sample", "summarize"])
+    def test_exit_two_naming_the_file(self, command, star_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,0,0\n0,x,0\n0,0,1\n")
+        archive = run_chain(None, random_tree(3), "mh", MhConfig(iterations=4, burn_in=2))
+        archive.save_jsonl(tmp_path / "a.jsonl")
+        cfg = write_config(tmp_path / "run.ini", f"[model]\np = 3\n[io]\ndata = {bad}\n")
+        argv = {
+            "validate": ["validate", bad],
+            "convert": ["convert", bad, "--to", "newick"],
+            "distance": ["distance", star_csv, bad],
+            "sample": ["sample", "--config", cfg],
+            "summarize": ["summarize", tmp_path / "a.jsonl", "--truth", bad,
+                          "--out", tmp_path / "s.json"],
+        }[command]
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert str(bad) in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestSampleAndSummarize:
@@ -409,6 +438,20 @@ class TestExampleConfig:
         prior = _prior_from_config(cfg)
         got, scfg = _sampler_from_config(cfg, 0)
         assert got == algo and scfg.prior == prior
+
+    def test_example_gives_the_dataclass_defaults(self):
+        # the example documents the defaults, so it must build exactly them
+        cfg = load_run_config(self.EXAMPLE)
+        assert _prior_from_config(cfg) == PriorSpec()
+        assert _sampler_from_config(cfg, 0) == ("mh", MhConfig())
+        assert _scenario_from_config(cfg) == Scenario(p=10)
+        # the schedule keys show the mh defaults and name hmc's in a comment
+        text = self.EXAMPLE.read_text()
+        cfg["sampler"]["algo"] = "hmc"
+        for key in ("iterations", "burn_in"):
+            assert f"hmc's is {getattr(HmcConfig(), key)}" in text
+            del cfg["sampler"][key]
+        assert _sampler_from_config(cfg, 0) == ("hmc", HmcConfig())
 
     def test_example_lists_every_key(self):
         cfg = load_run_config(self.EXAMPLE)
