@@ -4,7 +4,8 @@ On disk an archive is JSON-lines, one object per record with keys
 ``iter``, ``log_prior``, ``log_lik``, ``splits`` (lists of sorted leaf
 labels), ``lengths`` (internal lengths keyed by canonical split string),
 ``leaf_lengths`` and ``root_length``.  The likelihood trace (including
-burn-in) is a two-column CSV ``iter,log_lik``.
+burn-in) is a two-column CSV ``iter,log_lik``.  A record builds its
+validated :class:`Tree` once, on first use, and keeps it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError, DimensionError, InvalidArgumentError, TreecovError
 from .treespace import Split, Topology, Tree
@@ -33,6 +35,11 @@ class ArchiveRecord:
         return self.log_prior + self.log_lik
 
     def tree(self) -> Tree:
+        """The record's validated tree, built on the first call and kept."""
+        return self._tree
+
+    @cached_property
+    def _tree(self) -> Tree:
         p = len(self.leaf_lengths)
         return Tree(Topology(p, frozenset(self.splits)), dict(self.lengths),
                     self.leaf_lengths, self.root_length)
@@ -103,15 +110,15 @@ class PosteriorArchive:
     def load_jsonl(cls, path, provenance: dict | None = None) -> "PosteriorArchive":
         records = []
         p = None
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 where = f"archive {path} line {lineno}"
                 try:
-                    d = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    d = json.loads(line.decode())
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise DataError(f"{where}: not valid JSON ({exc})") from exc
                 if not isinstance(d, dict):
                     raise DataError(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .archive import PosteriorArchive
 from .errors import ConfigError, TreecovError, UltrametricViolationError
-from .geometry import MeanConfig, bhv_distance, tree_distance
+from .geometry import MeanConfig, bhv_distance, frechet_mean, tree_distance
 from .model import DataSet
 from .newick import newick_to_tree, tree_to_newick
 from .posterior import build_summary
@@ -80,9 +80,17 @@ def write_matrix_csv(path, matrix):
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of an input file; ``ConfigError`` naming it if it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_tree_auto(path) -> Tree:
     """Accept either a matrix CSV or a Newick file, sniffing the content."""
-    text = Path(path).read_text().strip()
+    text = _read_text(path).strip()
     if text.startswith("("):
         return newick_to_tree(text)
     return matrix_to_tree(read_matrix_csv(path))
@@ -145,7 +153,7 @@ def load_run_config(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -218,7 +226,7 @@ def cmd_convert(args) -> int:
         else:
             print(text)
         return 0
-    tree = newick_to_tree(Path(args.input).read_text())
+    tree = newick_to_tree(_read_text(args.input))
     matrix = tree_to_matrix(tree).values
     if args.out:
         write_matrix_csv(args.out, matrix)
@@ -249,7 +257,7 @@ def _resolve_inits(args, cfg, p: int, seed: int, chains: int) -> list[Tree]:
             raise ConfigError(
                 f"{len(paths)} init files given for {chains} chains"
             )
-        return [newick_to_tree(Path(pth).read_text()) for pth in paths]
+        return [newick_to_tree(_read_text(pth)) for pth in paths]
     return [
         random_tree(p, "uniform-binary", 1.0,
                     RngStream(seed, _CHAIN_STREAM_BASE + 7 * c))
@@ -329,14 +337,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mean(args) -> int:
-    text = Path(args.input).read_text().strip()
+    text = _read_text(args.input).strip()
     if text.startswith("{"):
         archive = PosteriorArchive.load_jsonl(args.input)
         trees = archive.trees()
     else:
         trees = [newick_to_tree(line) for line in text.splitlines() if line.strip()]
-    from .geometry import frechet_mean
-
     mean_tree = frechet_mean(trees, MeanConfig(max_iterations=args.mean_iterations))
     matrix = tree_to_matrix(mean_tree)
     out_csv = args.out or "mean.csv"

@@ -13,8 +13,10 @@ The support is refined from the single cone pair by repeatedly solving a
 minimum-weight vertex cover on the bipartite incompatibility graph of each
 pair (squared-length vertex weights, normalized per side); a cover of weight
 strictly below one yields a strictly shorter path.  Cover problems are
-solved exactly by max-flow over integer capacities on a 10^12 grid so that
-the combinatorial decisions are immune to float noise.
+solved by max-flow over exact integer capacities, so the combinatorial
+decisions are immune to float noise.  Geodesics are computed on a tree's
+internal ``{mask: length}`` map and its ``(root, leaves)`` vector; splits
+and trees are built only for what a public function returns.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
 from .treespace import Split, Topology, Tree
 from .ultrametric import as_matrix, matrix_to_tree, DEFAULT_TOL
-
-_GRID = 10 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +120,7 @@ class SupportPair:
 
     source: tuple[tuple[Split, float], ...]
     target: tuple[tuple[Split, float], ...]
-
-    @cached_property
-    def source_norm(self) -> float:
-        return math.sqrt(math.fsum(l * l for _, l in self.source))
-
-    @cached_property
-    def target_norm(self) -> float:
-        return math.sqrt(math.fsum(l * l for _, l in self.target))
-
-    @cached_property
-    def breakpoint(self) -> float:
-        """Path fraction at which this pair crosses its boundary."""
-        a, b = self.source_norm, self.target_norm
-        if a == 0.0:
-            return 0.0
-        if b == 0.0:
-            return 1.0
-        return a / (a + b)
+    breakpoint: float  # path fraction at which the pair crosses its boundary
 
 
 @dataclass(frozen=True)
@@ -147,11 +129,6 @@ class GeodesicSupport:
 
     common: tuple[tuple[Split, float, float], ...]
     pairs: tuple[SupportPair, ...]
-
-    def internal_length(self) -> float:
-        sq = math.fsum((l1 - l2) ** 2 for _, l1, l2 in self.common)
-        sq += math.fsum((pr.source_norm + pr.target_norm) ** 2 for pr in self.pairs)
-        return math.sqrt(sq)
 
     def to_dict(self) -> dict:
         return {
@@ -170,20 +147,28 @@ class GeodesicSupport:
         }
 
 
+def _exact_weights(items: list[tuple[int, float]]) -> list[int]:
+    """Each ``l * l``, a binary fraction ``n/d``, scaled exactly to the
+    largest ``d`` of its side."""
+    ratios = [(l * l).as_integer_ratio() for _, l in items]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
 def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
     """The two sub-pairs of a support pair, or ``None`` when it is final.
 
-    Squared lengths are normalized per side and snapped to integers
-    ``R_i`` and ``S_j`` on the 10^12 grid, with side totals ``TA`` and
-    ``TB``.  The cover weights ``R_i/TA`` and ``S_j/TB`` are scaled by
-    ``TA*TB`` to the integers ``R_i*TB`` and ``S_j*TA``, so a whole side
-    weighs exactly ``TA*TB`` and the strict test ``weight < 1`` is exact.
+    Squared lengths become integers ``R_i`` and ``S_j`` (see
+    :func:`_exact_weights`) with side totals ``TA`` and ``TB``.  The cover
+    weights ``R_i/TA`` and ``S_j/TB`` are scaled by ``TA*TB`` to the integers
+    ``R_i*TB`` and ``S_j*TA``, so a whole side weighs exactly ``TA*TB`` and
+    the strict test ``weight < 1`` is exact.
     """
     if not A or not B:
         return None
-    a_sq = math.fsum(l * l for _, l in A)
-    b_sq = math.fsum(l * l for _, l in B)
-    if a_sq <= 0.0 or b_sq <= 0.0:
+    ra, rb = _exact_weights(A), _exact_weights(B)
+    ta, tb = sum(ra), sum(rb)
+    if ta == 0 or tb == 0:
         return None
     # the masks differ, so they clash unless nested or disjoint
     edges = [
@@ -192,9 +177,6 @@ def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
         for j, (mb, _) in enumerate(B)
         if ma & mb and ma & ~mb and mb & ~ma
     ]
-    ra = [round(l * l / a_sq * _GRID) for _, l in A]
-    rb = [round(l * l / b_sq * _GRID) for _, l in B]
-    ta, tb = sum(ra), sum(rb)
     cover_a, cover_b, weight = _min_weight_cover(
         [r * tb for r in ra], [r * ta for r in rb], edges)
     if weight >= ta * tb:
@@ -228,32 +210,62 @@ def _refine_pairs(a_items: list[tuple[int, float]], b_items: list[tuple[int, flo
     return [(A, B) for A, B, _ in pairs if A or B]
 
 
-def _compute_support(t1: Tree, t2: Tree) -> GeodesicSupport:
-    if t1.p != t2.p:
-        raise DimensionError(f"trees have different leaf counts: {t1.p} != {t2.p}")
-    # a tree keeps its internal lengths in ascending mask order
-    s1, s2 = t1.internal_lengths, t2.internal_lengths
-    in1 = {s.mask for s in s1}
-    in2 = {s.mask: l for s, l in s2.items()}
-    common = tuple((s, l, in2[s.mask]) for s, l in s1.items() if s.mask in in2)
-    a_items = [(s.mask, l) for s, l in s1.items() if s.mask not in in2]
-    b_items = [(s.mask, l) for s, l in s2.items() if s.mask not in in1]
-    raw = _refine_pairs(a_items, b_items)
-    p = t1.p
-    pairs = tuple(
-        SupportPair(
-            tuple((Split(p, m), l) for m, l in A),
-            tuple((Split(p, m), l) for m, l in B),
-        )
-        for A, B in raw
-    )
+def _norm(items: list[tuple[int, float]]) -> float:
+    return math.sqrt(math.fsum(l * l for _, l in items))
+
+
+def _breakpoint(a: float, b: float) -> float:
+    """Path fraction at which a pair with side norms ``a``, ``b`` crosses."""
+    if a == 0.0:
+        return 0.0
+    if b == 0.0:
+        return 1.0
+    return a / (a + b)
+
+
+def _support(x: dict[int, float], y: dict[int, float]):
+    """Common ``(mask, length_x, length_y)`` triples and the ordered support
+    pairs ``(A, B, |A|, |B|)`` between two internal maps."""
+    common = [(m, l, y[m]) for m, l in x.items() if m in y]
+    a_items = [(m, l) for m, l in x.items() if m not in y]
+    b_items = [(m, l) for m, l in y.items() if m not in x]
+    pairs = [(A, B, _norm(A), _norm(B)) for A, B in _refine_pairs(a_items, b_items)]
     # ratio sequence must be non-decreasing; tolerate exact ties only
-    bps = [pr.breakpoint for pr in pairs]
-    for x, y in zip(bps, bps[1:]):
-        if x > y + 1e-9:
+    bps = [_breakpoint(a, b) for _, _, a, b in pairs]
+    for u, v in zip(bps, bps[1:]):
+        if u > v + 1e-9:
             raise InvalidArgumentError(
                 f"geodesic support refinement produced unsorted ratios: {bps}")
-    return GeodesicSupport(common, pairs)
+    return common, pairs
+
+
+def _geodesic_length(common, pairs) -> float:
+    sq = math.fsum((l1 - l2) ** 2 for _, l1, l2 in common)
+    sq += math.fsum((a + b) ** 2 for _, _, a, b in pairs)
+    return math.sqrt(sq)
+
+
+def _vector_distance(u: Sequence[float], v: Sequence[float]) -> float:
+    return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(u, v)))
+
+
+def _coords(t: Tree) -> tuple[dict[int, float], tuple[float, ...]]:
+    """A tree's internal ``{mask: length}`` map and ``(root, leaves)`` vector."""
+    return {s.mask: l for s, l in t.internal_lengths.items()}, t.leaf_root_vector()
+
+
+def _geodesic(t1: Tree, t2: Tree):
+    """``(common, pairs, u, v)``: the support and both leaf/root vectors."""
+    if t1.p != t2.p:
+        raise DimensionError(f"trees have different leaf counts: {t1.p} != {t2.p}")
+    (x, u), (y, v) = _coords(t1), _coords(t2)
+    return (*_support(x, y), u, v)
+
+
+def _tree(p: int, internal: dict[int, float], vec: Sequence[float]) -> Tree:
+    """The validated tree with the given coordinates."""
+    lengths = {Split(p, m): l for m, l in internal.items()}
+    return Tree(Topology(p, frozenset(lengths)), lengths, vec[1:], vec[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +274,18 @@ def _compute_support(t1: Tree, t2: Tree) -> GeodesicSupport:
 
 def bhv_distance(t1: Tree, t2: Tree) -> tuple[float, GeodesicSupport]:
     """Geodesic length over internal-edge coordinates, with its support."""
-    support = _compute_support(t1, t2)
-    return support.internal_length(), support
-
-
-def _leaf_root_norm(t1: Tree, t2: Tree) -> float:
-    v1, v2 = t1.leaf_root_vector(), t2.leaf_root_vector()
-    return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(v1, v2)))
+    common, pairs, _, _ = _geodesic(t1, t2)
+    p = t1.p
+    support = GeodesicSupport(
+        tuple((Split(p, m), l1, l2) for m, l1, l2 in common),
+        tuple(
+            SupportPair(tuple((Split(p, m), l) for m, l in A),
+                        tuple((Split(p, m), l) for m, l in B),
+                        _breakpoint(a, b))
+            for A, B, a, b in pairs
+        ),
+    )
+    return _geodesic_length(common, pairs), support
 
 
 def tree_distance(t1: Tree, t2: Tree, combine: str = "sum") -> float:
@@ -277,8 +294,9 @@ def tree_distance(t1: Tree, t2: Tree, combine: str = "sum") -> float:
     ``combine="sum"`` adds the two components (the default metric);
     ``combine="l2"`` combines them in quadrature for sensitivity checks.
     """
-    internal, _ = bhv_distance(t1, t2)
-    leaf = _leaf_root_norm(t1, t2)
+    common, pairs, u, v = _geodesic(t1, t2)
+    internal = _geodesic_length(common, pairs)
+    leaf = _vector_distance(u, v)
     if combine == "sum":
         return internal + leaf
     if combine == "l2":
@@ -299,34 +317,24 @@ def matrix_distance(m1, m2, tol: float = DEFAULT_TOL, combine: str = "sum") -> f
 # geodesic evaluation and Frechet mean
 # ---------------------------------------------------------------------------
 
-def _point_from_support(t1: Tree, t2: Tree, support: GeodesicSupport,
-                        s: float) -> Tree:
-    p = t1.p
-    internal: dict[Split, float] = {}
-    for sp, l1, l2 in support.common:
-        internal[sp] = (1.0 - s) * l1 + s * l2
-    for pr in support.pairs:
-        a, b = pr.source_norm, pr.target_norm
-        bp = pr.breakpoint
+def _point(common, pairs, u: Sequence[float], v: Sequence[float], s: float):
+    """Internal map and vector a fraction ``s`` along a geodesic; the map
+    holds the common splits and one side of each pair."""
+    internal = {m: (1.0 - s) * l1 + s * l2 for m, l1, l2 in common}
+    for A, B, a, b in pairs:
+        bp = _breakpoint(a, b)
         if s < bp:
-            scale = ((1.0 - s) * a - s * b) / a
-            for sp, l in pr.source:
-                v = scale * l
-                if v > 0.0:
-                    internal[sp] = v
+            scale, side = ((1.0 - s) * a - s * b) / a, A
         elif s > bp:
-            scale = (s * b - (1.0 - s) * a) / b
-            for sp, l in pr.target:
-                v = scale * l
-                if v > 0.0:
-                    internal[sp] = v
-    leaf = tuple(
-        (1.0 - s) * x + s * y
-        for x, y in zip(t1.leaf_lengths, t2.leaf_lengths)
-    )
-    root = (1.0 - s) * t1.root_length + s * t2.root_length
-    # common splits plus one side of each pair: compatible by construction
-    return Tree(Topology._trusted(p, frozenset(internal)), internal, leaf, root)
+            scale, side = (s * b - (1.0 - s) * a) / b, B
+        else:
+            continue
+        for m, l in side:
+            w = scale * l
+            if w > 0.0:
+                internal[m] = w
+    vec = tuple((1.0 - s) * x + s * y for x, y in zip(u, v))
+    return internal, vec
 
 
 def geodesic_point(t1: Tree, t2: Tree, s: float) -> Tree:
@@ -337,8 +345,7 @@ def geodesic_point(t1: Tree, t2: Tree, s: float) -> Tree:
         return t1
     if s == 1.0:
         return t2
-    support = _compute_support(t1, t2)
-    return _point_from_support(t1, t2, support, s)
+    return _tree(t1.p, *_point(*_geodesic(t1, t2), s))
 
 
 @dataclass
@@ -379,12 +386,13 @@ def frechet_mean(trees: Sequence[Tree], cfg: MeanConfig | None = None) -> Tree:
         cfg = MeanConfig()
     n = len(trees)
     max_iter = cfg.max_iterations if cfg.max_iterations is not None else 5000 * n
-    x = trees[0]
+    coords = [_coords(t) for t in trees]
+    x, u = coords[0]
     small_steps = 0
     for k in range(1, max_iter + 1):
-        y = trees[k % n]
-        support = _compute_support(x, y)
-        dist = support.internal_length() + _leaf_root_norm(x, y)
+        y, v = coords[k % n]
+        common, pairs = _support(x, y)
+        dist = _geodesic_length(common, pairs) + _vector_distance(u, v)
         step = dist / (k + 1)
         # stop only once a whole pass moves less than the tolerance;
         # a single tiny step may just mean the target equals the iterate
@@ -395,5 +403,5 @@ def frechet_mean(trees: Sequence[Tree], cfg: MeanConfig | None = None) -> Tree:
         else:
             small_steps = 0
         if step > 0.0:
-            x = _point_from_support(x, y, support, 1.0 / (k + 1))
-    return x
+            x, u = _point(common, pairs, u, v, 1.0 / (k + 1))
+    return _tree(trees[0].p, x, u)

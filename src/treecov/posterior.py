@@ -15,8 +15,9 @@ import numpy as np
 from .archive import PosteriorArchive
 from .errors import DimensionError, InvalidArgumentError
 from .geometry import MeanConfig, frechet_mean
+from .newick import tree_to_newick
 from .treespace import Split, Tree
-from .ultrametric import UltrametricMatrix, as_matrix, tree_to_matrix
+from .ultrametric import UltrametricMatrix, as_matrix, matrix_to_tree, tree_to_matrix
 
 
 def split_frequencies(archive: PosteriorArchive) -> dict[Split, float]:
@@ -31,10 +32,6 @@ def split_frequencies(archive: PosteriorArchive) -> dict[Split, float]:
     return {s: c / n for s, c in sorted(counts.items(), key=lambda kv: kv[0].mask)}
 
 
-def _stacked_matrices(archive: PosteriorArchive) -> np.ndarray:
-    return np.stack([tree_to_matrix(t).values for t in archive.trees()])
-
-
 def credible_intervals(archive: PosteriorArchive,
                        level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise equal-tailed interval bounds at the given level.
@@ -45,7 +42,7 @@ def credible_intervals(archive: PosteriorArchive,
         raise InvalidArgumentError("archive is empty")
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    stack = _stacked_matrices(archive)
+    stack = np.stack([tree_to_matrix(t).values for t in archive.trees()])
     tail = 0.5 * (1.0 - level)
     lo = np.quantile(stack, tail, axis=0, method="linear")
     hi = np.quantile(stack, 1.0 - tail, axis=0, method="linear")
@@ -109,8 +106,6 @@ class SummaryReport:
     recovery: dict[Split, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        from .newick import tree_to_newick
-
         out = {
             "p": self.p,
             "num_samples": self.num_samples,
@@ -168,8 +163,6 @@ def build_summary(archive: PosteriorArchive, level: float = 0.95,
         hits, rate = coverage(lo, hi, truth_arr)
         report.coverage_hits = hits
         report.coverage_rate = rate
-        from .ultrametric import matrix_to_tree
-
         true_tree = matrix_to_tree(truth_arr)
         report.recovery = {
             s: freqs.get(s, 0.0) for s in true_tree.topology.sorted_splits()

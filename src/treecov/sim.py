@@ -10,6 +10,7 @@ Everything is a pure function of the master seed.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .geometry import MeanConfig, matrix_distance
 from .model import DataSet, sample_gaussian, sample_t
+from .newick import tree_to_newick
 from .posterior import build_summary
 from .rng import RngStream
 from .samplers import HmcConfig, MhConfig, run_chain
@@ -223,9 +225,6 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     mean_d, mean_frob = score_point_estimate(summary.mean_matrix, truth_matrix)
     map_d, map_frob = score_point_estimate(tree_to_matrix(summary.map_tree), truth_matrix)
     num_splits = float(np.mean([len(r.splits) for r in archive.records]))
-
-    from .newick import tree_to_newick
-
     return (
         ReplicateResult(
             distribution=dist, n=n, replicate=rep,
@@ -277,8 +276,6 @@ def write_report(report: ScenarioReport, json_path, csv_path=None):
     with open(json_path, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
     if csv_path is not None:
-        import csv as _csv
-
         rows = report.recovery_table()
         cols: list[str] = ["n", "distribution"]
         for row in rows:
@@ -286,6 +283,6 @@ def write_report(report: ScenarioReport, json_path, csv_path=None):
                 if k not in cols:
                     cols.append(k)
         with open(csv_path, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=cols)
+            writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()
             writer.writerows(rows)

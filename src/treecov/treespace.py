@@ -140,18 +140,6 @@ class Topology:
                     )
 
     @classmethod
-    def _trusted(cls, p: int, splits: frozenset[Split]) -> "Topology":
-        """A topology from internal splits known to be compatible, unchecked.
-
-        Only for callers that build the split set from an already valid
-        tree; everything else goes through the validating constructor.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "p", p)
-        object.__setattr__(out, "splits", splits)
-        return out
-
-    @classmethod
     def from_leaf_sets(cls, p: int, leaf_sets: Iterable[Iterable[int]]) -> "Topology":
         return cls(p, frozenset(Split.from_leaves(p, ls) for ls in leaf_sets))
 

@@ -156,9 +156,6 @@ def brute_force_internal_distance(t1: Tree, t2: Tree) -> float:
 # geodesic support refinement over exact rationals
 # ---------------------------------------------------------------------------
 
-_RATIONAL_GRID = 10 ** 12
-
-
 def fraction_min_weight_cover(wa, wb, edges):
     """Minimum-weight bipartite vertex cover by Edmonds-Karp on ``Fraction``
     capacities; returns ``(cover_a, cover_b, weight)``."""
@@ -223,13 +220,10 @@ def fraction_min_weight_cover(wa, wb, edges):
 
 
 def fraction_refine_pairs(a_items, b_items):
-    """Support refinement with rational cover weights: squared lengths are
-    normalized per side, snapped to the 10^12 grid, then renormalized
-    exactly so a whole side weighs 1; every pair is solved again each round
-    until no cover weighs less than 1."""
-    def rationalize(x: float) -> Fraction:
-        return Fraction(round(x * _RATIONAL_GRID), _RATIONAL_GRID)
-
+    """Support refinement with rational cover weights: each squared length
+    is taken exactly and divided by its side's exact total, so a whole side
+    weighs 1; every pair is solved again each round until no cover weighs
+    less than 1."""
     pairs = [(a_items, b_items)]
     while True:
         changed = False
@@ -246,8 +240,8 @@ def fraction_refine_pairs(a_items, b_items):
             if a_sq <= 0.0 or b_sq <= 0.0:
                 new_pairs.append((A, B))
                 continue
-            wa = [rationalize(l * l / a_sq) for _, l in A]
-            wb = [rationalize(l * l / b_sq) for _, l in B]
+            wa = [Fraction(l * l) for _, l in A]
+            wb = [Fraction(l * l) for _, l in B]
             ta, tb = sum(wa), sum(wb)
             wa = [w / ta for w in wa]
             wb = [w / tb for w in wb]

@@ -144,6 +144,38 @@ class TestMalformedCsv:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestUndecodableInput:
+    """An input file that does not decode as text exits with a JSON error
+    naming it: 2 for configs, Newick and matrix inputs, 1 for archives."""
+
+    @pytest.mark.parametrize("command,code", [
+        ("distance", 2), ("convert", 2), ("mean", 2), ("sample-inits", 2),
+        ("sample-config", 2), ("simulate-config", 2), ("summarize", 1)])
+    def test_typed_error_naming_the_file(self, command, code, star_csv,
+                                         tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + "(1:1,2:1);".encode("utf-16-le"))
+        cfg = write_config(tmp_path / "run.ini", f"""[model]
+p = 2
+[io]
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+""")
+        argv = {
+            "distance": ["distance", star_csv, bad],
+            "convert": ["convert", bad, "--to", "matrix"],
+            "mean": ["mean", bad, "--out", tmp_path / "m.csv"],
+            "sample-inits": ["sample", "--config", cfg, "--inits", bad],
+            "sample-config": ["sample", "--config", bad],
+            "simulate-config": ["simulate", "--config", bad],
+            "summarize": ["summarize", bad, "--out", tmp_path / "s.json"],
+        }[command]
+        assert main([str(a) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert str(bad) in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestSampleAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
         rng = RngStream(3)

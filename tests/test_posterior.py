@@ -13,7 +13,7 @@ from treecov.posterior import (
     split_frequencies,
 )
 from treecov.rng import RngStream
-from treecov.treespace import Split, random_tree
+from treecov.treespace import Split, Topology, random_tree
 from treecov.ultrametric import tree_to_matrix, validate_ultrametric
 
 
@@ -184,6 +184,25 @@ class TestCoverage:
 
 
 class TestSummary:
+    def test_one_tree_per_record(self, tmp_path, monkeypatch):
+        # loading validates each record's topology once; the summary reuses
+        # those trees and validates only the truth's and the mean's
+        trees = [random_tree(5, rng=RngStream(3, i)) for i in range(12)]
+        PosteriorArchive(p=5, records=[record_from_tree(t, i + 1)
+                                       for i, t in enumerate(trees)]
+                         ).save_jsonl(tmp_path / "a.jsonl")
+        validated = []
+        real = Topology.__post_init__
+        monkeypatch.setattr(Topology, "__post_init__",
+                            lambda self: validated.append(self) or real(self))
+        archive = PosteriorArchive.load_jsonl(tmp_path / "a.jsonl")
+        build_summary(archive, truth=tree_to_matrix(trees[0]),
+                      mean_cfg=MeanConfig(max_iterations=50))
+        assert len(validated) == len(trees) + 2
+        kept = archive.trees()
+        assert kept == trees
+        assert all(a is b for a, b in zip(kept, archive.trees()))
+
     def test_build_with_truth(self, rng, tmp_path):
         import json
 

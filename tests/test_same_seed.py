@@ -1,9 +1,12 @@
-"""Same-seed chain outputs pinned by digest.
+"""Same-seed chain and summary outputs pinned by digest.
 
 Three short seeded chains at p = 6 (MH binary, MH multifurcating with the
 Poisson-Dirichlet prior, and HMC started at the truth) must reproduce the
 sha256 digests below of their archive JSON lines and their provenance.  A
-refactor of the samplers has to keep every one of them.
+refactor of the samplers has to keep every one of them.  The posterior
+summary of a seeded archive over several topologies, Frechet mean
+included, is pinned the same way for refactors of the geometry and the
+summaries.
 
 The digests depend on floating-point results, so a numpy, scipy or BLAS
 upgrade, or a deliberate change of the numerics, can move them.  Such a
@@ -13,10 +16,14 @@ and why.
 
 import hashlib
 import json
+import math
 
 import pytest
 
+from treecov.archive import ArchiveRecord, PosteriorArchive
+from treecov.geometry import MeanConfig
 from treecov.model import sample_gaussian
+from treecov.posterior import build_summary
 from treecov.priors import PriorSpec
 from treecov.rng import RngStream
 from treecov.samplers import HmcConfig, MhConfig, run_chain
@@ -56,3 +63,34 @@ def test_same_seed_digest(name, tmp_path):
     digest = hashlib.sha256(path.read_bytes())
     digest.update(json.dumps(archive.provenance, sort_keys=True).encode())
     assert digest.hexdigest() == expected
+
+
+SUMMARY_DIGEST = "5a705c373e0c795bfa1dab946ed87733585465bf587b1f3f741f3a1dbcebc7b7"
+
+
+def test_summary_digest():
+    # 40 records around four random topologies; every third record drops
+    # a split, so the mean crosses resolved and multifurcating orthants
+    rng = RngStream(21)
+    bases = [random_tree(P, rng=rng) for _ in range(4)]
+    records = []
+    for i in range(40):
+        base = bases[i % 4]
+        internal = {s: v * math.exp(0.3 * rng.normal())
+                    for s, v in base.internal_lengths.items()}
+        if i % 3 == 0:
+            del internal[min(internal, key=lambda s: s.mask)]
+        records.append(ArchiveRecord(
+            iteration=i + 1, log_prior=-float(i % 7), log_lik=-0.5 * i,
+            splits=tuple(sorted(internal, key=lambda s: s.mask)),
+            lengths=internal,
+            leaf_lengths=tuple(v * math.exp(0.3 * rng.normal())
+                               for v in base.leaf_lengths),
+            root_length=base.root_length,
+        ))
+    archive = PosteriorArchive(p=P, records=records,
+                               trace=[(r.iteration, r.log_lik) for r in records])
+    report = build_summary(archive, truth=tree_to_matrix(bases[0]),
+                           mean_cfg=MeanConfig(max_iterations=500))
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_DIGEST

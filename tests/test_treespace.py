@@ -189,8 +189,6 @@ class TestTreeInvariants:
     def test_topology_rejects_incompatible_splits(self):
         with pytest.raises(InvalidTreeError, match="incompatible"):
             Topology(5, frozenset([S(5, 1, 2), S(5, 2, 3)]))
-        assert Topology._trusted(5, frozenset([S(5, 1, 2), S(5, 1, 2, 3)])) == \
-            Topology(5, frozenset([S(5, 1, 2), S(5, 1, 2, 3)]))
 
     def test_positive_lengths_enforced(self):
         s = S(4, 1, 2)
