@@ -5,7 +5,8 @@ On disk an archive is JSON-lines, one object per record with keys
 labels), ``lengths`` (internal lengths keyed by canonical split string),
 ``leaf_lengths`` and ``root_length``.  The likelihood trace (including
 burn-in) is a two-column CSV ``iter,log_lik``.  A record builds its
-validated :class:`Tree` once, on first use, and keeps it.
+validated :class:`Tree` once, on first use, and keeps it; a record made
+with :meth:`ArchiveRecord.from_tree` keeps the tree it was made from.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ class ArchiveRecord:
         p = len(self.leaf_lengths)
         return Tree(Topology(p, frozenset(self.splits)), dict(self.lengths),
                     self.leaf_lengths, self.root_length)
+
+    @classmethod
+    def from_tree(cls, iteration: int, log_prior: float, log_lik: float,
+                  tree: Tree) -> "ArchiveRecord":
+        """The record of ``tree``, which it keeps as its validated tree."""
+        record = cls(iteration=iteration, log_prior=log_prior, log_lik=log_lik,
+                     splits=tuple(tree.internal_lengths),
+                     lengths=dict(tree.internal_lengths),
+                     leaf_lengths=tree.leaf_lengths, root_length=tree.root_length)
+        record.__dict__["_tree"] = tree  # the slot cached_property fills
+        return record
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,8 +9,10 @@ edge length ``d_j``), the gradient is
     d loglik / d d_j = -(n/2) v_j' S^-1 v_j + (1/2) v_j' S^-1 A S^-1 v_j,
 
 the diagonal of one ``V' (...) V`` product, where ``A`` is the scatter matrix;
-one factorization serves all coordinates.  ``V`` and every covariance
-``V diag(d) V'`` come from :mod:`treecov.ultrametric`.
+one factorization serves all coordinates.  :func:`split_gradient` takes the
+split masks and lengths and builds ``V`` once, for the covariance
+``V diag(d) V'`` and for the product.  ``V`` and every other covariance
+come from :mod:`treecov.ultrametric`.
 
 Changing one length by ``delta`` adds ``delta v v'`` to the covariance, so
 :class:`LikelihoodKernel` keeps ``W = S^-1`` and prices such a move in
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import as_matrix, split_indicators, split_matrix, tree_to_matrix
+from .ultrametric import as_matrix, split_indicators, split_matrix
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -139,18 +141,21 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     return _loglik_from_factor(stats, _factor(arr))
 
 
-def split_gradient(stats: SufficientStats, sigma: np.ndarray,
-                   masks) -> np.ndarray:
-    """Log-likelihood gradient in the length of each split bitmask at ``sigma``.
+def split_gradient(stats: SufficientStats, masks, lengths) -> np.ndarray:
+    """Log-likelihood gradient in the length of each split bitmask.
 
-    Entry ``j`` is ``-(n/2) v' W v + (1/2) v' W A W v`` for the indicator
-    ``v`` of ``masks[j]``, with ``W = sigma^-1`` from one factorization: the
-    diagonals of ``V'WV`` and ``(WV)' A (WV)`` for the indicator matrix ``V``.
-    Raises ``NotPositiveDefiniteError`` when the factorization fails.
+    The covariance is ``sigma = V diag(lengths) V'`` for the indicator
+    matrix ``V`` of ``masks``, built once for both.  Entry ``j`` is
+    ``-(n/2) v' W v + (1/2) v' W A W v`` for column ``v`` of ``V``, with
+    ``W = sigma^-1`` from one factorization: the diagonals of ``V'WV`` and
+    ``(WV)' A (WV)``.  Raises ``NotPositiveDefiniteError`` when the
+    factorization fails.
     """
-    p = sigma.shape[0]
-    W = cho_solve(_factor(sigma), np.eye(p), check_finite=False)
+    p = stats.p
     V = split_indicators(p, masks)
+    # entrywise split_matrix(p, masks, lengths), from the same V
+    sigma = (V * np.asarray(lengths, dtype=float)) @ V.T
+    W = cho_solve(_factor(sigma), np.eye(p), check_finite=False)
     WV = W @ V
     return -0.5 * stats.n * np.einsum("ij,ij->j", V, WV) \
         + 0.5 * np.einsum("ij,ij->j", WV, stats.S @ WV)
@@ -246,9 +251,9 @@ def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
     Keys are splits: singletons for leaf edges, the full set for the root
     edge, and the internal splits.  All lengths must be strictly positive.
     """
-    splits = [s for s, _length in t.coordinates()]
-    grad = split_gradient(stats, tree_to_matrix(t).values, [s.mask for s in splits])
-    return {s: float(g) for s, g in zip(splits, grad)}
+    items = list(t.coordinates())
+    grad = split_gradient(stats, [s.mask for s, _ in items], [v for _, v in items])
+    return {s: float(g) for (s, _), g in zip(items, grad)}
 
 
 def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:

@@ -65,9 +65,29 @@ class PriorSpec:
             raise InvalidArgumentError(f"edge_mean must be positive, got {self.edge_mean}")
 
     def topology_log_prior(self, topology: Topology) -> float:
-        if self.kind == "beta-splitting":
-            return beta_split_log_prior(topology, self.beta)
-        return pd_log_prior(topology, self.theta, self.alpha_pd)
+        return self.masks_log_prior(topology.p, topology.sorted_masks())
+
+    def masks_log_prior(self, p: int, masks) -> float:
+        """The topology log prior of a list of compatible internal split masks.
+
+        Equals :meth:`topology_log_prior` of ``Topology(p, masks)`` without
+        building or validating it; the order of ``masks`` does not matter.
+        The log prior is a sum over the fragmentation events of the masks.
+        """
+        beta_split = self.kind == "beta-splitting"
+        if beta_split and len(masks) != p - 2:
+            raise InvalidArgumentError(
+                "beta-splitting is defined on resolved (binary) topologies only"
+            )
+        total = 0.0
+        for _block, children in fragmentation_events(p, masks):
+            sizes = [c.bit_count() for c in children]
+            if beta_split:
+                total += _betasplit.log_split_prob(sizes[0], sum(sizes), self.beta)
+            else:
+                total += _pd_event_log_prob(tuple(sorted(sizes)), self.theta,
+                                            self.alpha_pd)
+        return total
 
 
 def beta_split_log_prior(topology: Topology, beta: float) -> float:
@@ -77,18 +97,7 @@ def beta_split_log_prior(topology: Topology, beta: float) -> float:
     all ``2**(n-1) - 1`` unordered pairs of the block.  With ``beta = -1.5``
     every resolved topology on p leaves has probability ``1/(2p-3)!!``.
     """
-    if not math.isfinite(beta) or beta <= -2.0:
-        raise InvalidArgumentError(f"beta must be finite and > -2, got {beta}")
-    if not topology.is_resolved:
-        raise InvalidArgumentError(
-            "beta-splitting is defined on resolved (binary) topologies only"
-        )
-    total = 0.0
-    for _block, children in fragmentation_events(topology):
-        sizes = [c.bit_count() for c in children]
-        n = sum(sizes)
-        total += _betasplit.log_split_prob(sizes[0], n, beta)
-    return total
+    return PriorSpec(beta=beta).topology_log_prior(topology)
 
 
 def _check_pd_params(theta: float, alpha_pd: float):
@@ -131,12 +140,8 @@ def _pd_event_log_prob(sizes: tuple[int, ...], theta: float, alpha_pd: float) ->
 def pd_log_prior(topology: Topology, theta: float = 1.0,
                  alpha_pd: float = 0.0) -> float:
     """Log probability of a (possibly multifurcating) topology under PD."""
-    _check_pd_params(theta, alpha_pd)
-    total = 0.0
-    for _block, children in fragmentation_events(topology):
-        sizes = tuple(sorted(c.bit_count() for c in children))
-        total += _pd_event_log_prob(sizes, theta, alpha_pd)
-    return total
+    return PriorSpec(kind="poisson-dirichlet", theta=theta,
+                     alpha_pd=alpha_pd).topology_log_prior(topology)
 
 
 def lengths_log_prior(lengths, a: float = 1.0) -> float:

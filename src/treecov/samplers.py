@@ -12,13 +12,19 @@ along geodesics of the stratified geometry:
   when an internal coordinate reaches zero its momentum flips sign and is
   reassigned to a uniformly chosen compatible split (the current one
   excluded), while leaf and root coordinates simply reflect.  Gradients are
-  taken through a smooth surrogate of the lengths near zero; acceptance
-  always uses the true Hamiltonian, so the stationary law is exact.
+  taken through a smooth surrogate of the lengths near zero, once per
+  position: the state caches the gradient of its slots, so each leapfrog
+  step computes only its closing kick's; acceptance always uses the true
+  Hamiltonian, so the stationary law is exact.
 
 The multifurcating MH variant adds dimension moves: the shrink branch's
 "stay at the boundary" option drops the shrunk edge, and a complementary
 grow branch regrows a compatible split with a prior-distributed length, so
 unresolved topologies carry exactly their posterior mass.
+
+Both kernels price the topology prior from split masks
+(:meth:`PriorSpec.masks_log_prior`); a validated :class:`Topology` is built
+only for a kept record, whose archive record keeps the tree.
 """
 
 from __future__ import annotations
@@ -119,10 +125,6 @@ class HmcConfig(_Schedule):
 # ---------------------------------------------------------------------------
 # Metropolis-Hastings state and updates
 # ---------------------------------------------------------------------------
-
-def _topology(p: int, masks) -> Topology:
-    return Topology(p, frozenset(Split(p, m) for m in masks))
-
 
 def _is_internal(p: int, mask: int) -> bool:
     return 2 <= mask.bit_count() < p
@@ -276,7 +278,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         new_masks = remainder if stay else remainder + [cands[j]]
         changes = [(mask_a, -d)] if stay else [(mask_a, -d), (cands[j], d)]
         len_lp = d / a + math.log(a) if stay else 0.0
-    new_topo_lp = cfg.prior.topology_log_prior(_topology(p, new_masks))
+    new_topo_lp = cfg.prior.masks_log_prior(p, new_masks)
     dll = state.kernel.propose(changes)
 
     log_alpha = (new_topo_lp - state.log_prior_topo) + dll
@@ -363,10 +365,13 @@ class HmcState:
 
     Coordinate slots hold ``(mask, length, momentum)`` triples; a boundary
     crossing reassigns an internal slot to a different split.  ``mass`` is
-    the one momentum mass of every slot, ``cfg.mass``.  ``log_lik`` and
-    ``log_prior`` belong to the current slots once :func:`hmc_step` has
-    scored them; a leapfrog step moves the slots and sets ``log_lik`` to
-    nan, or to -inf when its gradient fails.
+    the one momentum mass of every slot, ``cfg.mass``.  ``grad`` is the
+    gradient of the surrogate potential at the current slots, ``None``
+    until it is first computed or after its evaluation failed; a leapfrog
+    step leaves the gradient of the slots it moves to, so each position is
+    differentiated once.  ``log_lik`` and ``log_prior`` belong to the current slots once
+    :func:`hmc_step` has scored them; a leapfrog step moves the slots and
+    sets ``log_lik`` to nan, or to -inf when its gradient fails.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig):
@@ -376,6 +381,7 @@ class HmcState:
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
         self.mass = float(cfg.mass)
+        self.grad: np.ndarray | None = None
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
         self.proposed = 0
@@ -403,8 +409,7 @@ def _grad_potential(state: HmcState, stats: SufficientStats,
     grad = np.full(len(state.masks), 1.0 / cfg.prior.edge_mean)
     if stats.n:
         try:
-            sigma = split_matrix(state.p, state.masks, g)
-            grad -= split_gradient(stats, sigma, state.masks)
+            grad -= split_gradient(stats, state.masks, g)
         except NotPositiveDefiniteError:
             return None
     return grad * dg
@@ -420,9 +425,9 @@ def _true_potential(state: HmcState, stats: SufficientStats,
     flat topology term.
     """
     prior = cfg.prior
-    topology = _topology(state.p, [m for m in state.masks if _is_internal(state.p, m)])
-    topo_lp = prior.topology_log_prior(topology) \
-        if topology.is_resolved or prior.kind != "beta-splitting" else 0.0
+    internal = [m for m in state.masks if _is_internal(state.p, m)]
+    topo_lp = prior.masks_log_prior(state.p, internal) \
+        if len(internal) == state.p - 2 or prior.kind != "beta-splitting" else 0.0
     state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
     try:
         state.log_lik = gaussian_loglik(
@@ -480,22 +485,25 @@ def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
                  rng: RngStream, chooser=None) -> HmcState:
     """One leapfrog step: half kick, boundary-crossing drift, half kick.
 
-    Returns the state unchanged (apart from a momentum flip bookkeeping)
-    when a gradient evaluation fails, with ``log_lik`` set to -inf; the
-    enclosing step then rejects.
+    The opening kick reads ``state.grad``, the gradient at the current
+    slots, and the one gradient a step computes is the closing kick's, at
+    the slots the drift reached; a state's first step also computes its
+    opening gradient.  When a gradient evaluation fails, ``state.grad`` is
+    ``None`` and ``log_lik`` -inf; the enclosing step then rejects.
     """
     state.log_lik = math.nan
-    grad = _grad_potential(state, stats, cfg)
-    if grad is None:
-        state.log_lik = -math.inf
-        return state
-    state.a -= 0.5 * cfg.step_size * grad
+    if state.grad is None:
+        state.grad = _grad_potential(state, stats, cfg)
+        if state.grad is None:
+            state.log_lik = -math.inf
+            return state
+    state.a -= 0.5 * cfg.step_size * state.grad
     _drift(state, cfg.step_size, rng, chooser)
-    grad = _grad_potential(state, stats, cfg)
-    if grad is None:
+    state.grad = _grad_potential(state, stats, cfg)
+    if state.grad is None:
         state.log_lik = -math.inf
         return state
-    state.a -= 0.5 * cfg.step_size * grad
+    state.a -= 0.5 * cfg.step_size * state.grad
     return state
 
 
@@ -505,14 +513,16 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
     the true-Hamiltonian ratio; a non-finite Hamiltonian rejects outright.
-    Either way the state's cached log likelihood and log prior are those of
-    the slots it keeps, and the next step starts from them.
+    Either way the state's cached gradient, log likelihood and log prior are
+    those of the slots it keeps, and the next step starts from them.
     """
     state.a = rng.generator.normal(size=len(state.masks)) * np.sqrt(state.mass)
     if math.isnan(state.log_lik):
         _true_potential(state, stats, cfg)
+    if state.grad is None:  # computed before saving, so a reject keeps it
+        state.grad = _grad_potential(state, stats, cfg)
     h_cur = -state.log_lik - state.log_prior + _kinetic(state)
-    saved = (list(state.masks), state.d.copy(), state.a.copy(),
+    saved = (list(state.masks), state.d.copy(), state.a.copy(), state.grad,
              state.log_lik, state.log_prior)
 
     state.proposed += 1
@@ -527,7 +537,8 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1
     else:
-        state.masks, state.d, state.a, state.log_lik, state.log_prior = saved
+        (state.masks, state.d, state.a, state.grad,
+         state.log_lik, state.log_prior) = saved
     return state
 
 
@@ -546,16 +557,8 @@ def _drive(archive: PosteriorArchive, cfg: MhConfig | HmcConfig,
         step()
         archive.trace.append((it, state.log_lik))
         if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
-            t = state.tree()
-            archive.records.append(ArchiveRecord(
-                iteration=it,
-                log_prior=state.log_prior,
-                log_lik=state.log_lik,
-                splits=tuple(t.internal_lengths),
-                lengths=dict(t.internal_lengths),
-                leaf_lengths=t.leaf_lengths,
-                root_length=t.root_length,
-            ))
+            archive.records.append(ArchiveRecord.from_tree(
+                it, state.log_prior, state.log_lik, state.tree()))
 
 
 def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,

@@ -14,6 +14,7 @@ is ascending unsigned bitmask value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -183,14 +184,15 @@ def laminar_children(p: int, masks: Iterable[int]) -> dict[int, list[int]]:
     return children
 
 
-def fragmentation_events(topology: Topology) -> list[tuple[int, list[int]]]:
-    """The recursive block fragmentations encoded by a topology.
+def fragmentation_events(p: int, masks: Iterable[int]) -> list[tuple[int, list[int]]]:
+    """The recursive block fragmentations encoded by compatible internal split masks.
 
     Each event is ``(block_mask, children_masks)`` for a node with two or
-    more children, starting from the full leaf set.  Singleton children are
-    leaves; larger children are internal splits of the topology.
+    more children, in ascending block order starting from the full leaf set.
+    Singleton children are leaves; larger children are the given splits.
+    The masks are not validated and their order does not matter.
     """
-    kids = laminar_children(topology.p, topology.sorted_masks())
+    kids = laminar_children(p, masks)
     return [(m, ch) for m, ch in sorted(kids.items()) if len(ch) >= 2]
 
 
@@ -247,7 +249,8 @@ class Tree:
 
     ``internal_lengths`` maps each internal split to its length (> 0),
     ``leaf_lengths[i-1]`` is the length of leaf edge ``i`` (> 0), and
-    ``root_length`` is the length of the root edge (>= 0).
+    ``root_length`` is the length of the root edge (>= 0).  Every length
+    is finite.
     """
 
     topology: Topology
@@ -267,6 +270,9 @@ class Tree:
         object.__setattr__(self, "root_length", float(self.root_length))
         if set(self.internal_lengths) != set(self.topology.splits):
             raise InvalidTreeError("internal_lengths keys must equal topology splits")
+        if not all(map(math.isfinite, (*self.internal_lengths.values(),
+                                       *self.leaf_lengths, self.root_length))):
+            raise InvalidTreeError("edge lengths must be finite")
         if any(v <= 0 for v in self.internal_lengths.values()):
             raise InvalidTreeError("internal edge lengths must be positive")
         if len(self.leaf_lengths) != self.p:

@@ -176,6 +176,37 @@ trace = {tmp_path / 't.csv'}
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestNonFiniteLengths:
+    """A tree or archive record with a non-finite length exits 1 with a JSON error."""
+
+    def test_distance_on_overflowing_newick(self, tmp_path, capsys):
+        a = tmp_path / "a.nwk"
+        b = tmp_path / "b.nwk"
+        a.write_text("((1:1,2:1):1e400,3:1,0:1);")
+        b.write_text("((1:1,3:1):1,2:1,0:1);")
+        assert main(["distance", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_summarize_archive_with_non_finite_length(self, literal, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        run_chain(None, random_tree(4), "mh",
+                  MhConfig(iterations=6, burn_in=2)).save_jsonl(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["root_length"] = "LENGTH"
+        lines[1] = json.dumps(record).replace('"LENGTH"', literal)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.json"
+        assert main(["summarize", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+
 class TestSampleAndSummarize:
     def test_end_to_end(self, tmp_path, capsys):
         rng = RngStream(3)

@@ -108,7 +108,8 @@ class TestGaussianLoglik:
     def test_gradient_not_positive_definite(self):
         stats = SufficientStats(2, np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
-            split_gradient(stats, np.ones((2, 2)), [0b01, 0b11])
+            # leaf 1 at length 0 and the root at 1: sigma is all ones
+            split_gradient(stats, [0b01, 0b11], [0.0, 1.0])
 
     def test_permutation_invariance(self, rng):
         p = 5
@@ -242,34 +243,39 @@ class TestSplitProduct:
     """
 
     @staticmethod
-    def check(stats, sigma, masks, tree=None):
-        got = split_gradient(stats, sigma, masks)
+    def check(stats, tree, masks=None):
+        """The gradient at ``tree``'s coordinates, at ``masks`` if given."""
+        coords = list(tree.coordinates())
+        every = [s.mask for s, _ in coords]
+        full = split_gradient(stats, every, [v for _, v in coords])
+        masks = every if masks is None else masks
+        got = full[[every.index(m) for m in masks]]
+        sigma = tree_to_matrix(tree).values
         W = np.linalg.inv(sigma)
         V = np.array([[m >> k & 1 for m in masks] for k in range(len(sigma))], float)
         scale = 0.5 * stats.n * np.abs(np.diag(V.T @ W @ V)) \
             + 0.5 * np.abs(np.diag(V.T @ W @ stats.S @ W @ V))
         want = loop_split_gradient(stats.n, stats.S, sigma, masks)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        if tree is not None:
-            alt = np.array([downdate_gradient(stats.n, stats.S, tree, Split(tree.p, m))
-                            for m in masks])
-            assert np.all(np.abs(got - alt) <= 1e-12 * scale)
+        alt = np.array([downdate_gradient(stats.n, stats.S, tree, Split(tree.p, m))
+                        for m in masks])
+        assert np.all(np.abs(got - alt) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("p", [2, 3, 7, 20, 64])
     def test_matches_loop_and_downdate(self, rng, p):
         for _ in range(3):
             t = random_tree(p, "uniform-binary", 1.0, rng)
-            sigma = tree_to_matrix(t).values
-            stats = suff_stats(sample_gaussian(sigma, 10 * p, rng))
-            self.check(stats, sigma, [s.mask for s, _ in t.coordinates()], t)
+            stats = suff_stats(sample_gaussian(tree_to_matrix(t).values, 10 * p, rng))
+            self.check(stats, t)
 
     def test_leaf_and_root_masks_alone(self, rng):
+        # sigma comes from the masks given, so these entries are read from
+        # the gradient in every coordinate
         t = random_tree(6, "uniform-binary", 1.0, rng)
-        sigma = tree_to_matrix(t).values
-        stats = suff_stats(sample_gaussian(sigma, 40, rng))
-        self.check(stats, sigma, [0b1], t)
-        self.check(stats, sigma, [(1 << 6) - 1], t)
-        self.check(stats, sigma, [1 << 5, 0b1, (1 << 6) - 1], t)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t).values, 40, rng))
+        self.check(stats, t, [0b1])
+        self.check(stats, t, [(1 << 6) - 1])
+        self.check(stats, t, [1 << 5, 0b1, (1 << 6) - 1])
 
     def test_indicators_of_64_leaves(self):
         V = split_indicators(64, [(1 << 64) - 1, 1 << 63, 1, 0b110])

@@ -22,6 +22,12 @@ class TestSerialize:
         assert text.count("(") == 2  # top level plus the single block
 
 
+def test_overflowing_length_rejected():
+    # 1e400 parses to inf, which no tree may carry
+    with pytest.raises(InvalidTreeError, match="finite"):
+        newick_to_tree("((1:1,2:1):1e400,3:1,0:1);")
+
+
 class TestRoundTrip:
     def test_exact_for_random_trees(self, rng):
         for _ in range(200):

@@ -183,6 +183,13 @@ class TestCoverage:
         assert rate == 1.0
 
 
+def test_record_from_tree_keeps_the_tree(rng):
+    t = random_tree(5, rng=rng)
+    record = ArchiveRecord.from_tree(3, -1.0, -2.0, t)
+    assert record == record_from_tree(t, 3)
+    assert record.tree() is t
+
+
 class TestSummary:
     def test_one_tree_per_record(self, tmp_path, monkeypatch):
         # loading validates each record's topology once; the summary reuses

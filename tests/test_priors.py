@@ -2,6 +2,7 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import enumerate_all_topologies, set_partitions
 from treecov.errors import InvalidArgumentError
@@ -91,6 +92,38 @@ class TestPoissonDirichlet:
             pd_log_prior(topo, -0.5, 0.2)
         with pytest.raises(InvalidArgumentError):
             pd_log_prior(topo, math.nan, 0.0)
+
+
+class TestMaskLevelPrior:
+    """``PriorSpec.masks_log_prior`` prices split masks in any order exactly
+    as ``topology_log_prior`` prices their topology."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(2, 14), seed=st.integers(0, 2 ** 32 - 1),
+           beta=st.floats(-1.9, 5.0), theta=st.floats(0.05, 5.0),
+           alpha_pd=st.floats(0.0, 0.9), keep=st.floats(0.0, 1.0))
+    def test_equals_topology_prior(self, p, seed, beta, theta, alpha_pd, keep):
+        rng = RngStream(seed)
+        resolved = random_tree(p, "uniform-binary", 1.0, rng).topology
+        # any subset of a compatible split set is a multifurcating topology
+        fewer = Topology(p, frozenset(s for s in resolved.splits if rng.uniform() < keep))
+        pd = PriorSpec(kind="poisson-dirichlet", theta=theta, alpha_pd=alpha_pd)
+        drawn = sample_topology_prior(p, pd, rng)
+        beta_spec = PriorSpec(beta=beta)
+        for spec, topologies in ((beta_spec, [resolved]),
+                                 (pd, [resolved, fewer, drawn])):
+            for topo in topologies:
+                masks = rng.shuffled(topo.sorted_masks())
+                assert spec.masks_log_prior(p, masks) == spec.topology_log_prior(topo)
+        assert beta_spec.topology_log_prior(resolved) == \
+            beta_split_log_prior(resolved, beta)
+        assert pd.topology_log_prior(fewer) == pd_log_prior(fewer, theta, alpha_pd)
+        for topo in (fewer, drawn):
+            if not topo.is_resolved:
+                with pytest.raises(InvalidArgumentError):
+                    beta_spec.masks_log_prior(p, topo.sorted_masks())
+                with pytest.raises(InvalidArgumentError):
+                    beta_spec.topology_log_prior(topo)
 
 
 class TestEdgeLengthPrior:

@@ -1,8 +1,10 @@
 """Same-seed chain and summary outputs pinned by digest.
 
-Three short seeded chains at p = 6 (MH binary, MH multifurcating with the
-Poisson-Dirichlet prior, and HMC started at the truth) must reproduce the
-sha256 digests below of their archive JSON lines and their provenance.  A
+Four short seeded chains at p = 6 (MH binary, MH multifurcating with the
+Poisson-Dirichlet prior, HMC started at the truth, and HMC from a random
+start whose trajectories cross boundaries and whose proposals are both
+accepted and rejected) must reproduce the sha256 digests below of their
+archive JSON lines and their provenance.  A
 refactor of the samplers has to keep every one of them.  The posterior
 summary of a seeded archive over several topologies, Frechet mean
 included, is pinned the same way for refactors of the geometry and the
@@ -47,6 +49,13 @@ CASES = {
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                   step_size=0.05, seed=13),
         "ee3f9d47d2c3b73784a82726529e3b803dc5f9eb27e227a3f359452c669a281c",
+    ),
+    # 8 of 12 proposals accepted, rejects at iterations 1, 3, 7 and 9, and
+    # 26 boundary reassignments: a reject restores the cached scores
+    "hmc-init": (
+        "init", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
+                                 step_size=0.035, seed=15),
+        "a70cdacdc156a86deb59a932b3665ec2ddcbf6ddeb4ccbb9876afeffdb0adc80",
     ),
 }
 

@@ -346,6 +346,28 @@ class TestHmcStep:
         assert state.log_prior == pytest.approx(
             edge_length_log_prior(state.tree(), 2.0), rel=1e-12)
 
+    def test_one_gradient_per_leapfrog_step(self, monkeypatch):
+        # the opening kick reuses the gradient the closing kick left, after
+        # accepts and rejects alike: L gradients per step, L + 1 on the first
+        import treecov.samplers as samplers
+        from treecov.samplers import _grad_potential
+
+        calls = []
+        real = samplers.split_gradient
+        monkeypatch.setattr(samplers, "split_gradient",
+                            lambda *a: calls.append(a) or real(*a))
+        truth = random_tree(6, "uniform-binary", 1.0, RngStream(7, 1))
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 60, RngStream(7, 3)))
+        cfg = HmcConfig(step_size=0.035, leapfrog_steps=20)
+        state = HmcState(random_tree(6, "uniform-binary", 1.0, RngStream(7, 2)), cfg)
+        rng = RngStream(15)
+        for step in range(12):
+            calls.clear()
+            hmc_step(state, stats, cfg, rng)
+            assert len(calls) == (21 if step == 0 else 20)
+            assert np.array_equal(state.grad, _grad_potential(state, stats, cfg))
+        assert 0 < state.accepted < state.proposed
+
     def test_posterior_moves_toward_truth(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, RngStream(41))
         data = sample_gaussian(tree_to_matrix(truth), 200, RngStream(42))
@@ -387,6 +409,29 @@ class TestRunChain:
             [r.to_json_dict() for r in a2.records]
         assert a1.trace == a2.trace
         assert a1.provenance == a2.provenance
+
+    @pytest.mark.parametrize("algo,cfg", [
+        ("mh", MhConfig(iterations=60, burn_in=20, seed=5)),
+        ("mh", MhConfig(iterations=60, burn_in=20, seed=5, mode="multifurcating",
+                        prior=PriorSpec(kind="poisson-dirichlet"))),
+        ("hmc", HmcConfig(iterations=12, burn_in=4, step_size=0.02,
+                          leapfrog_steps=10, seed=5)),
+    ])
+    def test_one_topology_per_kept_record(self, algo, cfg, monkeypatch):
+        # proposals and scorings price the prior from split masks; only a
+        # kept record's tree is validated, and the record keeps it
+        truth = random_tree(6, "uniform-binary", 1.0, RngStream(31))
+        data = sample_gaussian(tree_to_matrix(truth), 60, RngStream(32))
+        init = random_tree(6, "uniform-binary", 1.0, RngStream(33))
+        validated = []
+        real = Topology.__post_init__
+        monkeypatch.setattr(Topology, "__post_init__",
+                            lambda self: validated.append(self) or real(self))
+        archive = run_chain(data, init, algo, cfg)
+        archive.validate()
+        assert len(archive) == cfg.iterations - cfg.burn_in
+        assert len(validated) == len(archive)
+        assert [t.topology for t in archive.trees()] == validated
 
     def test_all_states_valid(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, rng)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -196,6 +197,16 @@ class TestTreeInvariants:
             Tree(Topology(4, frozenset([s])), {s: 0.0}, (1, 1, 1, 1), 0.0)
         with pytest.raises(Exception):
             star_tree((1.0, -1.0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["internal", "leaf", "root"])
+    def test_non_finite_lengths_rejected(self, where, value):
+        s = S(4, 1, 2)
+        internal = {s: value if where == "internal" else 0.5}
+        leaves = (value if where == "leaf" else 1.0, 1.0, 1.0, 1.0)
+        root = value if where == "root" else 0.5
+        with pytest.raises(InvalidTreeError, match="finite"):
+            Tree(Topology(4, frozenset([s])), internal, leaves, root)
 
     def test_coordinates_canonical_order(self, tree_factory):
         t = tree_factory(4, {(1, 2): 0.5, (1, 2, 3): 0.2})
