@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,10 +78,14 @@ class ArchiveRecord:
             Split.from_leaves(p, (int(x) for x in k.split(","))): float(v)
             for k, v in d["lengths"].items()
         }
+        log_prior, log_lik = float(d["log_prior"]), float(d["log_lik"])
+        if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
+            raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
+                            f"log_lik {log_lik} must be finite")
         return cls(
             iteration=int(d["iter"]),
-            log_prior=float(d["log_prior"]),
-            log_lik=float(d["log_lik"]),
+            log_prior=log_prior,
+            log_lik=log_lik,
             splits=splits,
             lengths=lengths,
             leaf_lengths=tuple(float(x) for x in d["leaf_lengths"]),

@@ -32,7 +32,7 @@ import numpy as np
 
 from .archive import PosteriorArchive
 from .errors import ConfigError, TreecovError, UltrametricViolationError
-from .geometry import MeanConfig, bhv_distance, frechet_mean, tree_distance
+from .geometry import MEAN_PASSES, MeanConfig, bhv_distance, frechet_mean, tree_distance
 from .model import DataSet
 from .newick import newick_to_tree, tree_to_newick
 from .posterior import build_summary
@@ -358,6 +358,16 @@ def cmd_mean(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecov",
@@ -394,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=float, default=0.95)
     sp.add_argument("--out")
     sp.add_argument("--splits-csv", dest="splits_csv")
-    sp.add_argument("--mean-iterations", dest="mean_iterations", type=int,
-                    default=3000)
+    sp.add_argument("--mean-iterations", dest="mean_iterations", type=_positive_int,
+                    help=f"geodesic-mean step cap (default: {MEAN_PASSES} "
+                    "passes over the input)")
     sp.set_defaults(func=cmd_summarize)
 
     sp = sub.add_parser("simulate", help="run a replicated simulation scenario")
@@ -406,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mean", help="geodesic mean of an archive or Newick list")
     sp.add_argument("input")
     sp.add_argument("--out")
-    sp.add_argument("--mean-iterations", dest="mean_iterations", type=int,
-                    default=3000)
+    sp.add_argument("--mean-iterations", dest="mean_iterations", type=_positive_int,
+                    help=f"geodesic-mean step cap (default: {MEAN_PASSES} "
+                    "passes over the input)")
     sp.set_defaults(func=cmd_mean)
     return parser
 

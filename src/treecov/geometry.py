@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
-from .treespace import Split, Topology, Tree
+from .treespace import Split, Tree, _tree_from_masks
 from .ultrametric import as_matrix, matrix_to_tree, DEFAULT_TOL
 
 
@@ -262,12 +262,6 @@ def _geodesic(t1: Tree, t2: Tree):
     return (*_support(x, y), u, v)
 
 
-def _tree(p: int, internal: dict[int, float], vec: Sequence[float]) -> Tree:
-    """The validated tree with the given coordinates."""
-    lengths = {Split(p, m): l for m, l in internal.items()}
-    return Tree(Topology(p, frozenset(lengths)), lengths, vec[1:], vec[0])
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -345,63 +339,50 @@ def geodesic_point(t1: Tree, t2: Tree, s: float) -> Tree:
         return t1
     if s == 1.0:
         return t2
-    return _tree(t1.p, *_point(*_geodesic(t1, t2), s))
+    return _tree_from_masks(t1.p, *_point(*_geodesic(t1, t2), s))
+
+
+MEAN_PASSES = 3  # whole passes over the input in the default mean budget
 
 
 @dataclass
 class MeanConfig:
-    """Controls for iterative mean computation.
+    """The step budget of :func:`frechet_mean`.
 
-    ``max_iterations`` defaults to ``5000 * len(trees)`` when left ``None``.
-    The iteration also stops after ``len(trees)`` steps in a row shorter
-    than ``tolerance`` under the tree metric, but step ``k`` moves
-    ``dist / (k + 1)``, so at 1e-8 that takes about 10^8 steps: in practice
-    ``max_iterations`` is the stop.
+    ``max_iterations`` caps the number of steps; ``None`` means
+    ``MEAN_PASSES * len(trees)``, three whole passes over the input, so that
+    every tree is visited equally often.
     """
 
     max_iterations: int | None = None
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise InvalidArgumentError("tolerance must be positive")
 
 
 def frechet_mean(trees: Sequence[Tree], cfg: MeanConfig | None = None) -> Tree:
     """Iterative mean: step toward each tree in turn with shrinking weights.
 
     From iterate ``x_k``, move to the point at fraction ``1/(k+1)`` along the
-    geodesic from ``x_k`` to the next selected tree.  On a space of
-    non-positive curvature this converges to the unique minimizer of the sum
-    of squared distances.
+    geodesic from ``x_k`` to the next tree in cyclic order.  On a space of
+    non-positive curvature this converges to the unique minimizer of
+    ``sum(tree_distance(x, t, combine="l2") ** 2)``: the steps follow the
+    product geodesic, whose length combines the internal and leaf/root
+    terms in quadrature, not the default ``"sum"`` metric.
     """
     if not trees:
         raise InvalidArgumentError("frechet_mean needs at least one tree")
     ps = {t.p for t in trees}
     if len(ps) > 1:
         raise DimensionError(f"trees have mixed leaf counts: {sorted(ps)}")
-    if cfg is None:
-        cfg = MeanConfig()
     n = len(trees)
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 5000 * n
+    max_iter = (cfg or MeanConfig()).max_iterations or MEAN_PASSES * n
     coords = [_coords(t) for t in trees]
     x, u = coords[0]
-    small_steps = 0
     for k in range(1, max_iter + 1):
         y, v = coords[k % n]
-        common, pairs = _support(x, y)
-        dist = _geodesic_length(common, pairs) + _vector_distance(u, v)
-        step = dist / (k + 1)
-        # stop only once a whole pass moves less than the tolerance;
-        # a single tiny step may just mean the target equals the iterate
-        if step < cfg.tolerance:
-            small_steps += 1
-            if small_steps >= n:
-                break
-        else:
-            small_steps = 0
-        if step > 0.0:
-            x, u = _point(common, pairs, u, v, 1.0 / (k + 1))
-    return _tree(trees[0].p, x, u)
+        if y == x and v == u:  # the target is the iterate: leave it exactly
+            continue
+        x, u = _point(*_support(x, y), u, v, 1.0 / (k + 1))
+    return _tree_from_masks(trees[0].p, x, u)

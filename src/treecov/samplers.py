@@ -47,7 +47,7 @@ from .model import (
 )
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
-from .treespace import Split, Topology, Tree, _growth_candidates, _replacements
+from .treespace import Split, Tree, _growth_candidates, _replacements, _tree_from_masks
 from .ultrametric import split_matrix, tree_to_matrix
 
 
@@ -130,26 +130,6 @@ def _is_internal(p: int, mask: int) -> bool:
     return 2 <= mask.bit_count() < p
 
 
-def _tree(p: int, masks, lengths) -> Tree:
-    """The tree of stored ``(mask, length)`` coordinates.
-
-    Internal splits of length zero are left out; leaf and root coordinates
-    are always kept.
-    """
-    full = (1 << p) - 1
-    leaf = [0.0] * p
-    internal: dict[Split, float] = {}
-    root = 0.0
-    for m, v in zip(masks, lengths):
-        if m == full:
-            root = float(v)
-        elif m.bit_count() == 1:
-            leaf[m.bit_length() - 1] = float(v)
-        elif v > 0.0:
-            internal[Split(p, m)] = float(v)
-    return Tree(Topology(p, frozenset(internal)), internal, tuple(leaf), root)
-
-
 class ChainState:
     """Mutable working state of one MH chain.
 
@@ -188,7 +168,7 @@ class ChainState:
         return self.log_prior_topo + self.log_prior_len
 
     def tree(self) -> Tree:
-        return _tree(self.p, self.lengths, self.lengths.values())
+        return _tree_from_masks(self.p, self.lengths)
 
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
@@ -387,7 +367,7 @@ class HmcState:
         self.proposed = 0
 
     def tree(self) -> Tree:
-        return _tree(self.p, self.masks, self.d)
+        return _tree_from_masks(self.p, dict(zip(self.masks, self.d)))
 
 
 def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:

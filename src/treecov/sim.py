@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import MeanConfig, matrix_distance
+from .geometry import MEAN_PASSES, MeanConfig, matrix_distance
 from .model import DataSet, sample_gaussian, sample_t
 from .newick import tree_to_newick
 from .posterior import build_summary
@@ -51,7 +51,7 @@ class Scenario:
     fixed_truth: bool = False
     length_mean: float = 1.0
     interval_level: float = 0.95
-    mean_passes: int = 3
+    mean_passes: int = MEAN_PASSES
     master_seed: int = 0
 
     def __post_init__(self):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _betasplit
 from .errors import DimensionError, InvalidArgumentError, InvalidTreeError
@@ -324,6 +324,21 @@ class Tree:
     def __repr__(self):
         return (f"Tree(p={self.p}, splits={len(self.internal_lengths)}, "
                 f"root={self.root_length:.4g})")
+
+
+def _tree_from_masks(p: int, lengths: Mapping[int, float],
+                     vec: Sequence[float] | None = None) -> Tree:
+    """The validated tree of ``{mask: length}`` coordinates.
+
+    Internal masks of positive length become splits; internal lengths of
+    zero are left out.  ``vec`` is the ``(root, leaf_1, ..., leaf_p)``
+    vector; without it the root and leaf lengths are read from ``lengths``.
+    """
+    if vec is None:
+        vec = [lengths[(1 << p) - 1], *(lengths[1 << i] for i in range(p))]
+    internal = {Split(p, m): v for m, v in lengths.items()
+                if 2 <= m.bit_count() < p and v > 0.0}
+    return Tree(Topology(p, frozenset(internal)), internal, vec[1:], vec[0])
 
 
 def star_tree(leaf_lengths: Iterable[float], root_length: float = 0.0) -> Tree:

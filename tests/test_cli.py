@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treecov.archive import ArchiveRecord, PosteriorArchive
 from treecov.cli import (
     _KNOWN_KEYS,
     _prior_from_config,
@@ -15,6 +16,7 @@ from treecov.cli import (
     write_dataset_csv,
     write_matrix_csv,
 )
+from treecov.geometry import frechet_mean
 from treecov.model import sample_gaussian
 from treecov.newick import newick_to_tree, tree_to_newick
 from treecov.priors import PriorSpec
@@ -22,7 +24,7 @@ from treecov.rng import RngStream
 from treecov.samplers import HmcConfig, MhConfig, run_chain
 from treecov.sim import Scenario
 from treecov.treespace import random_tree, star_tree
-from treecov.ultrametric import tree_to_matrix
+from treecov.ultrametric import matrix_to_tree, tree_to_matrix
 
 
 @pytest.fixture
@@ -205,6 +207,80 @@ class TestNonFiniteLengths:
         assert "finite" in json.loads(captured.out)["error"]
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+
+class TestNonFiniteScores:
+    """A record with a non-finite ``log_lik`` or ``log_prior`` is a data error."""
+
+    @pytest.mark.parametrize("key, literal", [("log_lik", "NaN"),
+                                              ("log_prior", "Infinity"),
+                                              ("log_lik", "-Infinity")])
+    def test_summarize_exits_one(self, key, literal, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        run_chain(None, random_tree(4), "mh",
+                  MhConfig(iterations=6, burn_in=2)).save_jsonl(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        record = json.loads(lines[1])
+        record["log_prior"] = -1e9
+        record[key] = "SCORE"
+        lines[1] = json.dumps(record).replace('"SCORE"', literal)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.json"
+        assert main(["summarize", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in json.loads(captured.out)["error"]
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
+
+class TestMeanBudget:
+    """``summarize`` and ``mean`` default to the library's mean budget."""
+
+    @pytest.fixture(scope="class")
+    def skewed_archive(self, tmp_path_factory):
+        # 3000 copies of one star tree, then 1000 with leaf 1 tripled: the
+        # mean has leaf 1 = 1.5, and a budget of 3000 steps never sees the
+        # last 1000 records
+        a = star_tree((1.0, 1.0, 1.0, 1.0), 0.5)
+        b = star_tree((3.0, 1.0, 1.0, 1.0), 0.5)
+        archive = PosteriorArchive(p=4, records=[
+            ArchiveRecord.from_tree(i + 1, 0.0, 0.0, a if i < 3000 else b)
+            for i in range(4000)])
+        path = tmp_path_factory.mktemp("skewed") / "archive.jsonl"
+        archive.save_jsonl(path)
+        return path
+
+    def test_mean_reaches_every_record(self, skewed_archive, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["mean", str(skewed_archive), "--out", str(out)]) == 0
+        assert matrix_to_tree(read_matrix_csv(out)).leaf_lengths[0] == \
+            pytest.approx(1.5, abs=1e-3)
+
+    def test_summarize_reaches_every_record(self, skewed_archive, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["summarize", str(skewed_archive), "--out", str(out)]) == 0
+        mean = np.array(json.loads(out.read_text())["mean_matrix"])
+        assert matrix_to_tree(mean).leaf_lengths[0] == pytest.approx(1.5, abs=1e-3)
+
+    def test_mean_default_is_the_library_default(self, tmp_path, capsys):
+        trees = [random_tree(4, "uniform-binary", 1.0, RngStream(9, i))
+                 for i in range(7)]
+        listing = tmp_path / "trees.txt"
+        listing.write_text("\n".join(tree_to_newick(t) for t in trees))
+        assert main(["mean", str(listing), "--out", str(tmp_path / "m.csv")]) == 0
+        assert (tmp_path / "m.nwk").read_text() == \
+            tree_to_newick(frechet_mean(trees)) + "\n"
+
+    @pytest.mark.parametrize("command, value", [("mean", "0"), ("summarize", "-5"),
+                                                ("mean", "1.5")])
+    def test_non_positive_cap_is_a_usage_error(self, command, value, skewed_archive,
+                                               tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(skewed_archive), "--out", str(tmp_path / "o"),
+                  "--mean-iterations", value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestSampleAndSummarize:

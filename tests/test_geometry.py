@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -9,6 +10,7 @@ from _oracles import brute_force_internal_distance, fraction_refine_pairs
 from treecov import geometry
 from treecov.errors import DimensionError, InvalidArgumentError
 from treecov.geometry import (
+    MEAN_PASSES,
     MeanConfig,
     bhv_distance,
     frechet_mean,
@@ -17,7 +19,7 @@ from treecov.geometry import (
     tree_distance,
 )
 from treecov.rng import RngStream
-from treecov.treespace import Split, Topology, Tree, random_tree
+from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import tree_to_matrix
 
 
@@ -391,6 +393,21 @@ class TestFrechetMean:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             frechet_mean([])
+
+    def test_config_is_one_step_cap(self):
+        assert [f.name for f in dataclasses.fields(MeanConfig)] == ["max_iterations"]
+        with pytest.raises(InvalidArgumentError):
+            MeanConfig(max_iterations=0)
+
+    def test_default_budget_is_whole_passes(self, rng):
+        trees = [random_tree(4, "uniform-binary", 1.0, rng) for _ in range(5)]
+        mean = frechet_mean(trees)
+        assert mean == frechet_mean(trees, MeanConfig(max_iterations=MEAN_PASSES * 5))
+        assert mean != frechet_mean(trees, MeanConfig(max_iterations=MEAN_PASSES * 5 - 1))
+
+    def test_one_leaf(self):
+        mean = frechet_mean([star_tree((1.0,), 0.5), star_tree((2.0,), 1.5)])
+        assert mean.leaf_root_vector() == pytest.approx((1.0, 1.5), abs=0.1)
 
     def test_mean_passes_full_validation(self, rng):
         trees = [shaped_tree(8, "random", rng) for _ in range(6)]

@@ -9,6 +9,7 @@ from treecov.treespace import (
     Split,
     Topology,
     Tree,
+    _tree_from_masks,
     double_factorial,
     enumerate_topologies,
     random_tree,
@@ -207,6 +208,16 @@ class TestTreeInvariants:
         root = value if where == "root" else 0.5
         with pytest.raises(InvalidTreeError, match="finite"):
             Tree(Topology(4, frozenset([s])), internal, leaves, root)
+
+    def test_tree_from_masks(self, tree_factory):
+        t = tree_factory(4, {(1, 2): 0.5, (1, 2, 3): 0.2})
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        assert _tree_from_masks(4, lengths, t.leaf_root_vector()) == t
+        # a zero internal length leaves its split out
+        lengths[S(4, 1, 2, 3).mask] = 0.0
+        pruned = _tree_from_masks(4, lengths)
+        assert pruned.topology == Topology(4, frozenset([S(4, 1, 2)]))
+        assert pruned.leaf_root_vector() == t.leaf_root_vector()
 
     def test_coordinates_canonical_order(self, tree_factory):
         t = tree_factory(4, {(1, 2): 0.5, (1, 2, 3): 0.2})
