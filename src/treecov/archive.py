@@ -125,6 +125,11 @@ class PosteriorArchive:
 
     @classmethod
     def load_jsonl(cls, path, provenance: dict | None = None) -> "PosteriorArchive":
+        """Read an archive, building each record's tree as its line is read.
+
+        A malformed line, record or tree raises a typed error that names
+        ``archive PATH line N``.
+        """
         records = []
         p = None
         with open(path, "rb") as fh:
@@ -146,13 +151,17 @@ class PosteriorArchive:
                     if leaves != p:
                         raise DimensionError(f"{where}: record has {leaves} "
                                              f"leaves, earlier records have {p}")
-                    records.append(ArchiveRecord.from_json_dict(d, p))
+                    record = ArchiveRecord.from_json_dict(d, p)
+                    record.tree()
                 except KeyError as exc:
                     raise DataError(f"{where}: missing key {exc}") from exc
-                except TreecovError:
+                except DimensionError:
                     raise
+                except TreecovError as exc:
+                    raise DataError(f"{where}: {exc}") from exc
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise DataError(f"{where}: malformed value ({exc})") from exc
+                records.append(record)
         if p is None:
             raise InvalidArgumentError(f"archive {path} contains no records")
         out = cls(p=p, records=records, provenance=provenance or {})

@@ -39,7 +39,7 @@ from .posterior import build_summary
 from .priors import PriorSpec
 from .rng import RngStream
 from .samplers import HmcConfig, MhConfig, run_chain
-from .sim import Scenario, run_scenario, write_report
+from .sim import Scenario, _map_jobs, run_scenario, write_report
 from .treespace import Tree, random_tree
 from .ultrametric import (
     DEFAULT_TOL,
@@ -266,6 +266,12 @@ def _resolve_inits(args, cfg, p: int, seed: int, chains: int) -> list[Tree]:
 
 
 def cmd_sample(args) -> int:
+    """Run the config's chains and write each one's archive, trace and stdout line.
+
+    The chains run on up to one process per available CPU; once all have
+    finished, their outputs are written in chain order, byte-identical to a
+    serial run.
+    """
     cfg = load_run_config(args.config)
     if "model" not in cfg or "p" not in cfg["model"]:
         raise ConfigError("config must set [model] p")
@@ -283,9 +289,10 @@ def cmd_sample(args) -> int:
     trace_path = io_sec.get("trace", "trace.csv")
 
     inits = _resolve_inits(args, cfg, p, seed, chains)
-    for c in range(chains):
-        algo, scfg = _sampler_from_config(cfg, seed + _CHAIN_STREAM_BASE * (c + 1))
-        archive = run_chain(data, inits[c], algo, scfg)
+    jobs = [(data, inits[c], *_sampler_from_config(cfg, seed + _CHAIN_STREAM_BASE * (c + 1)))
+            for c in range(chains)]
+    archives = _map_jobs(run_chain, jobs)
+    for c, ((_data, _init, algo, _cfg), archive) in enumerate(zip(jobs, archives)):
         suffix = f"-chain{c + 1}" if chains > 1 else ""
         apath = _with_suffix(archive_path, suffix)
         tpath = _with_suffix(trace_path, suffix)

@@ -28,6 +28,10 @@ class UltrametricViolationError(TreecovError, ValueError):
         self.report = report
         super().__init__(f"matrix is not strictly ultrametric: {report.summary()}")
 
+    def __reduce__(self):
+        # rebuilt from the report, so the error survives a process boundary
+        return type(self), (self.report,)
+
 
 class NotPositiveDefiniteError(TreecovError, ValueError):
     """A symmetric factorization failed."""

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from treecov.cli import (
     write_dataset_csv,
     write_matrix_csv,
 )
+from treecov.errors import DataError
 from treecov.geometry import frechet_mean
 from treecov.model import sample_gaussian
 from treecov.newick import newick_to_tree, tree_to_newick
@@ -207,6 +209,22 @@ class TestNonFiniteLengths:
         assert "finite" in json.loads(captured.out)["error"]
         assert "Traceback" not in captured.out + captured.err
         assert not out.exists()
+
+    def test_load_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        run_chain(None, random_tree(4), "mh",
+                  MhConfig(iterations=6, burn_in=2)).save_jsonl(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        record = json.loads(lines[2])
+        record["root_length"] = "LENGTH"
+        lines[2] = json.dumps(record).replace('"LENGTH"', "NaN")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"archive {path} line 3: edge lengths must be finite"):
+            PosteriorArchive.load_jsonl(path)
+        assert main(["summarize", str(path), "--out", str(tmp_path / "s.json")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"archive {path} line 3: edge lengths must be finite"
 
 
 class TestNonFiniteScores:
@@ -600,3 +618,46 @@ class TestExampleConfig:
                 present = key in cfg.get(section, {}) or \
                     f"; {key} =" in text  # commented-out example value
                 assert present, f"[{section}] {key} missing from the example"
+
+
+class TestChainWorkers:
+    """``sample --chains 2`` on two forked workers writes the serial bytes."""
+
+    def outputs(self, tmp_path, capsys, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert main(["sample", "--config", str(tmp_path / "run.ini"), "--chains", "2"]) == 0
+        stdout = capsys.readouterr().out
+        files = {name: (tmp_path / name).read_bytes()
+                 for name in ("a-chain1.jsonl", "a-chain2.jsonl",
+                              "t-chain1.csv", "t-chain2.csv")}
+        return stdout, files
+
+    def test_two_workers_equal_serial(self, tmp_path, capsys, monkeypatch):
+        truth = random_tree(4, "uniform-binary", 1.0, RngStream(3))
+        write_dataset_csv(tmp_path / "data.csv",
+                          sample_gaussian(tree_to_matrix(truth), 40, RngStream(4)))
+        write_config(tmp_path / "run.ini", f"""
+[model]
+p = 4
+
+[sampler]
+iterations = 80
+burn_in = 40
+
+[io]
+data = {tmp_path / 'data.csv'}
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+
+[run]
+seed = 9
+""")
+        serial = self.outputs(tmp_path, capsys, monkeypatch, 1)
+        assert self.outputs(tmp_path, capsys, monkeypatch, 2) == serial
+        stdout, files = serial
+        assert files["a-chain1.jsonl"] != files["a-chain2.jsonl"]
+        lines = [json.loads(line) for line in stdout.splitlines()]
+        assert [line["chain"] for line in lines] == [1, 2]
+        # the accept counts are made in the child that ran chain 2
+        assert all(line["provenance"]["proposed_lengths"] > 0 for line in lines)

@@ -1,7 +1,13 @@
+import concurrent.futures
+import multiprocessing
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
-from treecov.errors import InvalidArgumentError
+from treecov import sim
+from treecov.errors import InvalidArgumentError, NotPositiveDefiniteError
 from treecov.samplers import MhConfig
 from treecov.sim import (
     Scenario,
@@ -147,3 +153,72 @@ class TestScenario:
         text = cpath.read_text()
         assert text.startswith("n,distribution")
         assert jpath.read_text().startswith("{")
+
+
+def set_cpus(monkeypatch, count):
+    """Make ``count`` CPUs available to the worker-count rule."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def comparable(report):
+    out = report.to_json_dict()
+    out.pop("elapsed_seconds")
+    return out, report.truths, report.results
+
+
+_CALLER = os.getpid()
+_RUN_REPLICATE = sim._run_replicate
+
+
+def failing_replicate(failing, s, dist, mult, rep, cell_idx):
+    """``_run_replicate``, except that replicate ``failing`` raises.
+
+    Module-level, so that a worker process can unpickle it.
+    """
+    if rep == failing:
+        where = "caller" if os.getpid() == _CALLER else "child"
+        raise NotPositiveDefiniteError(f"replicate {rep} in the {where}")
+    return _RUN_REPLICATE(s, dist, mult, rep, cell_idx)
+
+
+class TestWorkers:
+    """Replicates on forked workers give the serial report."""
+
+    SCENARIO = dict(multipliers=(5, 10), distributions=("normal", "t3"),
+                    truth_mode="unresolved", drop_count=1)
+
+    def test_two_workers_equal_serial(self, monkeypatch):
+        s = small_scenario(**self.SCENARIO)
+        set_cpus(monkeypatch, 1)
+        serial = comparable(run_scenario(s))
+        set_cpus(monkeypatch, 2)
+        assert comparable(run_scenario(s)) == serial
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size_capped_by_jobs(self, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        s = small_scenario(replicates=3)
+        set_cpus(monkeypatch, 1)
+        serial = comparable(run_scenario(s))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        set_cpus(monkeypatch, 4)
+        assert comparable(run_scenario(s)) == serial
+        # three jobs on four CPUs: the caller plus two children
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("failing, worker", [(0, "caller"), (1, "child")])
+    def test_worker_error_keeps_type(self, monkeypatch, failing, worker):
+        # with two workers the caller runs the even jobs, a child the odd ones
+        monkeypatch.setattr(sim, "_run_replicate", partial(failing_replicate, failing))
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=f"replicate {failing} in the {worker}"):
+            run_scenario(small_scenario(replicates=4))
+        assert multiprocessing.active_children() == []
