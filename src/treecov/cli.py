@@ -129,7 +129,7 @@ _KNOWN_KEYS = {
               "edge_mean": float},
     "sampler": {"algo": str, "mode": str, "iterations": int, "burn_in": int,
                 "sigma_l": float, "epsilon": float, "leapfrog_steps": int,
-                "delta": float, "mass": float, "thin": int},
+                "delta": float, "thin": int},
     "io": dict.fromkeys(("data", "archive", "trace", "report", "splits_csv"), str),
     "run": {"seed": int, "chains": int, "inits": str},
     "scenario": {"p": int, "multipliers": _ints, "distributions": _names,
@@ -170,6 +170,10 @@ def load_run_config(path) -> dict:
                 out[section][key] = kind(value)
             except ValueError:
                 raise ConfigError(f"[{section}] {key} = {value!r} is not a number") from None
+    run = out.get("run", {})
+    for key, low in (("seed", 0), ("chains", 1)):
+        if run.get(key, low) < low:
+            raise ConfigError(f"[run] {key} = {run[key]} is below {low}")
     return out
 
 
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="run posterior chains from a config file")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--chains", type=int, default=0)
+    sp.add_argument("--chains", type=_positive_int)
     sp.add_argument("--inits", default="")
     sp.set_defaults(func=cmd_sample)
 

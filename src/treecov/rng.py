@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 
 class RngStream:
     """A single-owner random stream (one consumer, never shared).
@@ -18,9 +20,9 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        Master seed, typically shared across a whole run.
+        Master seed, typically shared across a whole run; non-negative.
     stream_id : int
-        Sub-stream selector; distinct ids decorrelate streams.
+        Sub-stream selector; distinct ids decorrelate streams; non-negative.
     """
 
     __slots__ = ("seed", "stream_id", "generator")
@@ -28,6 +30,8 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        if self.seed < 0 or self.stream_id < 0:
+            raise InvalidArgumentError("seed and stream_id must be non-negative")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
 

@@ -8,13 +8,13 @@ along geodesics of the stratified geometry:
   shrinking one internal edge to zero and regrowing one of the compatible
   alternatives (copying the length, a symmetric move), then updates every
   stored length with a truncated-normal random walk;
-* a Hamiltonian kernel whose leapfrog drift crosses orthant boundaries:
-  when an internal coordinate reaches zero its momentum flips sign and is
-  reassigned to a uniformly chosen compatible split (the current one
-  excluded), while leaf and root coordinates simply reflect.  Gradients are
-  taken through a smooth surrogate of the lengths near zero, once per
-  position: the state caches the gradient of its slots, so each leapfrog
-  step computes only its closing kick's; acceptance always uses the true
+* a Hamiltonian kernel with unit-mass momenta whose leapfrog drift crosses
+  orthant boundaries: at each coordinate's fractured step, earliest first,
+  its momentum flips sign and an internal one is reassigned to a uniformly
+  chosen compatible split (the current one excluded).  Gradients are taken
+  through a smooth surrogate of the lengths near zero, once per position:
+  the state caches the gradient of its slots, so each leapfrog step
+  computes only its closing kick's; acceptance always uses the true
   Hamiltonian, so the stationary law is exact.
 
 The multifurcating MH variant adds dimension moves: the shrink branch's
@@ -87,6 +87,9 @@ class MhConfig(_Schedule):
             raise InvalidArgumentError("sigma_L must be positive")
         if self.mode not in ("binary", "multifurcating"):
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
+        if self.mode == "multifurcating" and self.prior.kind == "beta-splitting":
+            raise InvalidArgumentError("multifurcating mode needs the poisson-dirichlet "
+                                       "prior: beta-splitting has no unresolved shapes")
         if not math.isfinite(self.prior.edge_mean):  # grow draws from the prior
             raise InvalidArgumentError("MH needs a finite prior edge_mean")
 
@@ -105,7 +108,6 @@ class HmcConfig(_Schedule):
     step_size: float = 0.0015
     leapfrog_steps: int = 200
     delta: float = 0.003
-    mass: float = 1.0
     prior: PriorSpec = field(default_factory=PriorSpec)
     seed: int = 0
     thin: int = 1
@@ -118,8 +120,6 @@ class HmcConfig(_Schedule):
             raise InvalidArgumentError("leapfrog_steps must be >= 1")
         if self.delta < 0:
             raise InvalidArgumentError("delta must be non-negative")
-        if self.mass <= 0:
-            raise InvalidArgumentError("mass must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +344,23 @@ class HmcState:
     """Mutable working state of one Hamiltonian chain.
 
     Coordinate slots hold ``(mask, length, momentum)`` triples; a boundary
-    crossing reassigns an internal slot to a different split.  ``mass`` is
-    the one momentum mass of every slot, ``cfg.mass``.  ``grad`` is the
+    crossing reassigns an internal slot to a different split.  Momenta have
+    unit mass, so each is also its slot's velocity.  ``grad`` is the
     gradient of the surrogate potential at the current slots, ``None``
     until it is first computed or after its evaluation failed; a leapfrog
     step leaves the gradient of the slots it moves to, so each position is
-    differentiated once.  ``log_lik`` and ``log_prior`` belong to the current slots once
-    :func:`hmc_step` has scored them; a leapfrog step moves the slots and
-    sets ``log_lik`` to nan, or to -inf when its gradient fails.
+    differentiated once.  ``log_lik`` and ``log_prior`` belong to the current
+    slots once :func:`hmc_step` has scored them; a leapfrog step moves the
+    slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
+    ``cfg`` is accepted and not read.
     """
 
-    def __init__(self, tree: Tree, cfg: HmcConfig):
+    def __init__(self, tree: Tree, cfg: HmcConfig | None = None):
         self.p = tree.p
         items = list(tree.coordinates())
         self.masks = [s.mask for s, _ in items]
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
-        self.mass = float(cfg.mass)
         self.grad: np.ndarray | None = None
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
@@ -372,8 +372,6 @@ class HmcState:
 
 def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth positive stand-in for lengths near zero, with its derivative."""
-    if delta == 0.0:
-        return d.copy(), np.ones_like(d)
     g = d.copy()
     dg = np.ones_like(d)
     low = d < delta
@@ -418,47 +416,39 @@ def _true_potential(state: HmcState, stats: SufficientStats,
 
 
 def _kinetic(state: HmcState) -> float:
-    return 0.5 * float(np.sum(state.a ** 2 / state.mass))
+    return 0.5 * float(np.sum(state.a ** 2))
 
 
 def _drift(state: HmcState, eps: float, rng: RngStream, chooser=None):
     """Advance positions by ``eps`` along momenta, crossing boundaries.
 
-    Each coordinate headed below zero is processed at its own fractured
-    step, earliest first (ties broken by ascending mask): the momentum
-    flips sign, and an internal coordinate is reassigned to a compatible
-    split chosen uniformly with the current split excluded.  ``chooser``
-    overrides the uniform choice (used by deterministic replays).
+    Coordinate ``j`` reaches zero at its fractured step ``d_j / -a_j``
+    (``inf`` if ``a_j >= 0``).  The drift advances to the earliest one left
+    in ``eps`` (ties broken by ascending mask), flips its momentum, and
+    reassigns an internal one to a compatible split chosen uniformly with
+    the current split excluded, until none is left.  ``chooser`` overrides
+    the uniform choice (used by deterministic replays).
     """
     remaining = eps
     while remaining > 0.0:
-        vel = state.a / state.mass
-        t_hit = None
-        j_hit = None
-        for j, v in enumerate(vel):
-            if v < 0.0:
-                t = state.d[j] / -v
-                if t <= remaining:
-                    key = (t, state.masks[j])
-                    if t_hit is None or key < (t_hit, state.masks[j_hit]):
-                        t_hit, j_hit = t, j
-        if j_hit is None:
-            state.d += remaining * vel
+        fractured = np.divide(state.d, -state.a, out=np.full(len(state.d), math.inf),
+                              where=state.a < 0.0)
+        t_hit = fractured.min()
+        if not t_hit <= remaining:
+            state.d += remaining * state.a
             return
-        state.d += t_hit * vel
-        state.d[j_hit] = 0.0
+        j = min(np.flatnonzero(fractured == t_hit), key=state.masks.__getitem__)
+        state.d += t_hit * state.a
+        state.d[j] = 0.0
         remaining -= t_hit
-        state.a[j_hit] = -state.a[j_hit]
-        mask = state.masks[j_hit]
+        state.a[j] = -state.a[j]
+        mask = state.masks[j]
         if _is_internal(state.p, mask):
             others = [m for m in state.masks if m != mask and _is_internal(state.p, m)]
             cands = _replacements(state.p, others, mask)
             if cands:
-                if chooser is not None:
-                    new_mask = chooser([Split(state.p, c) for c in cands]).mask
-                else:
-                    new_mask = cands[rng.integers(len(cands))]
-                state.masks[j_hit] = new_mask
+                state.masks[j] = cands[rng.integers(len(cands))] if chooser is None \
+                    else chooser([Split(state.p, c) for c in cands]).mask
 
 
 def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
@@ -489,20 +479,20 @@ def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 
 def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
              rng: RngStream, chooser=None) -> HmcState:
-    """One full Hamiltonian proposal with fresh momenta.
+    """One full Hamiltonian proposal with fresh standard normal momenta.
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
     the true-Hamiltonian ratio; a non-finite Hamiltonian rejects outright.
-    Either way the state's cached gradient, log likelihood and log prior are
-    those of the slots it keeps, and the next step starts from them.
+    Either way the state's slots, cached gradient, log likelihood and log
+    prior are those it keeps, and the next step starts from them.
     """
-    state.a = rng.generator.normal(size=len(state.masks)) * np.sqrt(state.mass)
+    state.a = rng.generator.normal(size=len(state.masks))
     if math.isnan(state.log_lik):
         _true_potential(state, stats, cfg)
     if state.grad is None:  # computed before saving, so a reject keeps it
         state.grad = _grad_potential(state, stats, cfg)
     h_cur = -state.log_lik - state.log_prior + _kinetic(state)
-    saved = (list(state.masks), state.d.copy(), state.a.copy(), state.grad,
+    saved = (list(state.masks), state.d.copy(), state.grad,
              state.log_lik, state.log_prior)
 
     state.proposed += 1
@@ -517,8 +507,7 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1
     else:
-        (state.masks, state.d, state.a, state.grad,
-         state.log_lik, state.log_prior) = saved
+        state.masks, state.d, state.grad, state.log_lik, state.log_prior = saved
     return state
 
 
@@ -548,6 +537,8 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
     ``data=None`` (or an empty-statistics dataset) samples the prior.  The
     output is byte-identical across reruns with the same inputs and seed.
     """
+    if init.p < 2:  # one leaf's edge and the root edge share mask 1
+        raise InvalidArgumentError(f"run_chain needs p >= 2, got p={init.p}")
     if data is None:
         stats = SufficientStats.empty(init.p)
     else:
@@ -587,7 +578,7 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
             raise InvalidArgumentError("algo 'hmc' requires an HmcConfig")
         if not init.topology.is_resolved:
             raise InvalidTreeError("the Hamiltonian kernel requires a resolved tree")
-        state = HmcState(init, cfg)
+        state = HmcState(init)
         _drive(archive, cfg, state, lambda: hmc_step(state, stats, cfg, rng))
         archive.provenance["accept_hmc"] = state.accepted
         archive.provenance["proposed_hmc"] = state.proposed

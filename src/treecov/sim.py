@@ -70,10 +70,6 @@ class Scenario:
         if self.algo not in ("mh", "hmc"):
             raise InvalidArgumentError(f"unknown algo {self.algo!r}")
 
-    def iterations(self) -> int:
-        return self.mh.iterations if self.algo == "mh" else \
-            self.hmc.iterations * self.hmc.leapfrog_steps
-
 
 def _drop_splits(tree: Tree, count: int, rule: str, rng: RngStream) -> Tree:
     """Remove internal splits from a resolved truth to create multifurcations."""
@@ -194,11 +190,18 @@ class ScenarioReport:
 
 
 def estimate_cost_seconds(s: Scenario) -> float:
-    """Crude wall-clock estimate used by the runtime guard."""
-    per_update = 2.5e-5 * max(1.0, (s.p / 10.0) ** 2)
+    """Crude wall-clock estimate of the chains, used by the runtime guard.
+
+    Fitted to MH iterations of 1.05 / 1.82 / 4.24 ms and HMC leapfrog steps of
+    0.13 / 0.13 / 0.30 ms at p = 10 / 20 / 40 and n = 10p, one process, 2 vCPUs.
+    """
+    if s.algo == "mh":
+        steps, per_step = s.mh.iterations, 5e-5 * (2 * s.p + 2)
+    else:
+        steps = s.hmc.iterations * s.hmc.leapfrog_steps
+        per_step = 1.15e-4 + 2.9e-9 * s.p ** 3
     cells = len(s.distributions) * len(s.multipliers)
-    updates = s.iterations() * (2 * s.p + 2)
-    return s.replicates * cells * updates * per_update
+    return s.replicates * cells * steps * per_step
 
 
 def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
@@ -215,10 +218,7 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
                                                           base + _STREAM_DATA))
     init = random_tree(s.p, "uniform-binary", s.length_mean,
                        RngStream(s.master_seed, base + _STREAM_INIT))
-    if s.algo == "mh":
-        cfg = replace(s.mh, seed=s.master_seed + base)
-    else:
-        cfg = replace(s.hmc, seed=s.master_seed + base)
+    cfg = replace(s.mh if s.algo == "mh" else s.hmc, seed=s.master_seed + base)
     archive = run_chain(data, init, s.algo, cfg)
 
     mean_cfg = MeanConfig(max_iterations=max(1, s.mean_passes * len(archive)))

@@ -351,6 +351,42 @@ def loop_split_gradient(stats_n: int, scatter: np.ndarray, sigma: np.ndarray,
     return out
 
 
+def loop_drift(state, eps: float, rng) -> None:
+    """The boundary-crossing drift with one coordinate at a time.
+
+    Scans the slots for the earliest fractured step ``d_j / -a_j`` within
+    what is left of ``eps``, ties to the smaller mask, and otherwise moves
+    and reassigns exactly as ``samplers._drift``.
+    """
+    from treecov.treespace import _replacements
+
+    def internal(m):
+        return 2 <= m.bit_count() < state.p
+
+    remaining = eps
+    while remaining > 0.0:
+        t_hit = j_hit = None
+        for j, v in enumerate(state.a):
+            if v < 0.0:
+                t = state.d[j] / -v
+                if t <= remaining and (t_hit is None or (t, state.masks[j])
+                                       < (t_hit, state.masks[j_hit])):
+                    t_hit, j_hit = t, j
+        if j_hit is None:
+            state.d += remaining * state.a
+            return
+        state.d += t_hit * state.a
+        state.d[j_hit] = 0.0
+        remaining -= t_hit
+        state.a[j_hit] = -state.a[j_hit]
+        mask = state.masks[j_hit]
+        if internal(mask):
+            others = [m for m in state.masks if m != mask and internal(m)]
+            cands = _replacements(state.p, others, mask)
+            if cands:
+                state.masks[j_hit] = cands[rng.integers(len(cands))]
+
+
 # ---------------------------------------------------------------------------
 # misc statistics helpers
 # ---------------------------------------------------------------------------

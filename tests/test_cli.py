@@ -563,7 +563,7 @@ seed = 4
         assert "cells" in rep and rep["p"] == 4
 
     @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir"),
-                                             ("sampler", "lambda")])
+                                             ("sampler", "lambda"), ("sampler", "mass")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
         cfg = write_config(tmp_path / "sim.ini",
                            f"[scenario]\np = 4\n\n[{section}]\n{key} = 2\n")
@@ -582,6 +582,51 @@ seed = 4
 
         assert validate_ultrametric(mean).valid
         assert newick_to_tree((tmp_path / "m.nwk").read_text()).p == 4
+
+
+class TestRunSection:
+    """A negative seed or a chain count below 1 exits 2 and writes nothing."""
+
+    def config(self, tmp_path, run=""):
+        return write_config(tmp_path / "run.ini", f"""
+[model]
+p = 3
+
+[sampler]
+iterations = 20
+burn_in = 10
+
+[scenario]
+p = 3
+multipliers = 2
+replicates = 1
+
+[io]
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+report = {tmp_path / 'r.json'}
+splits_csv = {tmp_path / 'r.csv'}
+
+[run]
+{run}
+""")
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("sample", "chains", "0"), ("sample", "seed", "-5"), ("simulate", "seed", "-5"),
+    ])
+    def test_out_of_range_exit_two(self, tmp_path, capsys, command, key, value):
+        cfg = self.config(tmp_path, f"{key} = {value}")
+        assert main([command, "--config", cfg]) == 2
+        assert f"[run] {key} = {value}" in json.loads(capsys.readouterr().out)["error"]
+        assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_chains_flag_must_be_positive(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", self.config(tmp_path), "--chains", value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
 
 
 class TestExampleConfig:

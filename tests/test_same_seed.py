@@ -48,14 +48,14 @@ CASES = {
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                   step_size=0.05, seed=13),
-        "ee3f9d47d2c3b73784a82726529e3b803dc5f9eb27e227a3f359452c669a281c",
+        "69d4b3c456cdc325c6d8af53f3a01310f58c5bdf503b8897a62306aa312228f7",
     ),
     # 8 of 12 proposals accepted, rejects at iterations 1, 3, 7 and 9, and
     # 26 boundary reassignments: a reject restores the cached scores
     "hmc-init": (
         "init", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                  step_size=0.035, seed=15),
-        "a70cdacdc156a86deb59a932b3665ec2ddcbf6ddeb4ccbb9876afeffdb0adc80",
+        "dd2bee2b33e6f9d6ce54af61ad8366b89a1373fd376b1ccb1ea6198f2174a947",
     ),
 }
 

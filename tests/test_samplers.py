@@ -4,7 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import block_sum_matrix, ks_statistic_exponential, loop_split_gradient
+from _oracles import (
+    block_sum_matrix,
+    ks_statistic_exponential,
+    loop_drift,
+    loop_split_gradient,
+)
 from treecov.errors import (
     InvalidArgumentError,
     InvalidTreeError,
@@ -46,6 +51,8 @@ class TestConfigs:
             MhConfig(mode="both")
         with pytest.raises(InvalidArgumentError):  # grow draws from the prior
             MhConfig(prior=PriorSpec(edge_mean=math.inf))
+        with pytest.raises(InvalidArgumentError):  # drops need an unresolved prior
+            MhConfig(mode="multifurcating")
 
     def test_hmc_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -245,6 +252,79 @@ class TestHmcLeapfrog:
         assert lengths[s124] == pytest.approx(0.9, abs=1e-12)
         assert momenta[s24] == 1.0 and momenta[s124] == 1.2
 
+    @staticmethod
+    def record_crossings(monkeypatch):
+        """The mask of each internal slot that reaches zero, in crossing order."""
+        import treecov.samplers as samplers
+
+        crossed = []
+        real = samplers._replacements
+        monkeypatch.setattr(samplers, "_replacements",
+                            lambda p, others, mask: crossed.append(mask) or
+                            real(p, others, mask))
+        return crossed
+
+    def test_drift_ties_go_to_the_ascending_mask(self, monkeypatch):
+        from treecov.samplers import _drift
+
+        crossed = self.record_crossings(monkeypatch)
+        state = HmcState(two_split_tree())
+        order = np.argsort(state.masks)[::-1]  # larger masks in earlier slots
+        state.masks = [state.masks[i] for i in order]
+        state.d = state.d[order]
+        internal = [j for j, m in enumerate(state.masks) if 2 <= m.bit_count() < 4]
+        state.d[internal] = 0.4
+        state.a[internal] = -1.0
+        _drift(state, 1.0, RngStream(0))
+        assert crossed == sorted(Split.from_leaves(4, leaves).mask
+                                 for leaves in ((1, 2), (3, 4)))
+        assert state.d[internal] == pytest.approx(0.6, abs=1e-12)
+        assert list(state.a[internal]) == [1.0, 1.0]
+
+    def test_drift_crosses_in_fractured_step_order(self, monkeypatch):
+        # three internal slots reach zero within one step, the smallest mask
+        # last: each flips at its own fractured step d_j / -a_j
+        from treecov.samplers import _drift
+
+        crossed = self.record_crossings(monkeypatch)
+        state = HmcState(random_tree(5, "uniform-binary", 1.0, RngStream(4)))
+        internal = sorted((j for j, m in enumerate(state.masks)
+                           if 2 <= m.bit_count() < 5), key=state.masks.__getitem__)
+        before = [state.masks[j] for j in internal]
+        d0 = state.d.copy()
+        state.d[internal] = [0.3, 0.2, 0.1]
+        state.a[internal] = -1.0
+        _drift(state, 0.5, RngStream(0))
+        assert crossed == before[::-1]
+        assert state.d[internal] == pytest.approx([0.2, 0.3, 0.4], abs=1e-12)
+        assert list(state.a[internal]) == [1.0, 1.0, 1.0]
+        others = [j for j in range(len(d0)) if j not in internal]
+        assert np.array_equal(state.d[others], d0[others])  # zero momentum
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drift_equals_loop_reference(self, seed):
+        # fresh large momenta before every drift cross and reassign often;
+        # the array drift does the loop's arithmetic, so the states agree
+        # exactly
+        from treecov.samplers import _drift
+
+        start = random_tree(8, "uniform-binary", 1.0, RngStream(50, seed))
+        fast, slow = HmcState(start), HmcState(start)
+        momenta = RngStream(51, seed)
+        rng_fast, rng_slow = RngStream(52, seed), RngStream(52, seed)
+        crossings = reassigned = 0
+        for _ in range(30):
+            drawn = momenta.generator.normal(size=len(fast.masks)) * 3.0
+            fast.a, slow.a = drawn.copy(), drawn.copy()
+            masks = list(fast.masks)
+            _drift(fast, 0.2, rng_fast)
+            loop_drift(slow, 0.2, rng_slow)
+            assert fast.masks == slow.masks
+            assert np.array_equal(fast.d, slow.d) and np.array_equal(fast.a, slow.a)
+            crossings += int(np.sum(np.sign(fast.a) != np.sign(drawn)))
+            reassigned += sum(a != b for a, b in zip(masks, fast.masks))
+        assert crossings >= 20 and reassigned >= 5
+
     def test_reversibility_away_from_boundaries(self, rng):
         t = random_tree(5, "uniform-binary", 2.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 20, rng))
@@ -432,6 +512,16 @@ class TestRunChain:
         assert len(archive) == cfg.iterations - cfg.burn_in
         assert len(validated) == len(archive)
         assert [t.topology for t in archive.trees()] == validated
+
+    def test_one_leaf_is_rejected(self):
+        # one leaf's edge and the root edge share mask 1: a chain would store
+        # them as one coordinate and record scores of another tree
+        tree = star_tree((1.0,), 0.5)
+        data = sample_gaussian(tree_to_matrix(tree), 5, RngStream(2))
+        cfg = MhConfig(iterations=20, burn_in=10, mode="multifurcating",
+                       prior=PriorSpec(kind="poisson-dirichlet"))
+        with pytest.raises(InvalidArgumentError, match="p >= 2"):
+            run_chain(data, tree, "mh", cfg)
 
     def test_all_states_valid(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, rng)

@@ -8,7 +8,7 @@ import pytest
 
 from treecov import sim
 from treecov.errors import InvalidArgumentError, NotPositiveDefiniteError
-from treecov.samplers import MhConfig
+from treecov.samplers import HmcConfig, MhConfig
 from treecov.sim import (
     Scenario,
     estimate_cost_seconds,
@@ -114,11 +114,23 @@ class TestScenario:
             assert row.mean_d >= 0.0 and row.map_frob >= 0.0
 
     def test_cost_guard(self):
-        s = Scenario(p=30, multipliers=(50,), replicates=50,
+        s = Scenario(p=30, multipliers=(10, 25, 50), replicates=50,
                      mh=MhConfig(iterations=10000, burn_in=9000))
         assert estimate_cost_seconds(s) > 3600
         with pytest.raises(InvalidArgumentError):
             run_scenario(s, cost_cap_seconds=3600.0)
+
+    @pytest.mark.parametrize("algo,p,ms_per_step", [
+        ("mh", 10, 1.05), ("mh", 20, 1.82), ("mh", 40, 4.24),
+        ("hmc", 10, 0.13), ("hmc", 20, 0.13), ("hmc", 40, 0.30),
+    ])
+    def test_cost_matches_measured_step_times(self, algo, p, ms_per_step):
+        # one replicate of 1000 MH iterations or 1000 leapfrog steps, priced
+        # within 20 % of the single-process timings the estimate was fitted to
+        s = Scenario(p=p, multipliers=(10,), replicates=1, algo=algo,
+                     mh=MhConfig(iterations=1000, burn_in=0),
+                     hmc=HmcConfig(iterations=100, burn_in=0, leapfrog_steps=10))
+        assert estimate_cost_seconds(s) == pytest.approx(ms_per_step, rel=0.2)
 
     def test_misspecification_degrades_recovery(self):
         # heavy-tailed data recover the topology strictly worse than exact
