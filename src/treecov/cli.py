@@ -31,7 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from .archive import PosteriorArchive
-from .errors import ConfigError, TreecovError, UltrametricViolationError
+from .errors import (
+    ConfigError,
+    InvalidArgumentError,
+    TreecovError,
+    UltrametricViolationError,
+)
 from .geometry import MEAN_PASSES, MeanConfig, bhv_distance, frechet_mean, tree_distance
 from .model import DataSet
 from .newick import newick_to_tree, tree_to_newick
@@ -177,27 +182,31 @@ def load_run_config(path) -> dict:
     return out
 
 
-def _build(cls, section: dict, **fixed):
-    """``cls`` from the keys a config section sets, matched to its fields by name.
+def _build(cls, cfg: dict, section: str, **fixed):
+    """``cls`` from the keys config ``section`` sets, matched to its fields by name.
 
     Keys ``cls`` has no field for are ignored, ``fixed`` fields override the
-    section, and every other field keeps its dataclass default.
+    section, and every other field keeps its dataclass default.  A value
+    ``cls`` rejects raises ``ConfigError`` naming the section.
     """
     names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {_FIELD_NAMES.get(k, k): v for k, v in section.items()}
-    return cls(**{k: v for k, v in kwargs.items() if k in names} | fixed)
+    kwargs = {_FIELD_NAMES.get(k, k): v for k, v in cfg.get(section, {}).items()}
+    try:
+        return cls(**{k: v for k, v in kwargs.items() if k in names} | fixed)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def _prior_from_config(cfg: dict) -> PriorSpec:
-    return _build(PriorSpec, cfg.get("prior", {}))
+    return _build(PriorSpec, cfg, "prior")
 
 
 def _sampler_from_config(cfg: dict, seed: int):
-    sec = cfg.get("sampler", {})
-    algo = sec.get("algo", Scenario.algo)
+    algo = cfg.get("sampler", {}).get("algo", Scenario.algo)
     if algo not in _SAMPLERS:
         raise ConfigError(f"unknown sampler algo {algo!r}")
-    return algo, _build(_SAMPLERS[algo], sec, prior=_prior_from_config(cfg), seed=seed)
+    return algo, _build(_SAMPLERS[algo], cfg, "sampler", prior=_prior_from_config(cfg),
+                        seed=seed)
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:
@@ -207,7 +216,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     seed = cfg.get("run", {}).get("seed", 0)
     algo, scfg = _sampler_from_config(cfg, seed)
     # the sampler config fills the Scenario field named after its algo
-    return _build(Scenario, sec, algo=algo, master_seed=seed, **{algo: scfg})
+    return _build(Scenario, cfg, "scenario", algo=algo, master_seed=seed, **{algo: scfg})
 
 
 # ---------------------------------------------------------------------------

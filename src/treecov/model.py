@@ -15,10 +15,13 @@ split masks and lengths and builds ``V`` once, for the covariance
 come from :mod:`treecov.ultrametric`.
 
 Changing one length by ``delta`` adds ``delta v v'`` to the covariance, so
-:class:`LikelihoodKernel` keeps ``W = S^-1`` and prices such a move in
-``O(p^2)`` by the matrix determinant lemma and Sherman-Morrison instead of a
-new factorization.  Every failed factorization raises
-``NotPositiveDefiniteError`` from :func:`_factor`.
+:class:`LikelihoodKernel` keeps ``W = S^-1``, the log likelihood and each
+mask's column ``v``, and prices such a move in ``O(p^2)`` by the matrix
+determinant lemma and Sherman-Morrison instead of a new factorization; a
+change of several lengths is as many rank-one steps.  It factorizes only
+when it is refreshed from the lengths, or when a step's denominator shows
+that the cached inverse cannot be trusted.  Every failed factorization
+raises ``NotPositiveDefiniteError`` from :func:`_factor`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.blas import dger
 
 from .errors import (
     DataError,
@@ -162,86 +166,102 @@ def split_gradient(stats: SufficientStats, masks, lengths) -> np.ndarray:
 
 
 class LikelihoodKernel:
-    """The log likelihood of one covariance matrix, kept current under split moves.
+    """The log likelihood of split coordinates, kept current under length moves.
 
-    Caches ``sigma``, ``W = sigma^-1`` and ``log_lik`` from one full
-    factorization.  :meth:`propose` prices adding ``(mask, value)`` changes to
-    ``sigma`` and :meth:`accept` applies the last proposal.  A single change by
-    ``delta`` on a split with indicator ``v`` is rank one: with ``u = W v``,
-    ``c = v'u`` and the scatter matrix ``A``, the determinant lemma and
-    Sherman-Morrison give
+    Caches ``W = sigma^-1`` and ``log_lik`` for the covariance
+    ``sigma = V diag(d) V'`` of a ``{mask: length}`` map, and each mask's
+    indicator column ``v``.  :meth:`refresh` builds ``sigma`` from the lengths
+    and factorizes it; it is the only routine factorization.
+    :meth:`propose` prices adding ``(mask, value)`` changes to the lengths,
+    and :meth:`accept` applies the last proposal.
+
+    A change by ``delta`` on a split with indicator ``v`` adds ``delta v v'``
+    to ``sigma``.  With ``u = W v``, ``c = v'u`` and the scatter matrix ``A``,
+    the determinant lemma and Sherman-Morrison give
 
         delta loglik = -(1/2) (n log(1 + delta c) - delta u'Au / (1 + delta c))
 
     in ``O(p^2)``, and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
-    Several changes at once, or a single one whose ``1 + delta c`` is not
-    positive and finite (a move to a matrix that is not positive definite, or
-    rounding in an ill-conditioned ``W``), are priced by a full
-    factorization, which raises ``NotPositiveDefiniteError`` if it fails.
-    :meth:`refresh` refactorizes after rank-one updates so their rounding
-    does not accumulate.  Without data the likelihood is identically zero
-    and nothing is built.
+    Several changes are priced as successive rank-one steps, each on the
+    ``W`` the steps before it leave; a topology swap lists the shrink first,
+    so its intermediate matrix is the covariance of a tree with the edge at
+    length zero, which is positive definite.  A step whose ``1 + delta c``
+    is not positive and finite (a move to a matrix that is not positive
+    definite, or rounding in an ill-conditioned ``W``) makes the proposal a
+    full factorization of the proposed lengths, which raises
+    ``NotPositiveDefiniteError`` if it fails.  Without data the likelihood
+    is identically zero and nothing is built.
     """
 
-    def __init__(self, stats: SufficientStats, sigma: np.ndarray):
+    def __init__(self, stats: SufficientStats, lengths: dict[int, float]):
         self.stats = stats
-        self.sigma = np.array(sigma, dtype=float) if stats.n else None
         self.W = None
         self.log_lik = 0.0
+        self.columns: dict[int, np.ndarray] = {}
         self._pending = None
-        self._updated = True
-        self.refresh()
+        self.refresh(lengths)
 
-    def refresh(self):
-        """Recompute ``W`` and ``log_lik`` from ``sigma`` if a rank-one update was applied."""
-        if self.sigma is not None and self._updated:
-            cf = _factor(self.sigma)
-            self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
-            self.log_lik = _loglik_from_factor(self.stats, cf)
-        self._updated = False
+    def _factor_lengths(self, lengths: dict[int, float]):
+        masks = sorted(lengths)
+        return _factor(split_matrix(self.stats.p, masks, [lengths[m] for m in masks]))
 
-    def propose(self, changes) -> float:
-        """Log-likelihood change from adding each ``(mask, value)`` to ``sigma``.
+    def refresh(self, lengths: dict[int, float]):
+        """Recompute ``W`` and ``log_lik`` from a full factorization at ``lengths``.
 
-        Nothing cached changes until :meth:`accept`.
+        The column cache keeps the masks of ``lengths`` only.
         """
-        if self.sigma is None:
-            self._pending = (0.0, lambda: None)
+        if not self.stats.n:
+            return
+        cf = self._factor_lengths(lengths)
+        self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
+        self.log_lik = _loglik_from_factor(self.stats, cf)
+        self.columns = {m: self.columns[m] for m in lengths if m in self.columns}
+
+    def propose(self, changes, lengths: dict[int, float]) -> float:
+        """Log-likelihood change from adding each ``(mask, value)`` to ``lengths``.
+
+        ``lengths`` are the coordinates the cache was built for, plus the
+        moves accepted since; a mask it lacks starts at zero.  Nothing
+        cached but the columns changes until :meth:`accept`.
+        """
+        if self.W is None:
+            self._pending = (0.0, ())
             return 0.0
-        if len(changes) == 1:
-            mask, delta = changes[0]
-            v = split_indicators(self.stats.p, [mask])[:, 0]
-            u = self.W @ v
+        n, S, W, columns = self.stats.n, self.stats.S, self.W, self.columns
+        dll = 0.0
+        steps = []
+        for mask, delta in changes:
+            v = columns.get(mask)
+            if v is None:
+                v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
+            u = W @ v
+            for scale, w in steps:  # u = W' v for the W' the earlier steps leave
+                u -= scale * float(w @ v) * w
             denom = 1.0 + delta * float(v @ u)
-            if 0.0 < denom < math.inf:
-                dll = -0.5 * (self.stats.n * math.log(denom)
-                              - delta * float(self.stats.S.dot(u).dot(u)) / denom)
+            if not 0.0 < denom < math.inf:
+                return self._propose_fresh(changes, lengths)
+            dll -= 0.5 * (n * math.log(denom) - delta * float(S.dot(u).dot(u)) / denom)
+            steps.append((delta / denom, u))
+        self._pending = (self.log_lik + dll, steps)
+        return dll
 
-                def apply():
-                    # delta v v', entrywise the one-split split_matrix(p, [mask], [delta])
-                    self.sigma += (delta * v)[:, None] * v
-                    self.W -= (delta / denom * u)[:, None] * u
-                    self._updated = True
-
-                self._pending = (self.log_lik + dll, apply)
-                return dll
-        masks, values = zip(*changes)
-        sigma = self.sigma + split_matrix(self.stats.p, masks, values)
-        cf = _factor(sigma)
+    def _propose_fresh(self, changes, lengths: dict[int, float]) -> float:
+        moved = dict(lengths)
+        for mask, delta in changes:
+            moved[mask] = moved.get(mask, 0.0) + delta
+        cf = self._factor_lengths(moved)
         new_ll = _loglik_from_factor(self.stats, cf)
-
-        def apply():
-            self.sigma = sigma
-            self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
-            self._updated = False
-
-        self._pending = (new_ll, apply)
+        self._pending = (new_ll, cho_solve(cf, np.eye(self.stats.p), check_finite=False))
         return new_ll - self.log_lik
 
     def accept(self):
-        """Apply the last proposal to ``sigma``, ``W`` and ``log_lik``."""
-        self.log_lik, apply = self._pending
-        apply()
+        """Apply the last proposal to ``W`` and ``log_lik``."""
+        self.log_lik, update = self._pending
+        if isinstance(update, np.ndarray):
+            self.W = update
+        else:
+            for scale, u in update:  # W -= scale u u', in place
+                self.W = dger(-scale, u, u, a=self.W, overwrite_a=True)
         self._pending = None
 
 

@@ -81,13 +81,20 @@ class PriorSpec:
             )
         total = 0.0
         for _block, children in fragmentation_events(p, masks):
-            sizes = [c.bit_count() for c in children]
-            if beta_split:
-                total += _betasplit.log_split_prob(sizes[0], sum(sizes), self.beta)
-            else:
-                total += _pd_event_log_prob(tuple(sorted(sizes)), self.theta,
-                                            self.alpha_pd)
+            total += self.event_log_prob(children)
         return total
+
+    def event_log_prob(self, children) -> float:
+        """Log probability of one fragmentation event: a block into ``children``.
+
+        ``children`` are the ascending masks of the sub-blocks, two of them
+        under beta-splitting.  Every term of :meth:`masks_log_prior` comes
+        from here.
+        """
+        sizes = [c.bit_count() for c in children]
+        if self.kind == "beta-splitting":
+            return _betasplit.log_split_prob(sizes[0], sum(sizes), self.beta)
+        return _pd_event_log_prob(tuple(sorted(sizes)), self.theta, self.alpha_pd)
 
 
 def beta_split_log_prior(topology: Topology, beta: float) -> float:

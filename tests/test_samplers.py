@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     block_sum_matrix,
@@ -30,8 +31,39 @@ from treecov.samplers import (
     mh_topology_update,
     run_chain,
 )
-from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
+from treecov.treespace import (
+    Split,
+    Topology,
+    Tree,
+    _growth_candidates,
+    _replacements,
+    laminar_children,
+    random_tree,
+    star_tree,
+)
 from treecov.ultrametric import tree_to_matrix, validate_ultrametric
+
+
+class ScriptedRng:
+    """Seeded draws, except that ``uniform()`` reads a script of booleans.
+
+    ``True`` gives 5e-324, which accepts any move whose log ratio exceeds
+    -744 (and takes the grow branch); ``False`` gives 1e300, which rejects
+    any whose log ratio is below 690 (and takes the shrink branch).
+    """
+
+    def __init__(self, seed, script):
+        self.rng = RngStream(seed)
+        self.script = iter(script)
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def exponential(self, mean):
+        return self.rng.exponential(mean)
+
+    def uniform(self):
+        return 5e-324 if next(self.script) else 1e300
 
 
 def two_split_tree():
@@ -143,6 +175,35 @@ class TestTopologyUpdate:
         assert len(sizes) > 1
         assert state.accepted_topology > 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(3, 9), seed=st.integers(0, 2 ** 32 - 1), data=st.booleans(),
+           multifurcating=st.booleans(), script=st.lists(st.booleans(), min_size=60,
+                                                        max_size=120))
+    def test_kept_tree_tracks_fresh_rebuild(self, p, seed, data, multifurcating, script):
+        # scripted accepts and rejects of binary moves, or of drop, grow and
+        # replacement moves under the PD prior: after every move the kept
+        # children, candidates and topology prior equal a fresh rebuild
+        rng = RngStream(seed, 1)
+        truth = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 3 * p, rng)) \
+            if data else SufficientStats.empty(p)
+        cfg = MhConfig(mode="multifurcating",
+                       prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)) \
+            if multifurcating else MhConfig(prior=PriorSpec(beta=0.0))
+        state = ChainState(random_tree(p, "uniform-binary", 1.0, rng), stats, cfg.prior)
+        moves = ScriptedRng(seed, script)
+        for _ in range(20):
+            mh_topology_update(state, stats, cfg, moves)
+            masks = sorted(state.internal)
+            assert state.children == laminar_children(p, masks)
+            assert state.log_prior_topo == cfg.prior.masks_log_prior(p, masks)
+            assert state.candidates() == _growth_candidates(p, masks)
+            for a in masks:
+                remainder = [m for m in masks if m != a]
+                assert state.candidates(a) == _replacements(p, remainder, a)
+            state.check_consistency(stats, cfg.prior)
+        assert state.proposed_topology == 20
+
     def test_multifurcating_two_leaves_has_no_topology_move(self):
         cfg = MhConfig(iterations=50, burn_in=10, mode="multifurcating",
                        prior=PriorSpec(kind="poisson-dirichlet"))
@@ -202,25 +263,27 @@ class TestLengthUpdate:
             state.check_consistency(stats, cfg.prior)
 
     @pytest.mark.parametrize("mode", ["binary", "multifurcating"])
-    def test_at_most_two_factorizations_per_iteration(self, rng, monkeypatch, mode):
+    def test_one_factorization_per_iteration(self, rng, monkeypatch, mode):
+        # one with data, at the end of the length sweep; none without
         import treecov.model as model
 
         calls = []
         real = model._factor
         monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
         truth = random_tree(8, "uniform-binary", 1.0, rng)
-        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 80, rng))
         cfg = MhConfig(mode=mode, prior=PriorSpec(kind="poisson-dirichlet"))
-        state = ChainState(random_tree(8, "uniform-binary", 1.0, rng), stats, cfg.prior)
-        for _ in range(40):
-            calls.clear()
-            mh_topology_update(state, stats, cfg, rng)
-            mh_length_update(state, stats, cfg, rng)
-            assert len(calls) <= 2
-            # each sweep ends on the exact full-factorization value
-            assert state.log_lik == gaussian_loglik(stats, state.kernel.sigma)
-        assert state.accepted_lengths > 0
-        state.check_consistency(stats, cfg.prior)
+        for stats in (suff_stats(sample_gaussian(tree_to_matrix(truth), 80, rng)),
+                      SufficientStats.empty(8)):
+            state = ChainState(random_tree(8, "uniform-binary", 1.0, rng), stats, cfg.prior)
+            for _ in range(40):
+                calls.clear()
+                mh_topology_update(state, stats, cfg, rng)
+                mh_length_update(state, stats, cfg, rng)
+                assert len(calls) == (stats.n > 0)
+                # each sweep ends on the exact full-factorization value
+                assert state.log_lik == gaussian_loglik(stats, tree_to_matrix(state.tree()))
+            assert state.accepted_lengths > 0 and state.accepted_topology > 0
+            state.check_consistency(stats, cfg.prior)
 
 
 class TestHmcLeapfrog:

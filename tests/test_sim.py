@@ -114,14 +114,14 @@ class TestScenario:
             assert row.mean_d >= 0.0 and row.map_frob >= 0.0
 
     def test_cost_guard(self):
-        s = Scenario(p=30, multipliers=(10, 25, 50), replicates=50,
-                     mh=MhConfig(iterations=10000, burn_in=9000))
+        s = Scenario(p=30, multipliers=(3, 5, 10, 25, 50), distributions=("normal", "t3"),
+                     replicates=50, mh=MhConfig(iterations=10000, burn_in=9000))
         assert estimate_cost_seconds(s) > 3600
         with pytest.raises(InvalidArgumentError):
             run_scenario(s, cost_cap_seconds=3600.0)
 
     @pytest.mark.parametrize("algo,p,ms_per_step", [
-        ("mh", 10, 1.05), ("mh", 20, 1.82), ("mh", 40, 4.24),
+        ("mh", 10, 0.32), ("mh", 20, 0.51), ("mh", 40, 1.23),
         ("hmc", 10, 0.13), ("hmc", 20, 0.13), ("hmc", 40, 0.30),
     ])
     def test_cost_matches_measured_step_times(self, algo, p, ms_per_step):
