@@ -7,6 +7,13 @@ labels), ``lengths`` (internal lengths keyed by canonical split string),
 burn-in) is a two-column CSV ``iter,log_lik``.  A record builds its
 validated :class:`Tree` once, on first use, and keeps it; a record made
 with :meth:`ArchiveRecord.from_tree` keeps the tree it was made from.
+
+Loading parses each distinct split spelling and validates each distinct
+split set once per archive: records that share them share one
+:class:`Split` per split and one :class:`Topology`.  Every record's tree is
+still built, so its lengths and their keys are checked record by record.
+A split listed twice, or two ``lengths`` keys that spell one split, is an
+error rather than a double count.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DataError, DimensionError, InvalidArgumentError, TreecovError
+from .errors import (DataError, DimensionError, InvalidArgumentError,
+                     InvalidTreeError, TreecovError)
 from .treespace import Split, Topology, Tree
 
 
@@ -43,7 +51,7 @@ class ArchiveRecord:
     @cached_property
     def _tree(self) -> Tree:
         p = len(self.leaf_lengths)
-        return Tree(Topology(p, frozenset(self.splits)), dict(self.lengths),
+        return Tree(Topology(p, _distinct(self.splits)), dict(self.lengths),
                     self.leaf_lengths, self.root_length)
 
     @classmethod
@@ -70,27 +78,90 @@ class ArchiveRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict, p: int) -> "ArchiveRecord":
-        splits = tuple(
-            sorted((Split.from_leaves(p, ls) for ls in d["splits"]),
-                   key=lambda s: s.mask)
-        )
-        lengths = {
-            Split.from_leaves(p, (int(x) for x in k.split(","))): float(v)
-            for k, v in d["lengths"].items()
-        }
+        """The record of one JSON object, with its tree built and validated."""
+        return _Reader(p).record(d)
+
+
+def _distinct(splits) -> frozenset[Split]:
+    """The set of ``splits``, none of which may be listed twice."""
+    out = frozenset(splits)
+    if len(out) != len(splits):
+        seen: set[Split] = set()
+        twice = next(s for s in splits if s in seen or seen.add(s))
+        raise InvalidTreeError(f"{twice} is listed twice in splits")
+    return out
+
+
+class _Reader:
+    """Parses the records of one archive with ``p`` leaves.
+
+    ``splits`` maps each spelling of a split (a ``splits`` entry's leaf
+    tuple, or a ``lengths`` key) to one :class:`Split` object per distinct
+    split; ``topologies`` maps each record's set of splits to its validated
+    :class:`Topology` and the splits in canonical order.  Only what parsed
+    and validated is stored, so a bad spelling or split set raises the same
+    error on every record that has it.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.splits: dict[tuple | str, Split] = {}
+        self.topologies: dict[frozenset[Split], tuple[Topology, tuple[Split, ...]]] = {}
+
+    def _store(self, spelling, split: Split) -> Split:
+        # one object per distinct split, filed under its canonical spelling
+        split = self.splits.setdefault(split.key(), split)
+        if spelling is not None:
+            self.splits[spelling] = split
+        return split
+
+    def _listed(self, leaves) -> Split:
+        try:
+            spelling = tuple(leaves)
+            hit = self.splits.get(spelling)
+        except TypeError:  # not a list of hashables: from_leaves raises its error
+            spelling = hit = None
+        # a float leaf equals its int but is malformed, so it is parsed (and raises)
+        if hit is None or type(sum(spelling)) is not int:
+            hit = self._store(spelling, Split.from_leaves(self.p, leaves))
+        return hit
+
+    def _keyed(self, key: str) -> Split:
+        hit = self.splits.get(key)
+        if hit is None:
+            hit = self._store(key, Split.from_leaves(
+                self.p, (int(x) for x in key.split(","))))
+        return hit
+
+    def record(self, d: dict) -> ArchiveRecord:
+        listed = [self._listed(ls) for ls in d["splits"]]
+        lengths = {self._keyed(k): float(v) for k, v in d["lengths"].items()}
         log_prior, log_lik = float(d["log_prior"]), float(d["log_lik"])
         if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
             raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
                             f"log_lik {log_lik} must be finite")
-        return cls(
-            iteration=int(d["iter"]),
-            log_prior=log_prior,
-            log_lik=log_lik,
-            splits=splits,
-            lengths=lengths,
-            leaf_lengths=tuple(float(x) for x in d["leaf_lengths"]),
-            root_length=float(d["root_length"]),
-        )
+        iteration = int(d["iter"])
+        leaf_lengths = tuple(float(x) for x in d["leaf_lengths"])
+        root_length = float(d["root_length"])
+        if len(lengths) != len(d["lengths"]):
+            first: dict[Split, str] = {}
+            for k in d["lengths"]:
+                s = self._keyed(k)
+                if s in first:
+                    raise InvalidTreeError(
+                        f"lengths keys {first[s]!r} and {k!r} both spell {s}")
+                first[s] = k
+        key = _distinct(listed)
+        known = self.topologies.get(key)
+        if known is None:
+            ordered = tuple(sorted(key, key=lambda s: s.mask))
+            # built from the ordered splits, so errors name the same split as ever
+            known = self.topologies[key] = (Topology(self.p, frozenset(ordered)), ordered)
+        topology, splits = known
+        record = ArchiveRecord(iteration, log_prior, log_lik, splits, lengths,
+                               leaf_lengths, root_length)
+        record.__dict__["_tree"] = Tree(topology, lengths, leaf_lengths, root_length)
+        return record
 
 
 @dataclass
@@ -127,11 +198,13 @@ class PosteriorArchive:
     def load_jsonl(cls, path, provenance: dict | None = None) -> "PosteriorArchive":
         """Read an archive, building each record's tree as its line is read.
 
-        A malformed line, record or tree raises a typed error that names
-        ``archive PATH line N``.
+        Each distinct split spelling is parsed, and each distinct split set
+        validated as a topology, once per call; every record's lengths are
+        checked by its own tree.  A malformed line, record or tree raises a
+        typed error that names ``archive PATH line N``.
         """
         records = []
-        p = None
+        reader = None
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -147,12 +220,11 @@ class PosteriorArchive:
                         f"{where}: expected a JSON object, got {type(d).__name__}")
                 try:
                     leaves = len(d["leaf_lengths"])
-                    p = leaves if p is None else p
-                    if leaves != p:
+                    reader = reader or _Reader(leaves)
+                    if leaves != reader.p:
                         raise DimensionError(f"{where}: record has {leaves} "
-                                             f"leaves, earlier records have {p}")
-                    record = ArchiveRecord.from_json_dict(d, p)
-                    record.tree()
+                                             f"leaves, earlier records have {reader.p}")
+                    record = reader.record(d)
                 except KeyError as exc:
                     raise DataError(f"{where}: missing key {exc}") from exc
                 except DimensionError:
@@ -162,9 +234,9 @@ class PosteriorArchive:
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise DataError(f"{where}: malformed value ({exc})") from exc
                 records.append(record)
-        if p is None:
+        if reader is None:
             raise InvalidArgumentError(f"archive {path} contains no records")
-        out = cls(p=p, records=records, provenance=provenance or {})
+        out = cls(p=reader.p, records=records, provenance=provenance or {})
         out.validate()
         return out
 

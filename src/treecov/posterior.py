@@ -16,8 +16,9 @@ from .archive import PosteriorArchive
 from .errors import DimensionError, InvalidArgumentError
 from .geometry import MeanConfig, frechet_mean
 from .newick import tree_to_newick
-from .treespace import Split, Tree
-from .ultrametric import UltrametricMatrix, as_matrix, matrix_to_tree, tree_to_matrix
+from .treespace import Split, Topology, Tree
+from .ultrametric import (UltrametricMatrix, as_matrix, matrix_to_tree, split_matrices,
+                          tree_to_matrix)
 
 
 def split_frequencies(archive: PosteriorArchive) -> dict[Split, float]:
@@ -36,16 +37,30 @@ def credible_intervals(archive: PosteriorArchive,
                        level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise equal-tailed interval bounds at the given level.
 
-    Quantiles interpolate the empirical distribution function linearly.
+    Quantiles interpolate the empirical distribution function linearly
+    over the stack of the sampled trees' matrices.  The stack is built one
+    topology at a time: one indicator matrix over the canonical masks and
+    one matrix product per tree, bit-identical to :func:`tree_to_matrix`.
     """
     if not archive.records:
         raise InvalidArgumentError("archive is empty")
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    stack = np.stack([tree_to_matrix(t).values for t in archive.trees()])
+    trees = archive.trees()
+    p = trees[0].p
+    groups: dict[Topology, list[int]] = {}
+    for i, t in enumerate(trees):
+        groups.setdefault(t.topology, []).append(i)
+    stack = np.empty((len(trees), p, p))
+    for topology, rows in groups.items():
+        # columns as each row lists them: root, leaves, internal splits ascending
+        masks = [(1 << p) - 1, *(1 << i for i in range(p)), *topology.sorted_masks()]
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+        L = np.array([(trees[i].root_length, *trees[i].leaf_lengths,
+                       *trees[i].internal_lengths.values()) for i in rows])
+        stack[rows] = split_matrices(p, [masks[j] for j in order], L[:, order])
     tail = 0.5 * (1.0 - level)
-    lo = np.quantile(stack, tail, axis=0, method="linear")
-    hi = np.quantile(stack, 1.0 - tail, axis=0, method="linear")
+    lo, hi = np.quantile(stack, [tail, 1.0 - tail], axis=0, method="linear")
     return lo, hi
 
 

@@ -303,7 +303,7 @@ class Tree:
 
     def coordinates(self) -> Iterator[tuple[Split, float]]:
         """All stored (split, length) pairs in canonical ascending-mask order."""
-        items = [(Split.leaf(self.p, i + 1), self.leaf_lengths[i]) for i in range(self.p)]
+        items = [(Split(self.p, 1 << i), x) for i, x in enumerate(self.leaf_lengths)]
         items += list(self.internal_lengths.items())
         items.append((Split.root(self.p), self.root_length))
         items.sort(key=lambda kv: kv[0].mask)

@@ -9,12 +9,12 @@ rooted leaf-labeled trees under the linear map
 
 where ``E_A`` is the 0/1 matrix with ones on ``A x A``: with ``V`` the
 ``p x q`` indicator matrix of the stored splits and ``d`` their lengths, it
-is ``V diag(d) V'``, and :func:`split_matrix` builds every covariance from
-(split, length) pairs in that one form.  Entry ``(i, j)`` is the sum of edge
-lengths from the root down to the most recent common ancestor of leaves
-``i`` and ``j``.  ``matrix_to_tree`` inverts the map by recursively
-splitting off the smallest entry and reading block structure from the
-zero pattern of the remainder.
+is ``V diag(d) V'``, and :func:`split_matrices` builds every covariance,
+one matrix or a stack of them, from (split, length) pairs in that one form.
+Entry ``(i, j)`` is the sum of edge lengths from the root down to the most
+recent common ancestor of leaves ``i`` and ``j``.  ``matrix_to_tree``
+inverts the map by recursively splitting off the smallest entry and
+reading block structure from the zero pattern of the remainder.
 """
 
 from __future__ import annotations
@@ -202,8 +202,17 @@ def split_matrix(p: int, masks, lengths) -> np.ndarray:
     ``V`` is :func:`split_indicators` of ``masks``.  Entry ``(i, j)`` sums
     the lengths of the splits that hold both leaves.
     """
+    return split_matrices(p, masks, [lengths])[0]
+
+
+def split_matrices(p: int, masks, lengths) -> np.ndarray:
+    """:func:`split_matrix` for each row of the ``m x q`` array ``lengths``.
+
+    Returns the ``m x p x p`` stack ``V diag(L[k]) V'``, from one indicator
+    matrix ``V`` of ``masks``; each slice is one matrix product.
+    """
     V = split_indicators(p, masks)
-    return (V * np.asarray(lengths, dtype=float)) @ V.T
+    return (np.asarray(lengths, dtype=float)[:, None, :] * V) @ V.T
 
 
 def tree_to_matrix(t: Tree) -> UltrametricMatrix:

@@ -252,6 +252,58 @@ class TestNonFiniteScores:
         assert not out.exists()
 
 
+class TestBadRecordAfterGoodOnes:
+    """A bad record after good ones that share its splits or topology still
+    fails, naming its own line."""
+
+    GOOD = {"iter": 1, "log_prior": 0.0, "log_lik": 0.0,
+            "splits": [[1, 2], [1, 2, 3]], "lengths": {"1,2": 0.5, "1,2,3": 0.4},
+            "leaf_lengths": [1.0] * 4, "root_length": 0.5}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"splits": [[1, 2], [1, 2, 5]], "lengths": {"1,2": 0.5, "1,2,5": 0.4}},
+         "leaf 5 outside 1..4"),
+        ({"splits": [[1, 2], [2, 3]], "lengths": {"1,2": 0.5, "2,3": 0.4}},
+         "incompatible splits Split({1,2}/4) and Split({2,3}/4)"),
+        ({"lengths": {"1,2": 0.5}}, "internal_lengths keys must equal topology splits"),
+        ({"splits": [[1.0, 2], [1, 2, 3]]}, "malformed value"),
+        ({"splits": [[1, 2], [1, 2, 3], [1, 2]]}, "Split({1,2}/4) is listed twice"),
+        ({"lengths": {"1,2": 0.5, "2,1": 0.5, "1,2,3": 0.4}},
+         "lengths keys '1,2' and '2,1' both spell Split({1,2}/4)"),
+    ], ids=["leaf-out-of-range", "incompatible", "lengths-keys-differ", "float-leaf",
+            "split-twice", "lengths-key-twice"])
+    def test_names_line_three(self, change, message, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        records = [self.GOOD, self.GOOD | {"iter": 2, "root_length": 0.7},
+                   self.GOOD | {"iter": 3} | change, self.GOOD | {"iter": 4}]
+        path.write_text("".join(json.dumps(d) + "\n" for d in records))
+        expected = f"archive {path} line 3: {message}"
+        with pytest.raises(DataError) as exc:
+            PosteriorArchive.load_jsonl(path)
+        assert str(exc.value).startswith(expected)
+        out = tmp_path / "s.json"
+        assert main(["summarize", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"].startswith(expected)
+        assert not out.exists()
+
+    def test_split_named_twice_in_a_chain_archive(self, tmp_path, capsys):
+        # its frequency would read 2.0
+        path = tmp_path / "a.jsonl"
+        run_chain(None, random_tree(6), "mh",
+                  MhConfig(iterations=6, burn_in=2)).save_jsonl(path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["splits"].append(record["splits"][0])
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        twice = ",".join(map(str, record["splits"][0]))
+        out = tmp_path / "s.json"
+        assert main(["summarize", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == \
+            f"archive {path} line 1: Split({{{twice}}}/6) is listed twice in splits"
+        assert not out.exists()
+
+
 class TestMeanBudget:
     """``summarize`` and ``mean`` default to the library's mean budget."""
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treecov.archive import ArchiveRecord, PosteriorArchive
-from treecov.errors import DimensionError, InvalidArgumentError
+from treecov.archive import ArchiveRecord, PosteriorArchive, _Reader
+from treecov.errors import DimensionError, InvalidArgumentError, InvalidTreeError
 from treecov.geometry import MeanConfig
 from treecov.posterior import (
     build_summary,
@@ -13,7 +16,7 @@ from treecov.posterior import (
     split_frequencies,
 )
 from treecov.rng import RngStream
-from treecov.treespace import Split, Topology, random_tree
+from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import tree_to_matrix, validate_ultrametric
 
 
@@ -85,6 +88,107 @@ class TestCredibleIntervals:
     def test_level_domain(self, small_archive):
         with pytest.raises(InvalidArgumentError):
             credible_intervals(small_archive, 1.0)
+
+
+def mixed_archive(p, seed, shapes, n):
+    """``n`` records that jitter the lengths of a star tree, ``shapes``
+    resolved trees and one partly collapsed tree, picked at random."""
+    rng = RngStream(seed)
+    bases = [star_tree([1.0] * p, 0.5)]
+    for _ in range(shapes):
+        t = random_tree(p, rng=rng)
+        bases.append(t)
+        kept = {s: v for s, v in t.internal_lengths.items() if rng.uniform() < 0.5}
+        bases.append(Tree(Topology(p, frozenset(kept)), kept, t.leaf_lengths,
+                          t.root_length))
+    trees = []
+    for _ in range(n):
+        base = bases[rng.integers(len(bases))]
+        jitter = lambda x: x * math.exp(0.3 * rng.normal())  # noqa: E731
+        internal = {s: jitter(v) for s, v in base.internal_lengths.items()}
+        trees.append(Tree(base.topology, internal,
+                          tuple(map(jitter, base.leaf_lengths)),
+                          jitter(base.root_length)))
+    return PosteriorArchive(p=p, records=[
+        ArchiveRecord.from_tree(i + 1, 0.0, 0.0, t) for i, t in enumerate(trees)])
+
+
+def assert_intervals_are_tree_quantiles(archive, level):
+    stack = np.stack([tree_to_matrix(t).values for t in archive.trees()])
+    tail = 0.5 * (1.0 - level)
+    lo, hi = credible_intervals(archive, level)
+    assert np.array_equal(lo, np.quantile(stack, tail, axis=0))
+    assert np.array_equal(hi, np.quantile(stack, 1.0 - tail, axis=0))
+
+
+class TestIntervalStack:
+    """The per-topology stack equals the quantiles of every tree's matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 4, 7, 12, 20]), seed=st.integers(0, 2 ** 32 - 1),
+           shapes=st.integers(0, 4), n=st.integers(1, 30),
+           level=st.floats(0.05, 0.95))
+    def test_bit_identical_to_tree_matrices(self, p, seed, shapes, n, level):
+        assert_intervals_are_tree_quantiles(mixed_archive(p, seed, shapes, n), level)
+
+    def test_64_leaves(self):
+        assert_intervals_are_tree_quantiles(mixed_archive(64, 7, 3, 40), 0.9)
+
+    def test_loaded_archive(self, tmp_path):
+        mixed_archive(10, 3, 3, 60).save_jsonl(tmp_path / "a.jsonl")
+        loaded = PosteriorArchive.load_jsonl(tmp_path / "a.jsonl")
+        assert_intervals_are_tree_quantiles(loaded, 0.95)
+
+
+class TestLoadSharing:
+    def test_records_share_one_topology_per_split_set(self, tmp_path):
+        mixed_archive(8, 11, 3, 80).save_jsonl(tmp_path / "a.jsonl")
+        archive = PosteriorArchive.load_jsonl(tmp_path / "a.jsonl")
+        by_set: dict = {}
+        for r in archive.records:
+            first = by_set.setdefault(frozenset(r.splits), r)
+            assert r.tree().topology is first.tree().topology
+            assert r.splits is first.splits
+            assert all(a is b for a, b in zip(r.lengths, first.lengths))
+        assert 1 < len(by_set) < len(archive)
+        assert len({id(r.tree().topology) for r in archive.records}) == len(by_set)
+
+    def test_failures_are_not_remembered(self):
+        reader = _Reader(4)
+        good = {"iter": 1, "log_prior": 0.0, "log_lik": 0.0,
+                "splits": [[1, 2], [3, 4]], "lengths": {"1,2": 0.5, "3,4": 0.5},
+                "leaf_lengths": [1.0] * 4, "root_length": 0.5}
+        reader.record(good)
+        cases = [  # change, error, message, the spelling that failed
+            ({"splits": [[1, 2], [3, 5]]}, InvalidArgumentError, "leaf 5 outside",
+             (3, 5)),
+            ({"lengths": {"1,2": 0.5, "3,x": 0.5}}, ValueError, "invalid literal",
+             "3,x"),
+            # equal to the stored (1, 2) but malformed
+            ({"splits": [[1.0, 2], [3, 4]]}, TypeError, "unsupported operand", None),
+            ({"splits": [[1, 2], [2, 3]], "lengths": {"1,2": 0.5, "2,3": 0.5}},
+             InvalidTreeError, "incompatible splits", None),
+            ({"splits": [[1, 2], [3, 4], [1, 2]]}, InvalidTreeError, "listed twice",
+             None),
+        ]
+        topologies = dict(reader.topologies)
+        for change, error, message, spelling in cases:
+            for _ in range(2):  # a second try raises the same error
+                with pytest.raises(error, match=message):
+                    reader.record(good | change)
+            assert spelling not in reader.splits
+            assert reader.topologies == topologies
+
+
+class TestDuplicateSplits:
+    """A split named twice is an error, never a frequency above one."""
+
+    def test_in_memory_record(self, tree_factory):
+        t = tree_factory(4, {(1, 2): 0.5})
+        s = Split.from_leaves(4, (1, 2))
+        record = ArchiveRecord(1, 0.0, 0.0, (s, s), {s: 0.5}, t.leaf_lengths, 0.5)
+        with pytest.raises(InvalidTreeError, match="listed twice"):
+            PosteriorArchive(p=4, records=[record]).validate()
 
 
 class TestMapSample:
