@@ -270,7 +270,11 @@ def _resolve_inits(args, cfg, p: int, seed: int, chains: int) -> list[Tree]:
             raise ConfigError(
                 f"{len(paths)} init files given for {chains} chains"
             )
-        return [newick_to_tree(_read_text(pth)) for pth in paths]
+        inits = [newick_to_tree(_read_text(pth)) for pth in paths]
+        for pth, tree in zip(paths, inits):
+            if tree.p != p:
+                raise ConfigError(f"{pth}: init tree has {tree.p} leaves, config says p={p}")
+        return inits
     return [
         random_tree(p, "uniform-binary", 1.0,
                     RngStream(seed, _CHAIN_STREAM_BASE + 7 * c))

@@ -1,19 +1,24 @@
 """Canonical Newick text form for rooted trees on leaves ``0..p``.
 
-Grammar: leaf labels are the integers ``0..p``; label 0 (the root-side
-leaf) appears as a direct child of the top-level node and its branch length
-is the root edge length.  Children are ordered by their smallest descendant
-leaf, lengths print with 17 significant digits so reparsing is exact, and
-zero-length internal edges are never emitted (multifurcation is
+Grammar: leaf labels are the integers ``0..p`` with ``p <= 64``, each
+appearing once; label 0 (the root-side leaf) appears as a direct child of
+the top-level node and its branch length is the root edge length.  Every
+clade has two or more children.  Children are ordered by their smallest
+descendant leaf, lengths print with 17 significant digits so reparsing is
+exact, and zero-length internal edges are never emitted (multifurcation is
 structural).  Example star tree on three leaves::
 
     (0:1,1:1,2:1,3:1);
+
+The reader refuses, as ``InvalidTreeError``, a repeated leaf, a clade with
+one child, a label above 64 and leaf 0 inside a clade, each where it is
+read; text outside the grammar is an ``InvalidArgumentError``.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidArgumentError, InvalidTreeError
-from .treespace import Split, Topology, Tree, laminar_children
+from .treespace import MAX_LEAVES, Split, Topology, Tree, laminar_children
 
 
 def _fmt(x: float) -> str:
@@ -42,6 +47,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text.strip()
         self.pos = 0
+        self.edges: dict[int, float] = {}  # child leaf mask -> edge length
 
     def error(self, msg: str):
         raise InvalidArgumentError(f"newick parse error at {self.pos}: {msg}")
@@ -54,114 +60,82 @@ class _Parser:
             self.error(f"expected {ch!r}, found {self.peek()!r}")
         self.pos += 1
 
-    def parse_label(self) -> int:
+    def scan(self, chars: str) -> str:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek() and self.peek() in chars:
             self.pos += 1
-        if start == self.pos:
+        return self.text[start:self.pos]
+
+    def parse_label(self) -> int:
+        digits = self.scan("0123456789")
+        if not digits:
             self.error("expected an integer leaf label")
-        return int(self.text[start:self.pos])
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 2 or int(digits) > MAX_LEAVES:
+            raise InvalidTreeError(f"leaf label {digits:.20} exceeds {MAX_LEAVES}")
+        return int(digits)
 
     def parse_length(self) -> float:
         self.expect(":")
-        start = self.pos
-        while self.peek() and self.peek() in "+-0123456789.eE":
-            self.pos += 1
-        if start == self.pos:
+        text = self.scan("+-0123456789.eE")
+        if not text:
             self.error("expected a branch length")
         try:
-            return float(self.text[start:self.pos])
+            return float(text)
         except ValueError:
-            self.error(f"bad length {self.text[start:self.pos]!r}")
+            self.error(f"bad length {text!r}")
 
-    def parse_node(self) -> tuple[frozenset[int], float, list]:
-        """Returns (leaf set, branch length, list of internal (leafset, length))."""
-        if self.peek() == "(":
-            self.pos += 1
-            leaves: set[int] = set()
-            inner: list = []
-            while True:
-                ls, length, sub = self.parse_node()
-                leaves |= ls
-                inner.extend(sub)
-                inner.append((frozenset(ls), length))
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
+    def parse_clade(self, depth: int) -> int:
+        """Read ``(child:length,...)``, file each child edge, return the leaf mask.
+
+        Leaf ``i`` has mask bit ``i-1`` and leaf 0 the empty mask, so every
+        edge is filed under its split mask and the root edge under key 0.
+        A leaf read twice finds its mask filed already.
+        """
+        if depth > MAX_LEAVES:
+            self.error(f"clades nested deeper than {MAX_LEAVES} leaves allow")
+        self.expect("(")
+        mask = children = 0
+        while True:
+            if self.peek() == "(":
+                child = self.parse_clade(depth + 1)
+            else:
+                label = self.parse_label()
+                child = 1 << label >> 1
+                if child in self.edges:
+                    raise InvalidTreeError(f"leaf {label} appears twice")
+                if label == 0 and depth:
+                    raise InvalidTreeError("leaf 0 must be a direct child of the top node")
+            self.edges[child] = self.parse_length()
+            mask |= child
+            children += 1
+            if self.peek() != ",":
                 break
-            self.expect(")")
-            length = self.parse_length()
-            return frozenset(leaves), length, inner
-        label = self.parse_label()
-        length = self.parse_length()
-        return frozenset([label]), length, []
+            self.pos += 1
+        self.expect(")")
+        if children < 2:
+            raise InvalidTreeError(f"clade ending at {self.pos} has one child")
+        return mask
 
 
 def newick_to_tree(text: str) -> Tree:
     """Parse the canonical grammar back into a tree.
 
-    Validates that labels are exactly ``0..p`` with 0 a direct child of the
-    top-level node, that all non-root lengths are positive, and that no
-    zero-length internal edge is present.
+    Validates that labels are exactly ``0..p`` with ``p <= 64``, each read
+    once, with 0 a direct child of the top-level node, and that every clade
+    has two or more children; :class:`Tree` checks the lengths.
     """
     parser = _Parser(text)
-    if parser.peek() != "(":
-        parser.error("tree must start with '('")
-    parser.pos += 1
-    entries: list[tuple[frozenset[int], float, list]] = []
-    while True:
-        entries.append(parser.parse_node())
-        if parser.peek() == ",":
-            parser.pos += 1
-            continue
-        break
-    parser.expect(")")
+    mask = parser.parse_clade(0)
     if parser.peek() == ";":
         parser.pos += 1
     if parser.pos != len(parser.text):
         parser.error("trailing characters after ';'")
-
-    all_leaves: set[int] = set()
-    for ls, _, _ in entries:
-        if all_leaves & ls:
-            raise InvalidTreeError("duplicate leaf labels")
-        all_leaves |= ls
-    if 0 not in all_leaves:
-        raise InvalidTreeError("leaf 0 must be present")
-    p = max(all_leaves)
-    if all_leaves != set(range(p + 1)):
-        raise InvalidTreeError(f"labels must be exactly 0..{p}")
-
-    root_length = None
-    leaf_lengths = [0.0] * p
-    internal: dict[Split, float] = {}
-
-    def record(leafset: frozenset[int], length: float):
-        nonlocal root_length
-        if leafset == frozenset([0]):
-            if length < 0:
-                raise InvalidTreeError("root edge length must be non-negative")
-            root_length = length
-            return
-        if 0 in leafset:
-            raise InvalidTreeError("leaf 0 must be a direct child of the top node")
-        if length <= 0:
-            raise InvalidTreeError(
-                f"zero or negative length on edge {sorted(leafset)}"
-            )
-        if len(leafset) == 1:
-            leaf_lengths[next(iter(leafset)) - 1] = length
-        elif len(leafset) <= p - 1:
-            internal[Split.from_leaves(p, leafset)] = length
-        else:
-            raise InvalidTreeError("an internal edge cannot contain all leaves")
-
-    for ls, length, sub in entries:
-        for inner_ls, inner_len in sub:
-            record(inner_ls, inner_len)
-        record(ls, length)
-
-    if root_length is None:
+    edges, p = parser.edges, mask.bit_length()
+    if 0 not in edges:
         raise InvalidTreeError("leaf 0 must be a direct child of the top node")
+    if mask != (1 << p) - 1:
+        raise InvalidTreeError(f"labels must be exactly 0..{p}")
+    internal = {Split(p, m): v for m, v in edges.items() if m.bit_count() > 1}
     return Tree(Topology(p, frozenset(internal)), internal,
-                tuple(leaf_lengths), root_length)
+                [edges[1 << i] for i in range(p)], edges[0])

@@ -94,8 +94,8 @@ class MhConfig(_Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.sigma_L <= 0:
-            raise InvalidArgumentError("sigma_L must be positive")
+        if not 0 < self.sigma_L < math.inf:
+            raise InvalidArgumentError("sigma_L must be positive and finite")
         if self.mode not in ("binary", "multifurcating"):
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
         if self.mode == "multifurcating" and self.prior.kind == "beta-splitting":
@@ -125,12 +125,12 @@ class HmcConfig(_Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.step_size <= 0:
-            raise InvalidArgumentError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise InvalidArgumentError("step_size must be positive and finite")
         if self.leapfrog_steps < 1:
             raise InvalidArgumentError("leapfrog_steps must be >= 1")
-        if self.delta < 0:
-            raise InvalidArgumentError("delta must be non-negative")
+        if not 0 <= self.delta < math.inf:
+            raise InvalidArgumentError("delta must be non-negative and finite")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -67,6 +68,14 @@ class Scenario:
             raise InvalidArgumentError(f"unknown truth mode {self.truth_mode!r}")
         if self.drop_rule not in ("uniform", "shortest"):
             raise InvalidArgumentError(f"unknown drop rule {self.drop_rule!r}")
+        if self.drop_count < 0:
+            raise InvalidArgumentError("drop_count must be >= 0")
+        if not 0 < self.length_mean < math.inf:
+            raise InvalidArgumentError("length_mean must be positive and finite")
+        if not 0 < self.interval_level < 1:
+            raise InvalidArgumentError("interval_level must be in (0, 1)")
+        if self.mean_passes < 1:
+            raise InvalidArgumentError("mean_passes must be >= 1")
         if self.algo not in ("mh", "hmc"):
             raise InvalidArgumentError(f"unknown algo {self.algo!r}")
 
@@ -221,7 +230,7 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     cfg = replace(s.mh if s.algo == "mh" else s.hmc, seed=s.master_seed + base)
     archive = run_chain(data, init, s.algo, cfg)
 
-    mean_cfg = MeanConfig(max_iterations=max(1, s.mean_passes * len(archive)))
+    mean_cfg = MeanConfig(max_iterations=s.mean_passes * len(archive))
     summary = build_summary(archive, s.interval_level, truth_matrix, mean_cfg)
     mean_d, mean_frob = score_point_estimate(summary.mean_matrix, truth_matrix)
     map_d, map_frob = score_point_estimate(tree_to_matrix(summary.map_tree), truth_matrix)

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from treecov.cli import (
     write_dataset_csv,
     write_matrix_csv,
 )
-from treecov.errors import DataError
+from treecov.errors import ConfigError, DataError
 from treecov.geometry import frechet_mean
 from treecov.model import sample_gaussian
 from treecov.newick import newick_to_tree, tree_to_newick
@@ -27,6 +30,8 @@ from treecov.samplers import HmcConfig, MhConfig, run_chain
 from treecov.sim import Scenario
 from treecov.treespace import random_tree, star_tree
 from treecov.ultrametric import matrix_to_tree, tree_to_matrix
+
+from test_newick import MALFORMED
 
 
 @pytest.fixture
@@ -85,6 +90,14 @@ class TestConvert:
         path = tmp_path / "bad.csv"
         write_matrix_csv(path, np.array([[3.0, 0, 1], [0, 3, 2], [1, 2, 3]]))
         assert main(["convert", str(path), "--to", "newick"]) == 1
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_newick_exit_one(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.nwk"
+        path.write_text(text + "\n")
+        assert main(["convert", str(path), "--to", "matrix"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] and err == ""
 
 
 class TestDistance:
@@ -469,6 +482,26 @@ seed = 5
         assert (tmp_path / "a-chain1.jsonl").exists()
         assert (tmp_path / "t-chain2.csv").exists()
 
+    def test_init_with_wrong_leaf_count_exit_two(self, tmp_path, capsys):
+        init = tmp_path / "init.nwk"
+        init.write_text(tree_to_newick(random_tree(4, "uniform-binary", 1.0, RngStream(1))))
+        cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 5
+
+[sampler]
+iterations = 20
+burn_in = 10
+
+[io]
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+""")
+        assert main(["sample", "--config", cfg, "--inits", str(init)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert str(init) in err and "4 leaves" in err and "p=5" in err
+        assert not (tmp_path / "a.jsonl").exists()
+
     def test_non_positive_definite_init_exit_one(self, tmp_path, capsys):
         # leaf lengths below the root's rounding give a singular covariance
         (tmp_path / "init.nwk").write_text(tree_to_newick(star_tree((1e-17, 1e-17), 1.0)))
@@ -691,6 +724,18 @@ splits_csv = {tmp_path / 'r.csv'}
         assert f"[sampler] {message}" in json.loads(capsys.readouterr().out)["error"]
         assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
 
+    @pytest.mark.parametrize("sampler,message", [
+        ("sigma_l = nan", "sigma_L must be positive"),
+        ("sigma_l = inf", "sigma_L must be positive"),
+        ("algo = hmc\nepsilon = nan", "step_size must be positive"),
+        ("algo = hmc\ndelta = inf", "delta must be non-negative"),
+    ])
+    def test_non_finite_sampler_value_is_a_config_error(self, tmp_path, sampler, message):
+        # only the config is built: a chain with sigma_L = nan never ends
+        cfg = load_run_config(self.config(tmp_path, sampler=sampler))
+        with pytest.raises(ConfigError, match=re.escape(f"[sampler] {message}")):
+            _sampler_from_config(cfg, 0)
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_chains_flag_must_be_positive(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:
@@ -698,6 +743,88 @@ splits_csv = {tmp_path / 'r.csv'}
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
         assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
+
+
+class TestScenarioSection:
+    """A ``[scenario]`` value that cannot run exits 2 before any chain runs."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("length_mean = -1", "length_mean must be positive"),
+        ("interval_level = 1.5", "interval_level must be in (0, 1)"),
+        ("mean_passes = 0", "mean_passes must be >= 1"),
+        ("drop_count = -1", "drop_count must be >= 0"),
+    ])
+    def test_exit_two_naming_the_section(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path / "run.ini", f"""
+[sampler]
+iterations = 20
+burn_in = 10
+
+[scenario]
+p = 4
+multipliers = 2
+replicates = 1
+truth_mode = unresolved
+{line}
+
+[io]
+report = {tmp_path / 'r.json'}
+splits_csv = {tmp_path / 'r.csv'}
+""")
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"[scenario] {message}" in json.loads(capsys.readouterr().out)["error"]
+        assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestStdoutContract:
+    """Each subcommand prints only its result lines, each one strict JSON,
+    also when the work runs on forked workers."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def stdout_lines(self, tmp_path, *args) -> list[dict]:
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        done = subprocess.run([sys.executable, "-m", "treecov.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.split("\n")
+        assert lines[-1] == ""
+        return [json.loads(line, parse_constant=_refuse_constant) for line in lines[:-1]]
+
+    def config(self, tmp_path):
+        return write_config(tmp_path / "run.ini", f"""
+[model]
+p = 4
+
+[sampler]
+iterations = 40
+burn_in = 20
+
+[scenario]
+p = 4
+multipliers = 2
+replicates = 2
+
+[io]
+archive = {tmp_path / 'a.jsonl'}
+trace = {tmp_path / 't.csv'}
+report = {tmp_path / 'r.json'}
+splits_csv = {tmp_path / 'r.csv'}
+""")
+
+    def test_simulate_prints_one_line(self, tmp_path):
+        (line,) = self.stdout_lines(tmp_path, "simulate", "--config", self.config(tmp_path))
+        assert line["report"] == str(tmp_path / "r.json")
+
+    def test_sample_prints_one_line_per_chain(self, tmp_path):
+        lines = self.stdout_lines(tmp_path, "sample", "--config", self.config(tmp_path),
+                                  "--chains", "2")
+        assert [line["chain"] for line in lines] == [1, 2]
 
 
 class TestExampleConfig:

@@ -94,6 +94,17 @@ class TestConfigs:
         with pytest.raises(InvalidArgumentError):
             HmcConfig(delta=-0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda x: MhConfig(sigma_L=x),
+        lambda x: HmcConfig(step_size=x),
+        lambda x: HmcConfig(delta=x),
+    ], ids=["sigma_L", "step_size", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_step_refused(self, make, value):
+        # a nan sigma_L made the truncated-normal proposal redraw forever
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            make(value)
+
 
 class TestTopologyUpdate:
     def test_uniform_prior_no_data_always_accepts(self):

@@ -67,6 +67,27 @@ class TestScenario:
         with pytest.raises(InvalidArgumentError):
             Scenario(truth_mode="bogus")
 
+    @pytest.mark.parametrize("field,value", [
+        ("length_mean", -1.0), ("length_mean", 0.0), ("length_mean", float("inf")),
+        ("interval_level", 1.5), ("interval_level", 0.0),
+        ("mean_passes", 0),
+        ("drop_count", -1),
+    ])
+    def test_unrunnable_value_refused(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            Scenario(**{field: value})
+
+    def test_drop_shortest_removes_the_shortest_splits(self, rng):
+        tree = random_tree(9, "uniform-binary", 1.0, rng)
+        by_length = sorted(tree.internal_lengths, key=tree.internal_lengths.get)
+        for k in range(len(by_length) + 1):
+            kept = sim._drop_splits(tree, k, "shortest", rng)
+            assert set(kept.internal_lengths) == set(by_length[k:])
+            assert all(kept.internal_lengths[s] == tree.internal_lengths[s]
+                       for s in by_length[k:])
+            assert (kept.leaf_lengths, kept.root_length) == \
+                (tree.leaf_lengths, tree.root_length)
+
     def test_deterministic_report(self):
         s = small_scenario(replicates=1)
         r1 = run_scenario(s)
