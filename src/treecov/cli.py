@@ -25,6 +25,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -392,6 +393,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite non-negative tolerance")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecov",
@@ -401,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check a matrix CSV for strict ultrametricity")
     sp.add_argument("matrix")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("convert", help="convert between matrix CSV and Newick")
     sp.add_argument("input")
     sp.add_argument("--to", choices=("newick", "matrix"), required=True)
     sp.add_argument("--out")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     sp.set_defaults(func=cmd_convert)
 
     sp = sub.add_parser("distance", help="geodesic distance between two inputs")

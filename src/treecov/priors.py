@@ -12,6 +12,11 @@ children blocks.  Two exchangeable families are provided:
   exchangeable partition probability of PD(alpha, theta) conditioned on
   producing at least two blocks at every fragmentation event.
 
+Both families draw through one recursion, ``treespace._fragment``, and
+price through one walk of the containment tree; each supplies only how one
+block splits and :meth:`PriorSpec.event_log_prob` of a split.  A
+:class:`PriorSpec` is validated once, when it is built.
+
 Edge lengths are i.i.d. exponential with a common mean across all stored
 coordinates (root, leaves, internal).
 """
@@ -20,18 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import _betasplit
 from .errors import InvalidArgumentError
 from .rng import RngStream
-from .treespace import (
-    Split,
-    Topology,
-    Tree,
-    _sample_resolved_splits,
-    fragmentation_events,
-)
+from .treespace import Topology, Tree, _beta_split_blocks, _fragment, laminar_children
 
 BETA_UNIFORM = -1.5
 
@@ -60,7 +59,14 @@ class PriorSpec:
             raise InvalidArgumentError(
                 f"beta must be finite and > -2, got {self.beta}"
             )
-        _check_pd_params(self.theta, self.alpha_pd)
+        if not 0.0 <= self.alpha_pd < 1.0:
+            raise InvalidArgumentError(f"alpha_pd must be in [0, 1), got {self.alpha_pd}")
+        if not math.isfinite(self.theta) or self.theta <= -2.0 * self.alpha_pd:
+            raise InvalidArgumentError(f"theta must exceed -2*alpha_pd, got {self.theta}")
+        if self.theta + self.alpha_pd <= 0.0:
+            raise InvalidArgumentError(
+                "theta + alpha_pd must be positive for partitions into >= 2 blocks"
+            )
         if not self.edge_mean > 0:  # inf is the flat length prior
             raise InvalidArgumentError(f"edge_mean must be positive, got {self.edge_mean}")
 
@@ -72,16 +78,18 @@ class PriorSpec:
 
         Equals :meth:`topology_log_prior` of ``Topology(p, masks)`` without
         building or validating it; the order of ``masks`` does not matter.
-        The log prior is a sum over the fragmentation events of the masks.
+        The log prior is the sum of :meth:`event_log_prob` over the nodes of
+        :func:`laminar_children` that have children, in ascending block order.
         """
-        beta_split = self.kind == "beta-splitting"
-        if beta_split and len(masks) != p - 2:
+        if self.kind == "beta-splitting" and len(masks) != p - 2:
             raise InvalidArgumentError(
                 "beta-splitting is defined on resolved (binary) topologies only"
             )
+        kids = laminar_children(p, masks)
         total = 0.0
-        for _block, children in fragmentation_events(p, masks):
-            total += self.event_log_prob(children)
+        for _block, children in sorted(kids.items()):
+            if children:
+                total += self.event_log_prob(children)
         return total
 
     def event_log_prob(self, children) -> float:
@@ -105,17 +113,6 @@ def beta_split_log_prior(topology: Topology, beta: float) -> float:
     every resolved topology on p leaves has probability ``1/(2p-3)!!``.
     """
     return PriorSpec(beta=beta).topology_log_prior(topology)
-
-
-def _check_pd_params(theta: float, alpha_pd: float):
-    if not 0.0 <= alpha_pd < 1.0:
-        raise InvalidArgumentError(f"alpha_pd must be in [0, 1), got {alpha_pd}")
-    if not math.isfinite(theta) or theta <= -2.0 * alpha_pd:
-        raise InvalidArgumentError(f"theta must exceed -2*alpha_pd, got {theta}")
-    if theta + alpha_pd <= 0.0:
-        raise InvalidArgumentError(
-            "theta + alpha_pd must be positive for partitions into >= 2 blocks"
-        )
 
 
 def _log_rising(x: float, m: int) -> float:
@@ -188,15 +185,7 @@ def _sample_pd_partition(n: int, theta: float, alpha_pd: float,
         for m in range(1, n):
             weights = [len(b) - alpha_pd for b in blocks]
             weights.append(theta + len(blocks) * alpha_pd)
-            total = math.fsum(weights)
-            u = rng.uniform(0.0, total)
-            acc = 0.0
-            chosen = len(weights) - 1
-            for i, w in enumerate(weights):
-                acc += w
-                if u <= acc:
-                    chosen = i
-                    break
+            chosen = _betasplit.first_reaching(weights, rng.uniform(0.0, math.fsum(weights)))
             if chosen == len(blocks):
                 blocks.append([m])
             else:
@@ -210,20 +199,10 @@ def sample_topology_prior(p: int, spec: PriorSpec, rng: RngStream) -> Topology:
     if p < 2:
         raise InvalidArgumentError(f"need p >= 2, got {p}")
     if spec.kind == "beta-splitting":
-        return Topology(p, _sample_resolved_splits(p, spec.beta, rng))
-    _check_pd_params(spec.theta, spec.alpha_pd)
-    splits: list[Split] = []
+        return _fragment(p, partial(_beta_split_blocks, spec.beta), rng)
 
-    def rec_pd(labels: tuple[int, ...]):
-        n = len(labels)
-        if n < 2:
-            return
-        parts = _sample_pd_partition(n, spec.theta, spec.alpha_pd, rng)
-        for part in parts:
-            block = tuple(sorted(labels[i] for i in part))
-            if 2 <= len(block) <= p - 1:
-                splits.append(Split.from_leaves(p, block))
-            rec_pd(block)
+    def pd_blocks(labels, rng):
+        parts = _sample_pd_partition(len(labels), spec.theta, spec.alpha_pd, rng)
+        return [tuple(labels[i] for i in part) for part in parts]
 
-    rec_pd(tuple(range(1, p + 1)))
-    return Topology(p, frozenset(splits))
+    return _fragment(p, pd_blocks, rng)

@@ -174,7 +174,7 @@ class ChainState:
         self.parent = {c: m for m, ch in self.children.items() for c in ch}
         self.events = {m: prior.event_log_prob(ch) for m, ch in self.children.items() if ch}
         self.kernel = LikelihoodKernel(stats, self.lengths)
-        self.log_prior_topo = prior.masks_log_prior(self.p, masks)
+        self.log_prior_topo = self.topology_log_prior()
         self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0

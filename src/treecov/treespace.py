@@ -9,6 +9,9 @@ leaf edges, the full set ``{1..p}`` is the root edge, and everything of size
 
 The canonical ordering of splits, used everywhere iteration order matters,
 is ascending unsigned bitmask value.
+
+``random_tree`` and both topology priors draw through one recursive
+fragmentation, ``_fragment``, and differ only in how one block splits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _betasplit
@@ -184,18 +188,6 @@ def laminar_children(p: int, masks: Iterable[int]) -> dict[int, list[int]]:
     return children
 
 
-def fragmentation_events(p: int, masks: Iterable[int]) -> list[tuple[int, list[int]]]:
-    """The recursive block fragmentations encoded by compatible internal split masks.
-
-    Each event is ``(block_mask, children_masks)`` for a node with two or
-    more children, in ascending block order starting from the full leaf set.
-    Singleton children are leaves; larger children are the given splits.
-    The masks are not validated and their order does not matter.
-    """
-    kids = laminar_children(p, masks)
-    return [(m, ch) for m, ch in sorted(kids.items()) if len(ch) >= 2]
-
-
 def resolution_candidates(topology: Topology, removed: Split) -> list[Split]:
     """Every internal split that can replace ``removed`` in a topology.
 
@@ -355,32 +347,36 @@ def star_tree(leaf_lengths: Iterable[float], root_length: float = 0.0) -> Tree:
     return Tree(Topology(len(ll)), {}, ll, root_length)
 
 
-def _sample_resolved_splits(p: int, beta: float, rng: RngStream) -> frozenset[Split]:
-    """Recursive binary fragmentation of ``{1..p}`` under the beta-splitting law."""
+def _fragment(p: int, blocks_of, rng: RngStream) -> Topology:
+    """The topology drawn by recursive fragmentation of ``{1..p}``.
+
+    ``blocks_of(labels, rng)`` draws the ascending sub-blocks, two or more,
+    of an ascending block of two or more labels.  Every sub-block with two
+    or more labels is a split, fragmented in turn, depth first in the order
+    the blocks were drawn.  Both topology priors draw through here.
+    """
     splits: list[Split] = []
 
     def rec(labels: tuple[int, ...]):
-        n = len(labels)
-        if n < 2:
-            return
-        if n > 2:
-            k = _betasplit.sample_first_block_size(n, beta, rng)
-            rest = list(labels[1:])
-            picked = set()
-            for _ in range(k - 1):
-                j = rng.integers(len(rest))
-                picked.add(rest.pop(j))
-            left = tuple(sorted({labels[0]} | picked))
-            right = tuple(l for l in labels if l not in set(left))
-        else:
-            left, right = (labels[0],), (labels[1],)
-        for block in (left, right):
-            if 2 <= len(block) <= p - 1:
+        for block in blocks_of(labels, rng):
+            if len(block) >= 2:
                 splits.append(Split.from_leaves(p, block))
-            rec(block)
+                rec(block)
 
     rec(tuple(range(1, p + 1)))
-    return frozenset(splits)
+    return Topology(p, frozenset(splits))
+
+
+def _beta_split_blocks(beta: float, labels: tuple[int, ...],
+                       rng: RngStream) -> tuple[tuple[int, ...], ...]:
+    """One beta-splitting fragmentation: the block with the smallest label, then the rest."""
+    n = len(labels)
+    k = 1 if n == 2 else _betasplit.sample_first_block_size(n, beta, rng)
+    rest = list(labels[1:])
+    picked = {labels[0]}
+    for _ in range(k - 1):
+        picked.add(rest.pop(rng.integers(len(rest))))
+    return tuple(sorted(picked)), tuple(rest)
 
 
 def _coalescent_tree(p: int, length_mean: float, rng: RngStream) -> Tree:
@@ -427,12 +423,11 @@ def random_tree(p: int, mode: str = "uniform-binary", length_mean: float = 1.0,
     if rng is None:
         rng = RngStream(0)
     if mode == "uniform-binary":
-        splits = _sample_resolved_splits(p, -1.5, rng)
-        internal = {s: rng.exponential(length_mean) for s in
-                    sorted(splits, key=lambda s: s.mask)}
+        topology = _fragment(p, partial(_beta_split_blocks, -1.5), rng)
+        internal = {s: rng.exponential(length_mean) for s in topology.sorted_splits()}
         leaf_lengths = tuple(rng.exponential(length_mean) for _ in range(p))
         root_length = rng.exponential(length_mean)
-        return Tree(Topology(p, splits), internal, leaf_lengths, root_length)
+        return Tree(topology, internal, leaf_lengths, root_length)
     if mode == "equidistant":
         return _coalescent_tree(p, length_mean, rng)
     raise InvalidArgumentError(f"unknown mode {mode!r}")

@@ -19,6 +19,7 @@ reading block structure from the zero pattern of the remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,10 @@ def validate_ultrametric(m, tol: float = DEFAULT_TOL) -> ValidationReport:
     Clauses: non-negativity with positive diagonal; strict diagonal
     dominance ``m[i,i] > max_{j != i} m[i,j]``; the three-point condition
     with a witnessing triple; positive definiteness via factorization.
+    ``tol`` must be finite and non-negative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and non-negative, got {tol}")
     arr = as_matrix(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")

@@ -62,6 +62,22 @@ class TestValidate:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["convert", "--to", "newick"]])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_outside_zero_to_inf_is_a_usage_error(self, command, tol,
+                                                            tmp_path, capsys):
+        # every comparison with NaN is false, so NaN would pass this matrix
+        path = tmp_path / "bad.csv"
+        write_matrix_csv(path, np.array([[3.0, 1, 0], [1, 3, 1], [0, 1, 3]]))
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(path), *command[1:], "--tol", tol])
+        assert exc.value.code == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, star_csv, capsys):
+        assert main(["validate", str(star_csv), "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"]
+
 
 class TestConvert:
     def test_star_to_newick(self, star_csv, tmp_path, capsys):

@@ -8,7 +8,8 @@ archive JSON lines and their provenance.  A
 refactor of the samplers has to keep every one of them.  The posterior
 summary of a seeded archive over several topologies, Frechet mean
 included, is pinned the same way for refactors of the geometry and the
-summaries.
+summaries, and so are seeded draws of both topology priors and of
+``random_tree`` for refactors of the fragmentation samplers.
 
 The digests depend on floating-point results, so a numpy, scipy or BLAS
 upgrade, or a deliberate change of the numerics, can move them.  Such a
@@ -26,7 +27,7 @@ from treecov.archive import ArchiveRecord, PosteriorArchive
 from treecov.geometry import MeanConfig
 from treecov.model import sample_gaussian
 from treecov.posterior import build_summary
-from treecov.priors import PriorSpec
+from treecov.priors import PriorSpec, sample_topology_prior
 from treecov.rng import RngStream
 from treecov.samplers import HmcConfig, MhConfig, run_chain
 from treecov.treespace import random_tree
@@ -103,3 +104,35 @@ def test_summary_digest():
                            mean_cfg=MeanConfig(max_iterations=500))
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_DIGEST
+
+
+PRIOR_DRAW_SPECS = (
+    PriorSpec(beta=-1.5),
+    PriorSpec(beta=0.0),
+    PriorSpec(beta=3.0),
+    PriorSpec(kind="poisson-dirichlet", theta=1.0, alpha_pd=0.0),
+    PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25),
+    PriorSpec(kind="poisson-dirichlet", theta=-0.2, alpha_pd=0.5),
+)
+PRIOR_DRAW_SIZES = (2, 3, 5, 12, 40, 64)
+PRIOR_DRAW_DIGEST = "324efcf9746b6b9fc2d2bcf0f6867806b9bea2679482d1cfe69a3e205028624e"
+
+
+def test_prior_draw_digest():
+    # 20 topologies per spec and leaf count, then 10 trees per leaf count
+    # and random_tree mode, each spelled by its masks and exact lengths
+    lines = []
+    for i, spec in enumerate(PRIOR_DRAW_SPECS):
+        for p in PRIOR_DRAW_SIZES:
+            rng = RngStream(31, 100 * i + p)
+            for _ in range(20):
+                masks = sample_topology_prior(p, spec, rng).sorted_masks()
+                lines.append(f"{i} {p} {masks}")
+    for mode in ("uniform-binary", "equidistant"):
+        for p in PRIOR_DRAW_SIZES:
+            rng = RngStream(32, p)
+            for _ in range(10):
+                t = random_tree(p, mode, 0.7, rng)
+                lines.append(" ".join(f"{s.mask}:{v.hex()}" for s, v in t.coordinates()))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRIOR_DRAW_DIGEST

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from _oracles import add_split, block_sum_matrix, path_sum_matrix
-from treecov.errors import DimensionError, UltrametricViolationError
+from treecov.errors import DimensionError, InvalidArgumentError, UltrametricViolationError
+from treecov.geometry import matrix_distance
 from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
 from treecov.ultrametric import (
     decompose_step,
@@ -120,6 +123,20 @@ class TestValidation:
     def test_asymmetric_raises(self):
         with pytest.raises(DimensionError):
             validate_ultrametric(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", [
+        validate_ultrametric, decompose_step, matrix_to_tree,
+        lambda m, tol: matrix_distance(m, m, tol),
+    ], ids=["validate", "decompose", "matrix_to_tree", "matrix_distance"])
+    def test_tolerance_outside_zero_to_inf_raises(self, check, tol):
+        # every comparison with NaN is false, so NaN would pass this matrix
+        bad = np.array([[3.0, 1, 0], [1, 3, 1], [0, 1, 3]])
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            check(bad, tol=tol)
+
+    def test_zero_tolerance_is_exact(self):
+        assert validate_ultrametric(STAR3, tol=0.0).valid
 
 
 class TestTreeToMatrix:
