@@ -248,15 +248,15 @@ class PosteriorArchive:
 
     @staticmethod
     def load_trace_csv(path) -> list[tuple[int, float]]:
-        out = []
         with open(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["iter", "log_lik"]:
                 raise InvalidArgumentError(f"unexpected trace header {header}")
-            for row in reader:
-                out.append((int(row[0]), float(row[1])))
-        return out
+            try:
+                return [(int(it), float(log_lik)) for it, log_lik in reader]
+            except ValueError as exc:  # a row that is not two numbers
+                raise DataError(f"trace {path} line {reader.line_num}: {exc}") from exc
 
 
 def config_digest(obj) -> str:

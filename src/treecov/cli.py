@@ -46,7 +46,7 @@ from .priors import PriorSpec
 from .rng import RngStream
 from .samplers import HmcConfig, MhConfig, run_chain
 from .sim import Scenario, _map_jobs, run_scenario, write_report
-from .treespace import Tree, random_tree
+from .treespace import MAX_LEAVES, Tree, random_tree
 from .ultrametric import (
     DEFAULT_TOL,
     matrix_to_tree,
@@ -294,6 +294,8 @@ def cmd_sample(args) -> int:
     if "model" not in cfg or "p" not in cfg["model"]:
         raise ConfigError("config must set [model] p")
     p = cfg["model"]["p"]
+    if not 2 <= p <= MAX_LEAVES:
+        raise ConfigError(f"[model] p = {p} is outside 2..{MAX_LEAVES}")
     seed = cfg.get("run", {}).get("seed", 0)
     chains = args.chains or cfg.get("run", {}).get("chains", 1)
 

@@ -13,9 +13,9 @@ children blocks.  Two exchangeable families are provided:
   producing at least two blocks at every fragmentation event.
 
 Both families draw through one recursion, ``treespace._fragment``, and
-price through one walk of the containment tree; each supplies only how one
-block splits and :meth:`PriorSpec.event_log_prob` of a split.  A
-:class:`PriorSpec` is validated once, when it is built.
+price through one containment tree, ``treespace.LaminarTree``; each
+supplies only how one block splits and :meth:`PriorSpec.event_log_prob` of
+a split.  A :class:`PriorSpec` is validated once, when it is built.
 
 Edge lengths are i.i.d. exponential with a common mean across all stored
 coordinates (root, leaves, internal).
@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from . import _betasplit
 from .errors import InvalidArgumentError
 from .rng import RngStream
-from .treespace import Topology, Tree, _beta_split_blocks, _fragment, laminar_children
+from .treespace import LaminarTree, Topology, Tree, _beta_split_blocks, _fragment
 
 BETA_UNIFORM = -1.5
 
@@ -74,23 +74,17 @@ class PriorSpec:
         return self.masks_log_prior(topology.p, topology.sorted_masks())
 
     def masks_log_prior(self, p: int, masks) -> float:
-        """The topology log prior of a list of compatible internal split masks.
+        """The topology log prior of compatible internal split masks, in any order.
 
         Equals :meth:`topology_log_prior` of ``Topology(p, masks)`` without
-        building or validating it; the order of ``masks`` does not matter.
-        The log prior is the sum of :meth:`event_log_prob` over the nodes of
-        :func:`laminar_children` that have children, in ascending block order.
+        building or validating it: :meth:`LaminarTree.log_prior` of their
+        containment tree priced by :meth:`event_log_prob`.
         """
         if self.kind == "beta-splitting" and len(masks) != p - 2:
             raise InvalidArgumentError(
                 "beta-splitting is defined on resolved (binary) topologies only"
             )
-        kids = laminar_children(p, masks)
-        total = 0.0
-        for _block, children in sorted(kids.items()):
-            if children:
-                total += self.event_log_prob(children)
-        return total
+        return LaminarTree(p, masks, self.event_log_prob).log_prior()
 
     def event_log_prob(self, children) -> float:
         """Log probability of one fragmentation event: a block into ``children``.

@@ -22,13 +22,13 @@ The multifurcating MH variant adds dimension moves: the shrink branch's
 grow branch regrows a compatible split with a prior-distributed length, so
 unresolved topologies carry exactly their posterior mass.
 
-Both kernels price the topology prior from split masks
-(:meth:`PriorSpec.masks_log_prior`); a validated :class:`Topology` is built
-only for a kept record, whose archive record keeps the tree.  The MH state
-keeps its laminar tree and per-node prior terms, so a topology move reads
-its candidates from the kept children and rewrites two nodes; every MH
-move is priced by rank-one steps on a cached inverse, and an MH iteration
-makes one factorization, at the end of the length sweep.
+Both states keep the containment tree of their splits with its per-node
+prior terms (:class:`LaminarTree`): an MH topology move and an HMC
+reassignment read their candidates from it and rewrite two nodes, and both
+kernels read the topology prior from it.  A validated :class:`Topology` is
+built only for a kept record, whose archive record keeps the tree.  Every
+MH move is priced by rank-one steps on a cached inverse, and an MH
+iteration makes one factorization, at the end of the length sweep.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ from .model import (
 )
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
-from .treespace import (
-    Split,
-    Tree,
-    _replacements,
-    _tree_from_masks,
-    _unions,
-    laminar_children,
-)
+from .treespace import LaminarTree, Split, Tree, _tree_from_masks
 from .ultrametric import split_indicators, split_matrix, tree_to_matrix
 
 
@@ -148,15 +141,9 @@ class ChainState:
     splits and the root) to its length; ``internal`` is a fresh dict of its
     internal-split entries, so writing to it does not change the state.
 
-    The state keeps the laminar tree of its splits: ``children`` maps every
-    node mask (the full set, the internal splits and the singletons) to its
-    ascending children, as :func:`laminar_children` builds them, and
-    ``parent`` maps every other node to its parent.  ``events`` maps each
-    node with children to its fragmentation-event log probability
-    (:meth:`PriorSpec.event_log_prob`); the topology log prior is their sum
-    in ascending block order, exactly :meth:`PriorSpec.masks_log_prior`.
-    A topology move rewrites only the node it drops or grows and that
-    node's parent.
+    ``laminar`` is the kept containment tree of its internal splits, priced
+    by ``prior``; a topology move toggles its splits there, and
+    ``log_prior_topo`` caches its :meth:`LaminarTree.log_prior`.
 
     ``kernel`` caches the inverse covariance and the log likelihood
     (:class:`LikelihoodKernel`); the two log-prior pieces are cached
@@ -169,12 +156,10 @@ class ChainState:
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
         self.p = tree.p
         self.lengths: dict[int, float] = {s.mask: v for s, v in tree.coordinates()}
-        masks = tree.topology.sorted_masks()
-        self.children = laminar_children(self.p, masks)
-        self.parent = {c: m for m, ch in self.children.items() for c in ch}
-        self.events = {m: prior.event_log_prob(ch) for m, ch in self.children.items() if ch}
+        self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
+                                   prior.event_log_prob)
         self.kernel = LikelihoodKernel(stats, self.lengths)
-        self.log_prior_topo = self.topology_log_prior()
+        self.log_prior_topo = self.laminar.log_prior()
         self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0
@@ -196,56 +181,6 @@ class ChainState:
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, self.lengths)
 
-    def topology_log_prior(self) -> float:
-        """The event terms summed in ascending block order."""
-        total = 0.0
-        for block in sorted(self.events):
-            total += self.events[block]
-        return total
-
-    def candidates(self, removed: int | None = None) -> list[int]:
-        """The masks a split can grow into, in ascending order.
-
-        Without ``removed``, :func:`_growth_candidates` of the internal
-        splits; with it, :func:`_replacements` of the splits left when
-        ``removed`` is dropped.  Read from the kept tree.
-        """
-        kids = self.children
-        if removed is None:
-            return _unions(kids[node] for node in self.events)
-        up = self.parent[removed]
-        merged = sorted([c for c in kids[up] if c != removed] + kids[removed])
-        return [m for m in _unions(merged if node == up else kids[node]
-                                   for node in self.events if node != removed)
-                if m != removed]
-
-    def toggle(self, mask: int, prior: PriorSpec):
-        """Drop the node ``mask`` from the kept tree, or grow it if absent.
-
-        Its children pass to its parent, or a new node takes the children of
-        its parent that it covers.  Lengths and the likelihood are left alone.
-        """
-        kids, parent, events = self.children, self.parent, self.events
-        if mask in kids:
-            up = parent.pop(mask)
-            moved = kids.pop(mask)
-            del events[mask]
-            kids[up] = sorted([c for c in kids[up] if c != mask] + moved)
-            for c in moved:
-                parent[c] = up
-        else:
-            up = mask & -mask  # a leaf of mask, then its ancestors up to mask's parent
-            while up & ~mask == 0:
-                up = parent[up]
-            moved = [c for c in kids[up] if c & ~mask == 0]
-            kids[up] = sorted([c for c in kids[up] if c & ~mask] + [mask])
-            kids[mask] = moved
-            parent[mask] = up
-            for c in moved:
-                parent[c] = mask
-            events[mask] = prior.event_log_prob(moved)
-        events[up] = prior.event_log_prob(kids[up])
-
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
         """Raise ``AssertionError`` unless every cache matches a fresh recomputation.
@@ -265,13 +200,7 @@ class ChainState:
             if not np.array_equal(v, split_indicators(self.p, [mask])[:, 0]):
                 raise AssertionError(f"stale indicator column of {mask:#x}")
         masks = t.topology.sorted_masks()
-        if self.children != laminar_children(self.p, masks):
-            raise AssertionError("stale children")
-        if self.parent != {c: m for m, ch in self.children.items() for c in ch}:
-            raise AssertionError("stale parents")
-        if self.events != {m: prior.event_log_prob(ch)
-                           for m, ch in self.children.items() if ch}:
-            raise AssertionError("stale fragmentation-event terms")
+        self.laminar.check_consistency(masks)
         if self.log_prior_topo != prior.masks_log_prior(self.p, masks):
             raise AssertionError(f"stale topology log prior: {self.log_prior_topo}")
         ll = gaussian_loglik(stats, sigma)
@@ -318,7 +247,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     the proposal density of the created or destroyed length cancels against
     the edge-length prior.
     """
-    internal = sorted(state.events)[:-1]  # the full block sorts last
+    internal = sorted(state.laminar.events)[:-1]  # the full block sorts last
     m = len(internal)
     p = state.p
     a = cfg.prior.edge_mean
@@ -330,7 +259,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     state.proposed_topology += 1
 
     if grow:
-        cands = state.candidates()
+        cands = state.laminar.candidates()
         mask_b = cands[rng.integers(len(cands))]
         d_new = rng.exponential(a)
         changes = [(mask_b, d_new)]
@@ -338,7 +267,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     else:
         mask_a = internal[rng.integers(m)]
         d = state.lengths[mask_a]
-        cands = state.candidates(mask_a)
+        cands = state.laminar.candidates(mask_a)
         # binary mode never stays at the boundary
         j = rng.integers(len(cands) if binary else len(cands) + 1)
         stay = j == len(cands)
@@ -346,8 +275,8 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         len_lp = d / a + math.log(a) if stay else 0.0
     dll = state.kernel.propose(changes, state.lengths)
     for mask, _ in changes:
-        state.toggle(mask, cfg.prior)
-    new_topo_lp = state.topology_log_prior()
+        state.laminar.toggle(mask)
+    new_topo_lp = state.laminar.log_prior()
 
     log_alpha = (new_topo_lp - state.log_prior_topo) + dll
     if grow:
@@ -372,7 +301,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         state.log_prior_len += len_lp
     else:
         for mask, _ in reversed(changes):
-            state.toggle(mask, cfg.prior)
+            state.laminar.toggle(mask)
     return state
 
 
@@ -436,7 +365,9 @@ class HmcState:
     """Mutable working state of one Hamiltonian chain.
 
     Coordinate slots hold ``(mask, length, momentum)`` triples; a boundary
-    crossing reassigns an internal slot to a different split.  Momenta have
+    crossing reassigns an internal slot to a different split, toggling both
+    in ``laminar``, the kept tree of the internal slot masks priced by
+    ``cfg.prior`` (``HmcConfig()``'s when ``cfg`` is None).  Momenta have
     unit mass, so each is also its slot's velocity.  ``grad`` is the
     gradient of the surrogate potential at the current slots, ``None``
     until it is first computed or after its evaluation failed; a leapfrog
@@ -444,7 +375,6 @@ class HmcState:
     differentiated once.  ``log_lik`` and ``log_prior`` belong to the current
     slots once :func:`hmc_step` has scored them; a leapfrog step moves the
     slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
-    ``cfg`` is accepted and not read.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig | None = None):
@@ -453,6 +383,8 @@ class HmcState:
         self.masks = [s.mask for s, _ in items]
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
+        self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
+                                   (cfg or HmcConfig()).prior.event_log_prob)
         self.grad: np.ndarray | None = None
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
@@ -495,9 +427,8 @@ def _true_potential(state: HmcState, stats: SufficientStats,
     flat topology term.
     """
     prior = cfg.prior
-    internal = [m for m in state.masks if _is_internal(state.p, m)]
-    topo_lp = prior.masks_log_prior(state.p, internal) \
-        if len(internal) == state.p - 2 or prior.kind != "beta-splitting" else 0.0
+    resolved = len(state.laminar.events) == state.p - 1  # the full block and p - 2 splits
+    topo_lp = state.laminar.log_prior() if resolved or prior.kind != "beta-splitting" else 0.0
     state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
     try:
         state.log_lik = gaussian_loglik(
@@ -536,11 +467,12 @@ def _drift(state: HmcState, eps: float, rng: RngStream, chooser=None):
         state.a[j] = -state.a[j]
         mask = state.masks[j]
         if _is_internal(state.p, mask):
-            others = [m for m in state.masks if m != mask and _is_internal(state.p, m)]
-            cands = _replacements(state.p, others, mask)
-            if cands:
-                state.masks[j] = cands[rng.integers(len(cands))] if chooser is None \
-                    else chooser([Split(state.p, c) for c in cands]).mask
+            cands = state.laminar.candidates(mask)  # never empty for an internal split
+            new = cands[rng.integers(len(cands))] if chooser is None \
+                else chooser([Split(state.p, c) for c in cands]).mask
+            state.laminar.toggle(mask)
+            state.laminar.toggle(new)
+            state.masks[j] = new
 
 
 def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
@@ -575,8 +507,8 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
     the true-Hamiltonian ratio; a non-finite Hamiltonian rejects outright.
-    Either way the state's slots, cached gradient, log likelihood and log
-    prior are those it keeps, and the next step starts from them.
+    Either way the state's slots, kept tree, cached gradient and scores are
+    those it keeps, and the next step starts from them.
     """
     state.a = rng.generator.normal(size=len(state.masks))
     if math.isnan(state.log_lik):
@@ -584,8 +516,8 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     if state.grad is None:  # computed before saving, so a reject keeps it
         state.grad = _grad_potential(state, stats, cfg)
     h_cur = -state.log_lik - state.log_prior + _kinetic(state)
-    saved = (list(state.masks), state.d.copy(), state.grad,
-             state.log_lik, state.log_prior)
+    saved = (list(state.masks), state.d.copy(), state.laminar.copy(),
+             state.grad, state.log_lik, state.log_prior)
 
     state.proposed += 1
     for _ in range(cfg.leapfrog_steps):
@@ -599,7 +531,7 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1
     else:
-        state.masks, state.d, state.grad, state.log_lik, state.log_prior = saved
+        state.masks, state.d, state.laminar, state.grad, state.log_lik, state.log_prior = saved
     return state
 
 
@@ -670,7 +602,7 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
             raise InvalidArgumentError("algo 'hmc' requires an HmcConfig")
         if not init.topology.is_resolved:
             raise InvalidTreeError("the Hamiltonian kernel requires a resolved tree")
-        state = HmcState(init)
+        state = HmcState(init, cfg)
         _drive(archive, cfg, state, lambda: hmc_step(state, stats, cfg, rng))
         archive.provenance["accept_hmc"] = state.accepted
         archive.provenance["proposed_hmc"] = state.proposed

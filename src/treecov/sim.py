@@ -26,7 +26,7 @@ from .newick import tree_to_newick
 from .posterior import build_summary
 from .rng import RngStream
 from .samplers import HmcConfig, MhConfig, run_chain
-from .treespace import Split, Tree, Topology, random_tree
+from .treespace import MAX_LEAVES, Split, Tree, Topology, random_tree
 from .ultrametric import as_matrix, tree_to_matrix
 
 _STREAM_TRUTH = 0
@@ -57,6 +57,8 @@ class Scenario:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not 2 <= self.p <= MAX_LEAVES:
+            raise InvalidArgumentError(f"p = {self.p} is outside 2..{MAX_LEAVES}")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
         if any(m < 1 for m in self.multipliers):

@@ -171,16 +171,12 @@ def laminar_children(p: int, masks: Iterable[int]) -> dict[int, list[int]]:
     children of each node partition it; this is the node structure of the
     rooted tree with the given internal splits.
     """
-    full = (1 << p) - 1
-    nodes = {full} | set(masks) | {1 << i for i in range(p)}
-    by_size = sorted(nodes, key=lambda m: (m.bit_count(), m))
-    children: dict[int, list[int]] = {m: [] for m in nodes}
-    for i, m in enumerate(by_size):
-        if m == full:
-            continue
-        # parent: smallest node strictly containing m
-        for cand in by_size[i + 1:]:
-            if cand != m and (m & ~cand) == 0:
+    by_size = sorted({(1 << p) - 1, *masks, *(1 << i for i in range(p))},
+                     key=lambda m: (m.bit_count(), m))
+    children: dict[int, list[int]] = {m: [] for m in by_size}
+    for i, m in enumerate(by_size[:-1]):  # all but the full set, which sorts last
+        for cand in by_size[i + 1:]:  # the first is the smallest node containing m
+            if m & ~cand == 0:
                 children[cand].append(m)
                 break
     for m in children:
@@ -201,15 +197,6 @@ def resolution_candidates(topology: Topology, removed: Split) -> list[Split]:
         raise InvalidArgumentError(f"{removed} is not a split of {topology}")
     remainder = [m for m in topology.sorted_masks() if m != removed.mask]
     return [Split(topology.p, m) for m in _growth_candidates(topology.p, remainder)]
-
-
-def _replacements(p: int, remainder: list[int], removed: int) -> list[int]:
-    """Masks that can replace ``removed``, a split deleted from ``remainder``.
-
-    In ascending order, with ``removed`` itself left out, so that every
-    entry is a strict topology change.
-    """
-    return [m for m in _growth_candidates(p, remainder) if m != removed]
 
 
 def _growth_candidates(p: int, masks: list[int]) -> list[int]:
@@ -241,6 +228,87 @@ def _unions(child_lists: Iterable[list[int]]) -> list[int]:
                 out.append(m)
     out.sort()
     return out
+
+
+class LaminarTree:
+    """The containment tree of a split set, kept one split at a time.
+
+    ``children`` and the derived ``parent`` map are those of
+    :func:`laminar_children`; ``events`` maps each node with children to
+    ``event_log_prob(children)``, with the pricer the tree was built with
+    (:meth:`PriorSpec.event_log_prob`).  :meth:`toggle` rewrites only the
+    node it drops or grows and that node's parent.  It replaces every
+    children list it changes and never mutates one in place, so shallow
+    copies of the three dicts (:meth:`copy`) are an independent snapshot.
+    """
+
+    def __init__(self, p: int, masks: Iterable[int], event_log_prob):
+        self.p = p
+        self.event_log_prob = event_log_prob
+        self.children = laminar_children(p, masks)
+        self.parent = {c: m for m, ch in self.children.items() for c in ch}
+        self.events = {m: event_log_prob(ch) for m, ch in self.children.items() if ch}
+
+    def copy(self) -> "LaminarTree":
+        out = object.__new__(LaminarTree)
+        out.p, out.event_log_prob = self.p, self.event_log_prob
+        out.children, out.parent, out.events = \
+            dict(self.children), dict(self.parent), dict(self.events)
+        return out
+
+    def log_prior(self) -> float:
+        """The topology log prior: the event terms summed in ascending block order."""
+        total = 0.0
+        for block in sorted(self.events):
+            total += self.events[block]
+        return total
+
+    def candidates(self, removed: int | None = None) -> list[int]:
+        """The masks a split can grow into, in ascending order.
+
+        With ``removed``, the masks that can replace it: those of the splits
+        left when it is dropped, ``removed`` itself left out.
+        """
+        kids = self.children
+        if removed is None:
+            return _unions(kids[node] for node in self.events)
+        up = self.parent[removed]
+        merged = sorted([c for c in kids[up] if c != removed] + kids[removed])
+        return [m for m in _unions(merged if node == up else kids[node]
+                                   for node in self.events if node != removed)
+                if m != removed]
+
+    def toggle(self, mask: int):
+        """Drop the node ``mask``, whose children pass to its parent, or grow
+        it if absent, taking the children of its parent that it covers."""
+        kids, parent, events = self.children, self.parent, self.events
+        if mask in kids:
+            up = parent.pop(mask)
+            moved = kids.pop(mask)
+            del events[mask]
+            kids[up] = sorted([c for c in kids[up] if c != mask] + moved)
+            for c in moved:
+                parent[c] = up
+        else:
+            up = mask & -mask  # a leaf of mask, then its ancestors up to mask's parent
+            while up & ~mask == 0:
+                up = parent[up]
+            moved = [c for c in kids[up] if c & ~mask == 0]
+            kids[up] = sorted([c for c in kids[up] if c & ~mask] + [mask])
+            kids[mask] = moved
+            parent[mask] = up
+            for c in moved:
+                parent[c] = mask
+            events[mask] = self.event_log_prob(moved)
+        events[up] = self.event_log_prob(kids[up])
+
+    def check_consistency(self, masks: Iterable[int]):
+        """Raise ``AssertionError`` unless the children, parents and event
+        terms equal those of a fresh tree of the internal ``masks``."""
+        fresh = LaminarTree(self.p, masks, self.event_log_prob)
+        for name in ("children", "parent", "events"):
+            if getattr(self, name) != getattr(fresh, name):
+                raise AssertionError(f"stale {name}")
 
 
 @dataclass(frozen=True)

@@ -358,7 +358,7 @@ def loop_drift(state, eps: float, rng) -> None:
     what is left of ``eps``, ties to the smaller mask, and otherwise moves
     and reassigns exactly as ``samplers._drift``.
     """
-    from treecov.treespace import _replacements
+    from treecov.treespace import _growth_candidates
 
     def internal(m):
         return 2 <= m.bit_count() < state.p
@@ -382,7 +382,7 @@ def loop_drift(state, eps: float, rng) -> None:
         mask = state.masks[j_hit]
         if internal(mask):
             others = [m for m in state.masks if m != mask and internal(m)]
-            cands = _replacements(state.p, others, mask)
+            cands = [m for m in _growth_candidates(state.p, others) if m != mask]
             if cands:
                 state.masks[j_hit] = cands[rng.integers(len(cands))]
 

@@ -690,13 +690,13 @@ seed = 4
 
 
 class TestRunSection:
-    """A negative seed, a chain count below 1 or a sampler value its config
-    rejects exits 2 and writes nothing."""
+    """A negative seed, a chain count below 1, a leaf count outside 2..64 or
+    a sampler value its config rejects exits 2 and writes nothing."""
 
-    def config(self, tmp_path, run="", sampler=""):
+    def config(self, tmp_path, run="", sampler="", p=3):
         return write_config(tmp_path / "run.ini", f"""
 [model]
-p = 3
+p = {p}
 
 [sampler]
 iterations = 20
@@ -752,6 +752,13 @@ splits_csv = {tmp_path / 'r.csv'}
         with pytest.raises(ConfigError, match=re.escape(f"[sampler] {message}")):
             _sampler_from_config(cfg, 0)
 
+    @pytest.mark.parametrize("p", [1, 65])
+    def test_model_leaf_count_outside_bounds_exit_two(self, tmp_path, capsys, p):
+        assert main(["sample", "--config", self.config(tmp_path, p=p)]) == 2
+        assert f"[model] p = {p} is outside 2..64" in \
+            json.loads(capsys.readouterr().out)["error"]
+        assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_chains_flag_must_be_positive(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:
@@ -769,19 +776,20 @@ class TestScenarioSection:
         ("interval_level = 1.5", "interval_level must be in (0, 1)"),
         ("mean_passes = 0", "mean_passes must be >= 1"),
         ("drop_count = -1", "drop_count must be >= 0"),
+        ("p = 1", "p = 1 is outside 2..64"),
+        ("p = 65", "p = 65 is outside 2..64"),
     ])
     def test_exit_two_naming_the_section(self, tmp_path, capsys, line, message):
+        keys = {"p": "4", "multipliers": "2", "replicates": "1",
+                "truth_mode": "unresolved"} | dict([line.split(" = ")])
+        scenario = "\n".join(f"{k} = {v}" for k, v in keys.items())
         cfg = write_config(tmp_path / "run.ini", f"""
 [sampler]
 iterations = 20
 burn_in = 10
 
 [scenario]
-p = 4
-multipliers = 2
-replicates = 1
-truth_mode = unresolved
-{line}
+{scenario}
 
 [io]
 report = {tmp_path / 'r.json'}

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecov.archive import ArchiveRecord, PosteriorArchive, _Reader
-from treecov.errors import DimensionError, InvalidArgumentError, InvalidTreeError
+from treecov.errors import DataError, DimensionError, InvalidArgumentError, InvalidTreeError
 from treecov.geometry import MeanConfig
 from treecov.posterior import (
     build_summary,
@@ -189,6 +190,22 @@ class TestDuplicateSplits:
         record = ArchiveRecord(1, 0.0, 0.0, (s, s), {s: 0.5}, t.leaf_lengths, 0.5)
         with pytest.raises(InvalidTreeError, match="listed twice"):
             PosteriorArchive(p=4, records=[record]).validate()
+
+
+class TestTraceCsv:
+    """A malformed trace row is a ``DataError`` that names its line."""
+
+    @pytest.mark.parametrize("row,message", [
+        ("2,high", "could not convert string to float"),
+        ("x,-3.0", "invalid literal for int"),
+        ("2", "not enough values to unpack"),
+        ("2,-3.0,9", "too many values to unpack"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"iter,log_lik\n1,-3.5\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(f"trace {path} line 3: {message}")):
+            PosteriorArchive.load_trace_csv(path)
 
 
 class TestMapSample:

@@ -17,7 +17,7 @@ from treecov.errors import (
     NotPositiveDefiniteError,
 )
 from treecov.model import SufficientStats, gaussian_loglik, sample_gaussian, suff_stats
-from treecov.priors import PriorSpec
+from treecov.priors import PriorSpec, lengths_log_prior
 from treecov.rng import RngStream
 from treecov.samplers import (
     ChainState,
@@ -32,11 +32,11 @@ from treecov.samplers import (
     run_chain,
 )
 from treecov.treespace import (
+    LaminarTree,
     Split,
     Topology,
     Tree,
     _growth_candidates,
-    _replacements,
     laminar_children,
     random_tree,
     star_tree,
@@ -206,12 +206,13 @@ class TestTopologyUpdate:
         for _ in range(20):
             mh_topology_update(state, stats, cfg, moves)
             masks = sorted(state.internal)
-            assert state.children == laminar_children(p, masks)
+            assert state.laminar.children == laminar_children(p, masks)
             assert state.log_prior_topo == cfg.prior.masks_log_prior(p, masks)
-            assert state.candidates() == _growth_candidates(p, masks)
+            assert state.laminar.candidates() == _growth_candidates(p, masks)
             for a in masks:
                 remainder = [m for m in masks if m != a]
-                assert state.candidates(a) == _replacements(p, remainder, a)
+                assert state.laminar.candidates(a) == \
+                    [m for m in _growth_candidates(p, remainder) if m != a]
             state.check_consistency(stats, cfg.prior)
         assert state.proposed_topology == 20
 
@@ -329,13 +330,11 @@ class TestHmcLeapfrog:
     @staticmethod
     def record_crossings(monkeypatch):
         """The mask of each internal slot that reaches zero, in crossing order."""
-        import treecov.samplers as samplers
-
         crossed = []
-        real = samplers._replacements
-        monkeypatch.setattr(samplers, "_replacements",
-                            lambda p, others, mask: crossed.append(mask) or
-                            real(p, others, mask))
+        real = LaminarTree.candidates
+        monkeypatch.setattr(LaminarTree, "candidates",
+                            lambda tree, removed=None: crossed.append(removed) or
+                            real(tree, removed))
         return crossed
 
     def test_drift_ties_go_to_the_ascending_mask(self, monkeypatch):
@@ -499,6 +498,29 @@ class TestHmcStep:
         assert state.log_lik == 0.0
         assert state.log_prior == pytest.approx(
             edge_length_log_prior(state.tree(), 2.0), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(3, 9), seed=st.integers(0, 2 ** 32 - 1), data=st.booleans(),
+           pd=st.booleans(), step_size=st.sampled_from([0.05, 0.3]))
+    def test_kept_tree_tracks_fresh_rebuild(self, p, seed, data, pd, step_size):
+        # steps long enough to cross boundaries and to reject: after every
+        # accepted or restored proposal the kept tree, and the scored prior,
+        # equal a fresh rebuild from the internal slot masks
+        rng = RngStream(seed, 1)
+        truth = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 3 * p, rng)) \
+            if data else SufficientStats.empty(p)
+        prior = PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25) if pd \
+            else PriorSpec(beta=0.0)
+        cfg = HmcConfig(step_size=step_size, leapfrog_steps=10, prior=prior)
+        state = HmcState(random_tree(p, "uniform-binary", 1.0, rng), cfg)
+        for _ in range(6):
+            hmc_step(state, stats, cfg, rng)
+            masks = sorted(m for m in state.masks if 2 <= m.bit_count() < p)
+            state.laminar.check_consistency(masks)
+            assert state.laminar.log_prior() == prior.masks_log_prior(p, masks)
+            assert state.log_prior == \
+                prior.masks_log_prior(p, masks) + lengths_log_prior(state.d, prior.edge_mean)
 
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         # the opening kick reuses the gradient the closing kick left, after

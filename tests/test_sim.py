@@ -72,6 +72,7 @@ class TestScenario:
         ("interval_level", 1.5), ("interval_level", 0.0),
         ("mean_passes", 0),
         ("drop_count", -1),
+        ("p", 1), ("p", 65),
     ])
     def test_unrunnable_value_refused(self, field, value):
         with pytest.raises(InvalidArgumentError, match=field):
