@@ -76,11 +76,6 @@ class ArchiveRecord:
             "root_length": self.root_length,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict, p: int) -> "ArchiveRecord":
-        """The record of one JSON object, with its tree built and validated."""
-        return _Reader(p).record(d)
-
 
 def _distinct(splits) -> frozenset[Split]:
     """The set of ``splits``, none of which may be listed twice."""

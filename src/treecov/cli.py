@@ -44,7 +44,7 @@ from .newick import newick_to_tree, tree_to_newick
 from .posterior import build_summary
 from .priors import PriorSpec
 from .rng import RngStream
-from .samplers import HmcConfig, MhConfig, run_chain
+from .samplers import ALGOS, run_chain
 from .sim import Scenario, _map_jobs, run_scenario, write_report
 from .treespace import MAX_LEAVES, Tree, random_tree
 from .ultrametric import (
@@ -125,7 +125,8 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _flag(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    """configparser's boolean words in any case; ``KeyError`` for any other."""
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 # every recognized key, with the type its value is parsed to
@@ -146,8 +147,6 @@ _KNOWN_KEYS = {
 
 # keys whose config dataclass field has another name
 _FIELD_NAMES = {"sigma_l": "sigma_L", "epsilon": "step_size"}
-
-_SAMPLERS = {cls.algo: cls for cls in (MhConfig, HmcConfig)}
 
 
 def load_run_config(path) -> dict:
@@ -174,8 +173,9 @@ def load_run_config(path) -> dict:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
                 out[section][key] = kind(value)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key} = {value!r} is not a number") from None
+            except (KeyError, ValueError):
+                what = "a boolean" if kind is _flag else "a number"
+                raise ConfigError(f"[{section}] {key} = {value!r} is not {what}") from None
     run = out.get("run", {})
     for key, low in (("seed", 0), ("chains", 1)):
         if run.get(key, low) < low:
@@ -204,9 +204,9 @@ def _prior_from_config(cfg: dict) -> PriorSpec:
 
 def _sampler_from_config(cfg: dict, seed: int):
     algo = cfg.get("sampler", {}).get("algo", Scenario.algo)
-    if algo not in _SAMPLERS:
+    if algo not in ALGOS:
         raise ConfigError(f"unknown sampler algo {algo!r}")
-    return algo, _build(_SAMPLERS[algo], cfg, "sampler", prior=_prior_from_config(cfg),
+    return algo, _build(ALGOS[algo], cfg, "sampler", prior=_prior_from_config(cfg),
                         seed=seed)
 
 
@@ -403,6 +403,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _level(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a level in (0, 1)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecov",
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("summarize", help="summarize a posterior archive")
     sp.add_argument("archive")
     sp.add_argument("--truth")
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--level", type=_level, default=0.95)
     sp.add_argument("--out")
     sp.add_argument("--splits-csv", dest="splits_csv")
     sp.add_argument("--mean-iterations", dest="mean_iterations", type=_positive_int,

@@ -3,9 +3,10 @@
 Grammar: leaf labels are the integers ``0..p`` with ``p <= 64``, each
 appearing once; label 0 (the root-side leaf) appears as a direct child of
 the top-level node and its branch length is the root edge length.  Every
-clade has two or more children.  Children are ordered by their smallest
-descendant leaf, lengths print with 17 significant digits so reparsing is
-exact, and zero-length internal edges are never emitted (multifurcation is
+clade has two or more children.  Leaf 0 prints first, then siblings in
+ascending leaf mask (bit ``i - 1`` for leaf ``i``, so ``(2,3)`` precedes
+``(1,4)``); lengths print with 17 significant digits so reparsing is exact,
+and zero-length internal edges are never emitted (multifurcation is
 structural).  Example star tree on three leaves::
 
     (0:1,1:1,2:1,3:1);
@@ -35,11 +36,11 @@ def tree_to_newick(t: Tree) -> str:
         if mask.bit_count() == 1:
             leaf = mask.bit_length()
             return f"{leaf}:{_fmt(t.leaf_lengths[leaf - 1])}"
-        parts = [render(c) for c in sorted(children[mask])]
+        parts = [render(c) for c in children[mask]]
         length = t.internal_lengths[Split(p, mask)]
         return f"({','.join(parts)}):{_fmt(length)}"
 
-    tops = [f"0:{_fmt(t.root_length)}"] + [render(c) for c in sorted(children[full])]
+    tops = [f"0:{_fmt(t.root_length)}"] + [render(c) for c in children[full]]
     return f"({','.join(tops)});"
 
 

@@ -29,6 +29,10 @@ kernels read the topology prior from it.  A validated :class:`Topology` is
 built only for a kept record, whose archive record keeps the tree.  Every
 MH move is priced by rank-one steps on a cached inverse, and an MH
 iteration makes one factorization, at the end of the length sweep.
+
+:func:`run_chain` is the one driver: it builds the state for the algo's
+config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
+``state.counts()``, the accepted and proposed moves, in the provenance.
 """
 
 from __future__ import annotations
@@ -107,6 +111,7 @@ class HmcConfig(_Schedule):
     """
 
     algo: ClassVar[str] = "hmc"
+    mode: ClassVar[str] = "binary"  # the kernel moves among resolved trees only
     iterations: int = 300
     burn_in: int = 225
     step_size: float = 0.0015
@@ -180,6 +185,18 @@ class ChainState:
 
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, self.lengths)
+
+    def step(self, stats: SufficientStats, cfg: MhConfig, rng: RngStream):
+        """One MH iteration: a topology proposal, then a length sweep."""
+        mh_topology_update(self, stats, cfg, rng)
+        mh_length_update(self, stats, cfg, rng)
+
+    def counts(self) -> dict[str, int]:
+        """Accepted and proposed moves of each kind, as provenance entries."""
+        return {"accept_topology": self.accepted_topology,
+                "accept_lengths": self.accepted_lengths,
+                "proposed_topology": self.proposed_topology,
+                "proposed_lengths": self.proposed_lengths}
 
     def check_consistency(self, stats: SufficientStats, prior: PriorSpec,
                           tol: float = 1e-9):
@@ -393,6 +410,14 @@ class HmcState:
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, dict(zip(self.masks, self.d)))
 
+    def step(self, stats: SufficientStats, cfg: HmcConfig, rng: RngStream):
+        """One Hamiltonian proposal (:func:`hmc_step`)."""
+        hmc_step(self, stats, cfg, rng)
+
+    def counts(self) -> dict[str, int]:
+        """Accepted and proposed trajectories, as provenance entries."""
+        return {"accept_hmc": self.accepted, "proposed_hmc": self.proposed}
+
 
 def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth positive stand-in for lengths near zero, with its derivative."""
@@ -539,19 +564,8 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 # chain driver
 # ---------------------------------------------------------------------------
 
-def _drive(archive: PosteriorArchive, cfg: MhConfig | HmcConfig,
-           state: ChainState | HmcState, step):
-    """Run every iteration, tracing the log likelihood and keeping retained states.
-
-    ``step()`` advances ``state``, whose cached ``log_lik`` and ``log_prior``
-    are those of its current ``tree()``.
-    """
-    for it in range(1, cfg.iterations + 1):
-        step()
-        archive.trace.append((it, state.log_lik))
-        if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
-            archive.records.append(ArchiveRecord.from_tree(
-                it, state.log_prior, state.log_lik, state.tree()))
+# the config class of each algo; a config's ``algo`` names its entry
+ALGOS = {cls.algo: cls for cls in (MhConfig, HmcConfig)}
 
 
 def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
@@ -563,49 +577,31 @@ def run_chain(data: DataSet | SufficientStats | None, init: Tree, algo: str,
     """
     if init.p < 2:  # one leaf's edge and the root edge share mask 1
         raise InvalidArgumentError(f"run_chain needs p >= 2, got p={init.p}")
+    if data is not None and data.p != init.p:
+        raise InvalidArgumentError(f"data have p={data.p} but init tree has p={init.p}")
+    if algo not in ALGOS:
+        raise InvalidArgumentError(f"unknown algo {algo!r}")
+    if not isinstance(cfg, ALGOS[algo]):
+        raise InvalidArgumentError(f"algo {algo!r} requires an {ALGOS[algo].__name__}")
+    if cfg.mode == "binary" and not init.topology.is_resolved:
+        raise InvalidTreeError(f"algo {algo!r} in binary mode requires a resolved initial tree")
     if data is None:
         stats = SufficientStats.empty(init.p)
     else:
-        if data.p != init.p:
-            raise InvalidArgumentError(
-                f"data have p={data.p} but init tree has p={init.p}"
-            )
         stats = data if isinstance(data, SufficientStats) else suff_stats(data)
 
+    state = ChainState(init, stats, cfg.prior) if algo == "mh" else HmcState(init, cfg)
     rng = RngStream(cfg.seed, stream_id=0)
     archive = PosteriorArchive(
         p=init.p,
         provenance={"algo": algo, "config": config_digest(cfg.to_dict()),
                     "seed": cfg.seed},
     )
-
-    if algo == "mh":
-        if not isinstance(cfg, MhConfig):
-            raise InvalidArgumentError("algo 'mh' requires an MhConfig")
-        if cfg.mode == "binary" and not init.topology.is_resolved:
-            raise InvalidTreeError("binary mode requires a resolved initial tree")
-        state = ChainState(init, stats, cfg.prior)
-
-        def mh_step():
-            mh_topology_update(state, stats, cfg, rng)
-            mh_length_update(state, stats, cfg, rng)
-
-        _drive(archive, cfg, state, mh_step)
-        archive.provenance["accept_topology"] = state.accepted_topology
-        archive.provenance["accept_lengths"] = state.accepted_lengths
-        archive.provenance["proposed_topology"] = state.proposed_topology
-        archive.provenance["proposed_lengths"] = state.proposed_lengths
-        return archive
-
-    if algo == "hmc":
-        if not isinstance(cfg, HmcConfig):
-            raise InvalidArgumentError("algo 'hmc' requires an HmcConfig")
-        if not init.topology.is_resolved:
-            raise InvalidTreeError("the Hamiltonian kernel requires a resolved tree")
-        state = HmcState(init, cfg)
-        _drive(archive, cfg, state, lambda: hmc_step(state, stats, cfg, rng))
-        archive.provenance["accept_hmc"] = state.accepted
-        archive.provenance["proposed_hmc"] = state.proposed
-        return archive
-
-    raise InvalidArgumentError(f"unknown algo {algo!r}")
+    for it in range(1, cfg.iterations + 1):
+        state.step(stats, cfg, rng)
+        archive.trace.append((it, state.log_lik))
+        if it > cfg.burn_in and (it - cfg.burn_in - 1) % cfg.thin == 0:
+            archive.records.append(ArchiveRecord.from_tree(
+                it, state.log_prior, state.log_lik, state.tree()))
+    archive.provenance.update(state.counts())
+    return archive

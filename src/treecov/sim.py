@@ -25,7 +25,7 @@ from .model import DataSet, sample_gaussian, sample_t
 from .newick import tree_to_newick
 from .posterior import build_summary
 from .rng import RngStream
-from .samplers import HmcConfig, MhConfig, run_chain
+from .samplers import ALGOS, HmcConfig, MhConfig, run_chain
 from .treespace import MAX_LEAVES, Split, Tree, Topology, random_tree
 from .ultrametric import as_matrix, tree_to_matrix
 
@@ -78,7 +78,7 @@ class Scenario:
             raise InvalidArgumentError("interval_level must be in (0, 1)")
         if self.mean_passes < 1:
             raise InvalidArgumentError("mean_passes must be >= 1")
-        if self.algo not in ("mh", "hmc"):
+        if self.algo not in ALGOS:
             raise InvalidArgumentError(f"unknown algo {self.algo!r}")
 
 
@@ -229,7 +229,7 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
                                                           base + _STREAM_DATA))
     init = random_tree(s.p, "uniform-binary", s.length_mean,
                        RngStream(s.master_seed, base + _STREAM_INIT))
-    cfg = replace(s.mh if s.algo == "mh" else s.hmc, seed=s.master_seed + base)
+    cfg = replace(getattr(s, s.algo), seed=s.master_seed + base)
     archive = run_chain(data, init, s.algo, cfg)
 
     mean_cfg = MeanConfig(max_iterations=s.mean_passes * len(archive))

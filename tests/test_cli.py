@@ -371,6 +371,16 @@ class TestMeanBudget:
         assert (tmp_path / "m.nwk").read_text() == \
             tree_to_newick(frechet_mean(trees)) + "\n"
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "-1", "nan"])
+    def test_level_outside_zero_one_is_a_usage_error(self, level, skewed_archive,
+                                                     tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", str(skewed_archive), "--out", str(tmp_path / "o"),
+                  "--level", level])
+        assert exc.value.code == 2
+        assert "level in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, value", [("mean", "0"), ("summarize", "-5"),
                                                 ("mean", "1.5")])
     def test_non_positive_cap_is_a_usage_error(self, command, value, skewed_archive,
@@ -595,7 +605,7 @@ trace = {tmp_path / 't.csv'}
 
     @pytest.mark.parametrize("section,key,value", [
         ("prior", "beta", "yule"), ("sampler", "iterations", "1.5"),
-        ("run", "seed", "x"), ("model", "p", "three"),
+        ("run", "seed", "x"), ("model", "p", "three"), ("scenario", "fixed_truth", "ture"),
     ])
     def test_malformed_number_exit_two(self, tmp_path, capsys, section, key, value):
         body = {"model": {"p": "3"}, section: {}}
@@ -768,8 +778,51 @@ splits_csv = {tmp_path / 'r.csv'}
         assert [f.name for f in tmp_path.iterdir()] == ["run.ini"]
 
 
+class TestConfigErrors:
+    """A config or input file that cannot be used exits 2 with a JSON error
+    saying why, before any chain runs."""
+
+    @pytest.mark.parametrize("files,argv,message", [
+        ({"run.ini": "[model]\np = 3\n[bogus]\nx = 1\n"}, ["sample"],
+         "unknown config section [bogus]"),
+        ({"run.ini": "[model]\np = 3\n[sampler]\nalgo = gibbs\n"}, ["sample"],
+         "unknown sampler algo 'gibbs'"),
+        ({"run.ini": "[run]\nseed = 1\n"}, ["sample"], "config must set [model] p"),
+        ({"run.ini": "[scenario]\nreplicates = 1\n"}, ["simulate"],
+         "config must set [scenario] p"),
+        ({"run.ini": "[model]\np = 3\n[io]\ndata = data.csv\n",
+          "data.csv": "1,2,3,4\n5,6,7,8\n"}, ["sample"], "data have p=4, config says p=3"),
+        ({"run.ini": "[model]\np = 3\n[run]\nchains = 2\n",
+          "a.nwk": "((1:1,2:1):1,3:1,0:1);\n"}, ["sample", "--inits", "a.nwk"],
+         "1 init files given for 2 chains"),
+        ({"m.csv": "1,0,0\n0,1,0\n"}, ["validate", "m.csv"],
+         "expected a square matrix, got (2, 3)"),
+        ({"m.csv": "2,1\n0.5,2\n"}, ["validate", "m.csv"], "matrix is not symmetric"),
+    ], ids=["unknown-section", "unknown-algo", "no-model-p", "no-scenario-p",
+            "data-p", "inits-count", "non-square", "non-symmetric"])
+    def test_exit_two_with_its_message(self, tmp_path, monkeypatch, capsys, files, argv,
+                                       message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        if argv[0] in ("sample", "simulate"):
+            argv = [argv[0], "--config", "run.ini", *argv[1:]]
+        assert main(argv) == 2
+        assert message in json.loads(capsys.readouterr().out)["error"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(files)
+
+
 class TestScenarioSection:
     """A ``[scenario]`` value that cannot run exits 2 before any chain runs."""
+
+    @pytest.mark.parametrize("word,value", [
+        ("on", True), ("On", True), ("YES", True), ("1", True), ("true", True),
+        ("off", False), ("No", False), ("0", False), ("FALSE", False),
+    ])
+    def test_fixed_truth_reads_configparser_words(self, tmp_path, word, value):
+        cfg = load_run_config(write_config(tmp_path / "run.ini",
+                                           f"[scenario]\np = 4\nfixed_truth = {word}\n"))
+        assert cfg["scenario"]["fixed_truth"] is value
 
     @pytest.mark.parametrize("line,message", [
         ("length_mean = -1", "length_mean must be positive"),

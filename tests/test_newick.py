@@ -21,6 +21,12 @@ class TestSerialize:
         assert text.startswith("(0:0.1")
         assert text.index(":0.2") > text.index("1:1")  # leaf 1 before the block
 
+    def test_siblings_in_ascending_leaf_mask(self, tree_factory):
+        # {2,3} has mask 0b0110 and {1,4} mask 0b1001, so {2,3} prints first
+        t = tree_factory(4, {(1, 4): 1.0, (2, 3): 1.0},
+                         leaf_lengths=(1, 1, 1, 1), root_length=0.5)
+        assert tree_to_newick(t) == "(0:0.5,(2:1,3:1):1,(1:1,4:1):1);"
+
     def test_no_zero_internal_edges_emitted(self, tree_factory):
         t = tree_factory(5, {(1, 2): 0.4}, root_length=0.0)
         text = tree_to_newick(t)

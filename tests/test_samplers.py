@@ -544,6 +544,95 @@ class TestHmcStep:
             assert np.array_equal(state.grad, _grad_potential(state, stats, cfg))
         assert 0 < state.accepted < state.proposed
 
+    @staticmethod
+    def failing(monkeypatch, name, failing_calls):
+        """Make ``samplers.<name>`` raise on the listed calls; returns every call's args."""
+        import treecov.samplers as samplers
+
+        real = getattr(samplers, name)
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) in failing_calls:
+                raise NotPositiveDefiniteError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(samplers, name, flaky)
+        return calls
+
+    @staticmethod
+    def scored_state():
+        """A state after one step, so its scores and gradient are cached; its
+        next trajectory crosses a boundary within four leapfrog steps."""
+        truth = random_tree(6, "uniform-binary", 1.0, RngStream(7, 1))
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 60, RngStream(7, 3)))
+        cfg = HmcConfig(step_size=0.2, leapfrog_steps=10)
+        state = HmcState(random_tree(6, "uniform-binary", 1.0, RngStream(7, 2)), cfg)
+        rng = RngStream(15)
+        hmc_step(state, stats, cfg, rng)
+        return state, stats, cfg, rng
+
+    @staticmethod
+    def snapshot(state):
+        return (list(state.masks), state.d.copy(), state.grad, state.log_lik,
+                state.log_prior, state.accepted, state.proposed)
+
+    def assert_restored(self, state, before):
+        masks, d, grad, log_lik, log_prior, accepted, proposed = before
+        assert state.masks == masks
+        assert np.array_equal(state.d, d)
+        state.laminar.check_consistency(sorted(m for m in masks if 2 <= m.bit_count() < state.p))
+        assert np.array_equal(state.grad, grad)
+        assert (state.log_lik, state.log_prior) == (log_lik, log_prior)
+        assert (state.accepted, state.proposed) == (accepted, proposed + 1)
+
+    def test_failed_gradient_mid_trajectory_rejects_and_restores(self, monkeypatch):
+        from treecov.samplers import _grad_potential, _surrogate
+
+        state, stats, cfg, rng = self.scored_state()
+        before = self.snapshot(state)
+        calls = self.failing(monkeypatch, "split_gradient", {5})
+        hmc_step(state, stats, cfg, rng)
+        assert len(calls) == 5  # the fifth closing kick failed and ended the trajectory
+        # the trajectory had moved and crossed a boundary before it failed,
+        # and the reject undid both
+        assert calls[4][1] != before[0]
+        assert not np.array_equal(calls[4][2], _surrogate(state.d, cfg.delta)[0])
+        self.assert_restored(state, before)
+        hmc_step(state, stats, cfg, rng)  # the next step runs in full
+        assert len(calls) == 15 and state.proposed == before[-1] + 2
+        assert np.array_equal(state.grad, _grad_potential(state, stats, cfg))
+
+    def test_failed_opening_gradient_rejects(self, monkeypatch):
+        # a fresh state's gradient fails before the save and again in the
+        # first leapfrog step; the reject keeps the empty cache and the next
+        # step fills it
+        truth = random_tree(5, "uniform-binary", 1.0, RngStream(3, 1))
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 50, RngStream(3, 2)))
+        cfg = HmcConfig(step_size=0.035, leapfrog_steps=10)
+        init = random_tree(5, "uniform-binary", 1.0, RngStream(3, 3))
+        state = HmcState(init, cfg)
+        calls = self.failing(monkeypatch, "split_gradient", {1, 2})
+        hmc_step(state, stats, cfg, RngStream(4))
+        assert len(calls) == 2 and state.grad is None
+        assert state.masks == [s.mask for s, _ in init.coordinates()]
+        assert state.log_lik == gaussian_loglik(stats, tree_to_matrix(init))
+        assert (state.accepted, state.proposed) == (0, 1)
+        hmc_step(state, stats, cfg, RngStream(5))
+        assert len(calls) == 13 and state.grad is not None
+
+    def test_failed_likelihood_rejects_and_restores(self, monkeypatch):
+        state, stats, cfg, rng = self.scored_state()
+        before = self.snapshot(state)
+        calls = self.failing(monkeypatch, "gaussian_loglik", {1})
+        hmc_step(state, stats, cfg, rng)
+        assert len(calls) == 1  # the trajectory's end was scored, and failed
+        self.assert_restored(state, before)
+        hmc_step(state, stats, cfg, rng)
+        assert len(calls) == 2 and math.isfinite(state.log_lik)
+        assert state.proposed == before[-1] + 2
+
     def test_posterior_moves_toward_truth(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, RngStream(41))
         data = sample_gaussian(tree_to_matrix(truth), 200, RngStream(42))
@@ -673,6 +762,21 @@ class TestRunChain:
         with pytest.raises(InvalidTreeError):
             run_chain(None, star_tree((1, 1, 1, 1), 0.5), "mh",
                       MhConfig(iterations=10, burn_in=0))
+
+    def test_hmc_requires_resolved_init(self):
+        with pytest.raises(InvalidTreeError, match="resolved"):
+            run_chain(None, star_tree((1, 1, 1, 1), 0.5), "hmc",
+                      HmcConfig(iterations=2, burn_in=0, leapfrog_steps=2))
+
+    @pytest.mark.parametrize("algo,cfg,message", [
+        ("gibbs", MhConfig(iterations=10, burn_in=0), "unknown algo 'gibbs'"),
+        ("mh", HmcConfig(iterations=2, burn_in=0), "requires an MhConfig"),
+        ("hmc", MhConfig(iterations=10, burn_in=0), "requires an HmcConfig"),
+    ])
+    def test_algo_and_config_must_match(self, algo, cfg, message):
+        init = random_tree(4, "uniform-binary", 1.0, RngStream(3))
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_chain(None, init, algo, cfg)
 
     def test_p_mismatch_rejected(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, rng)
