@@ -4,24 +4,19 @@ Observations are i.i.d. ``N_p(0, S)`` with ``S`` strictly ultrametric.  The
 likelihood only ever reads the sample count and the scatter matrix
 ``sum_i x_i x_i^T``, so those are carried as sufficient statistics.  With
 ``V`` the ``p x q`` indicator matrix of the stored splits (column ``v_j`` for
-edge length ``d_j``), the gradient is
+edge length ``d_j``), the covariance is ``V diag(d) V'`` and the gradient is
 
     d loglik / d d_j = -(n/2) v_j' S^-1 v_j + (1/2) v_j' S^-1 A S^-1 v_j,
 
 the diagonal of one ``V' (...) V`` product, where ``A`` is the scatter matrix;
-one factorization serves all coordinates.  :func:`split_gradient` takes the
-split masks and lengths and builds ``V`` once, for the covariance
-``V diag(d) V'`` and for the product.  ``V`` and every other covariance
-come from :mod:`treecov.ultrametric`.
+one factorization serves all coordinates.
 
-Changing one length by ``delta`` adds ``delta v v'`` to the covariance, so
-:class:`LikelihoodKernel` keeps ``W = S^-1``, the log likelihood and each
-mask's column ``v``, and prices such a move in ``O(p^2)`` by the matrix
-determinant lemma and Sherman-Morrison instead of a new factorization; a
-change of several lengths is as many rank-one steps.  It factorizes only
-when it is refreshed from the lengths, or when a step's denominator shows
-that the cached inverse cannot be trusted.  Every failed factorization
-raises ``NotPositiveDefiniteError`` from :func:`_factor`.
+Both samplers score through :class:`LikelihoodKernel`, the one place that
+builds, factorizes and differentiates a sampler's covariance, and that
+prices a change of lengths by rank-one steps.  :func:`gaussian_loglik`
+factorizes a given matrix afresh; the kernel's caches are checked against
+it.  Every failed factorization raises ``NotPositiveDefiniteError`` from
+:func:`_factor`.
 """
 
 from __future__ import annotations
@@ -30,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DataError,
@@ -41,7 +36,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import as_matrix, split_indicators, split_matrix
+from .ultrametric import as_matrix, split_indicators
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -106,26 +101,20 @@ def suff_stats(data: DataSet) -> SufficientStats:
     return SufficientStats(data.n, 0.5 * (S + S.T))
 
 
-def _cho_factor(sigma: np.ndarray):
-    return cho_factor(sigma, lower=True, check_finite=False)
+def _factor(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor by LAPACK ``dpotrf``, its strict upper triangle
+    left as ``sigma``'s.  Every likelihood and gradient factorization goes
+    through here, and raises ``NotPositiveDefiniteError`` when it fails."""
+    c, info = dpotrf(sigma, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefiniteError("covariance matrix is not numerically positive "
+                                       f"definite (leading minor of order {info})")
+    return c
 
 
-def _factor(sigma: np.ndarray, factor=_cho_factor):
-    """``factor(sigma)``, raising ``NotPositiveDefiniteError`` when it fails.
-
-    Every likelihood, gradient and sampling factorization goes through here.
-    """
-    try:
-        return factor(sigma)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"covariance matrix is not numerically positive definite ({exc})"
-        ) from exc
-
-
-def _loglik_from_factor(stats: SufficientStats, cf) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-    quad = float(np.trace(cho_solve(cf, stats.S, check_finite=False)))
+def _loglik_from_factor(stats: SufficientStats, c: np.ndarray) -> float:
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    quad = float(np.trace(dpotrs(c, stats.S, lower=1)[0]))
     n, p = stats.n, stats.p
     return -0.5 * (n * p * LOG_2PI + n * logdet + quad)
 
@@ -134,46 +123,27 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     """Exact mean-zero Gaussian log likelihood at a covariance matrix.
 
     Computed as ``-(np/2) log 2pi - (n/2) logdet(m) - tr(m^-1 S) / 2`` from
-    one symmetric factorization.  Raises ``NotPositiveDefiniteError`` when
-    the factorization fails.
-    """
+    one symmetric factorization.  Raises ``DimensionError`` unless ``m`` is
+    ``p x p``, ``InvalidArgumentError`` for a non-finite entry, and
+    ``NotPositiveDefiniteError`` when the factorization fails."""
+    arr = as_matrix(m)
+    if arr.shape != (stats.p, stats.p):
+        raise DimensionError(f"matrix has shape {arr.shape}, data are {stats.p}-variate")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("covariance matrix has non-finite entries")
     if stats.n == 0:
         return 0.0
-    arr = as_matrix(m)
-    if arr.shape[0] != stats.p:
-        raise DimensionError(f"matrix is {arr.shape[0]}x, data are {stats.p}-variate")
     return _loglik_from_factor(stats, _factor(arr))
 
 
-def split_gradient(stats: SufficientStats, masks, lengths) -> np.ndarray:
-    """Log-likelihood gradient in the length of each split bitmask.
-
-    The covariance is ``sigma = V diag(lengths) V'`` for the indicator
-    matrix ``V`` of ``masks``, built once for both.  Entry ``j`` is
-    ``-(n/2) v' W v + (1/2) v' W A W v`` for column ``v`` of ``V``, with
-    ``W = sigma^-1`` from one factorization: the diagonals of ``V'WV`` and
-    ``(WV)' A (WV)``.  Raises ``NotPositiveDefiniteError`` when the
-    factorization fails.
-    """
-    p = stats.p
-    V = split_indicators(p, masks)
-    # entrywise split_matrix(p, masks, lengths), from the same V
-    sigma = (V * np.asarray(lengths, dtype=float)) @ V.T
-    W = cho_solve(_factor(sigma), np.eye(p), check_finite=False)
-    WV = W @ V
-    return -0.5 * stats.n * np.einsum("ij,ij->j", V, WV) \
-        + 0.5 * np.einsum("ij,ij->j", WV, stats.S @ WV)
-
-
 class LikelihoodKernel:
-    """The log likelihood of split coordinates, kept current under length moves.
+    """The log likelihood of split coordinates, its gradient, and its changes.
 
-    Caches ``W = sigma^-1`` and ``log_lik`` for the covariance
-    ``sigma = V diag(d) V'`` of a ``{mask: length}`` map, and each mask's
-    indicator column ``v``.  :meth:`refresh` builds ``sigma`` from the lengths
-    and factorizes it; it is the only routine factorization.
-    :meth:`propose` prices adding ``(mask, value)`` changes to the lengths,
-    and :meth:`accept` applies the last proposal.
+    :meth:`factor` builds ``sigma = V diag(d) V'`` from masks and lengths,
+    the only routine that does, and factorizes it for ``W = sigma^-1``,
+    :meth:`gradient` and ``log_lik``.  :meth:`propose` prices adding
+    ``(mask, value)`` changes to the lengths from ``W`` and each mask's
+    cached indicator column ``v``, and :meth:`accept` applies the last one.
 
     A change by ``delta`` on a split with indicator ``v`` adds ``delta v v'``
     to ``sigma``.  With ``u = W v``, ``c = v'u`` and the scatter matrix ``A``,
@@ -189,32 +159,56 @@ class LikelihoodKernel:
     is not positive and finite (a move to a matrix that is not positive
     definite, or rounding in an ill-conditioned ``W``) makes the proposal a
     full factorization of the proposed lengths, which raises
-    ``NotPositiveDefiniteError`` if it fails.  Without data the likelihood
-    is identically zero and nothing is built.
+    ``NotPositiveDefiniteError`` if it fails.  Without data :meth:`refresh`
+    builds nothing and the likelihood is identically zero.
     """
 
-    def __init__(self, stats: SufficientStats, lengths: dict[int, float]):
+    def __init__(self, stats: SufficientStats, lengths: dict[int, float] | None = None):
         self.stats = stats
         self.W = None
-        self.log_lik = 0.0
+        self._log_lik = 0.0  # None: not yet read from the factor in _at
         self.columns: dict[int, np.ndarray] = {}
         self._pending = None
-        self.refresh(lengths)
+        self._at = None  # (masks, lengths, V, factor) of the position W belongs to
+        if lengths is not None:
+            self.refresh(lengths)
 
-    def _factor_lengths(self, lengths: dict[int, float]):
-        masks = sorted(lengths)
-        return _factor(split_matrix(self.stats.p, masks, [lengths[m] for m in masks]))
+    @property
+    def log_lik(self) -> float:
+        """Read from the last factor when first asked for; a gradient needs none."""
+        if self._log_lik is None:
+            self._log_lik = _loglik_from_factor(self.stats, self._at[3])
+        return self._log_lik
+
+    def factor(self, masks, lengths):
+        """Factorize at the lengths of ``masks``, in that order, unless the last
+        call had the same position and nothing was accepted since.  Raises
+        ``NotPositiveDefiniteError``, and changes nothing, when it fails."""
+        d = np.array(lengths, dtype=float)
+        if self._at is not None and self._at[0] == masks and np.array_equal(self._at[1], d):
+            return
+        V = split_indicators(self.stats.p, masks)
+        c = _factor((V * d) @ V.T)
+        self.W = dpotrs(c, np.eye(self.stats.p), lower=1)[0]
+        self._log_lik = None
+        self._at = (list(masks), d, V, c)
+
+    def gradient(self) -> np.ndarray:
+        """Log-likelihood gradient in each length at the last :meth:`factor`,
+        in its masks' order: the diagonals of ``V'WV`` and ``(WV)' A (WV)``."""
+        V = self._at[2]
+        WV = self.W @ V
+        return -0.5 * self.stats.n * np.einsum("ij,ij->j", V, WV) \
+            + 0.5 * np.einsum("ij,ij->j", WV, self.stats.S @ WV)
 
     def refresh(self, lengths: dict[int, float]):
-        """Recompute ``W`` and ``log_lik`` from a full factorization at ``lengths``.
-
-        The column cache keeps the masks of ``lengths`` only.
-        """
+        """Factorize at ``lengths`` in ascending mask order, even at the last
+        position; the column cache keeps the masks of ``lengths`` only."""
         if not self.stats.n:
             return
-        cf = self._factor_lengths(lengths)
-        self.W = cho_solve(cf, np.eye(self.stats.p), check_finite=False)
-        self.log_lik = _loglik_from_factor(self.stats, cf)
+        masks = sorted(lengths)
+        self._at = None
+        self.factor(masks, [lengths[m] for m in masks])
         self.columns = {m: self.columns[m] for m in lengths if m in self.columns}
 
     def propose(self, changes, lengths: dict[int, float]) -> float:
@@ -238,31 +232,28 @@ class LikelihoodKernel:
             for scale, w in steps:  # u = W' v for the W' the earlier steps leave
                 u -= scale * float(w @ v) * w
             denom = 1.0 + delta * float(v @ u)
-            if not 0.0 < denom < math.inf:
-                return self._propose_fresh(changes, lengths)
+            if not 0.0 < denom < math.inf:  # price the proposal afresh
+                moved = dict(lengths)
+                for m, dm in changes:
+                    moved[m] = moved.get(m, 0.0) + dm
+                fresh = LikelihoodKernel(self.stats, moved)
+                self._pending = (fresh.log_lik, fresh.W)
+                return fresh.log_lik - self.log_lik
             dll -= 0.5 * (n * math.log(denom) - delta * float(S.dot(u).dot(u)) / denom)
             steps.append((delta / denom, u))
         self._pending = (self.log_lik + dll, steps)
         return dll
 
-    def _propose_fresh(self, changes, lengths: dict[int, float]) -> float:
-        moved = dict(lengths)
-        for mask, delta in changes:
-            moved[mask] = moved.get(mask, 0.0) + delta
-        cf = self._factor_lengths(moved)
-        new_ll = _loglik_from_factor(self.stats, cf)
-        self._pending = (new_ll, cho_solve(cf, np.eye(self.stats.p), check_finite=False))
-        return new_ll - self.log_lik
-
     def accept(self):
         """Apply the last proposal to ``W`` and ``log_lik``."""
-        self.log_lik, update = self._pending
+        self._log_lik, update = self._pending
         if isinstance(update, np.ndarray):
             self.W = update
         else:
             for scale, u in update:  # W -= scale u u', in place
                 self.W = dger(-scale, u, u, a=self.W, overwrite_a=True)
         self._pending = None
+        self._at = None
 
 
 def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
@@ -272,8 +263,9 @@ def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:
     edge, and the internal splits.  All lengths must be strictly positive.
     """
     items = list(t.coordinates())
-    grad = split_gradient(stats, [s.mask for s, _ in items], [v for _, v in items])
-    return {s: float(g) for (s, _), g in zip(items, grad)}
+    kernel = LikelihoodKernel(stats)
+    kernel.factor([s.mask for s, _ in items], [v for _, v in items])
+    return {s: float(g) for (s, _), g in zip(items, kernel.gradient())}
 
 
 def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:
@@ -281,7 +273,11 @@ def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     arr = as_matrix(m)
-    L = _factor(arr, np.linalg.cholesky)
+    try:
+        L = np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"covariance matrix is not numerically positive definite ({exc})") from exc
     Z = rng.generator.normal(size=(n, arr.shape[0]))
     return DataSet(Z @ L.T, kind="normal")
 
@@ -298,11 +294,6 @@ def sample_t(m, df: int, n: int, rng: RngStream) -> DataSet:
         raise InvalidArgumentError(f"need df >= 3, got {df}")
     if df > 64:
         raise InvalidArgumentError("df above 64 is not supported")
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
-    arr = as_matrix(m)
-    L = _factor(arr, np.linalg.cholesky)
-    Z = rng.generator.normal(size=(n, arr.shape[0]))
+    z = sample_gaussian(m, n, rng).values
     w = np.sum(rng.generator.normal(size=(n, df)) ** 2, axis=1)
-    X = (Z @ L.T) * np.sqrt(df / w)[:, None]
-    return DataSet(X, kind=f"t{df}", df=df)
+    return DataSet(z * np.sqrt(df / w)[:, None], kind=f"t{df}", df=df)

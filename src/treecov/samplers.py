@@ -26,9 +26,11 @@ Both states keep the containment tree of their splits with its per-node
 prior terms (:class:`LaminarTree`): an MH topology move and an HMC
 reassignment read their candidates from it and rewrite two nodes, and both
 kernels read the topology prior from it.  A validated :class:`Topology` is
-built only for a kept record, whose archive record keeps the tree.  Every
-MH move is priced by rank-one steps on a cached inverse, and an MH
-iteration makes one factorization, at the end of the length sweep.
+built only for a kept record, whose archive record keeps the tree.  Both
+score through one :class:`LikelihoodKernel` per state: each MH move is
+priced by rank-one steps on its cached inverse, with one factorization per
+iteration at the end of the length sweep, and an HMC trajectory's end with
+no length below ``delta`` reuses its last gradient's factorization.
 
 :func:`run_chain` is the one driver: it builds the state for the algo's
 config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
@@ -43,20 +45,14 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import model
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
 from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
-from .model import (
-    DataSet,
-    LikelihoodKernel,
-    SufficientStats,
-    gaussian_loglik,
-    split_gradient,
-    suff_stats,
-)
+from .model import DataSet, LikelihoodKernel, SufficientStats, suff_stats
 from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
 from .rng import RngStream
 from .treespace import LaminarTree, Split, Tree, _tree_from_masks
-from .ultrametric import split_indicators, split_matrix, tree_to_matrix
+from .ultrametric import split_indicators, tree_to_matrix
 
 
 def _norm_cdf(x: float) -> float:
@@ -220,7 +216,7 @@ class ChainState:
         self.laminar.check_consistency(masks)
         if self.log_prior_topo != prior.masks_log_prior(self.p, masks):
             raise AssertionError(f"stale topology log prior: {self.log_prior_topo}")
-        ll = gaussian_loglik(stats, sigma)
+        ll = model.gaussian_loglik(stats, sigma)
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
         lp = tree_log_prior(t, prior)
@@ -392,6 +388,7 @@ class HmcState:
     differentiated once.  ``log_lik`` and ``log_prior`` belong to the current
     slots once :func:`hmc_step` has scored them; a leapfrog step moves the
     slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
+    ``kernel``, built at the first evaluation with data, scores the slots.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig | None = None):
@@ -403,6 +400,7 @@ class HmcState:
         self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
                                    (cfg or HmcConfig()).prior.event_log_prob)
         self.grad: np.ndarray | None = None
+        self.kernel: LikelihoodKernel | None = None
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
         self.proposed = 0
@@ -429,16 +427,27 @@ def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return g, dg
 
 
+def _factored(state: HmcState, stats: SufficientStats, lengths) -> LikelihoodKernel | None:
+    """The state's kernel factorized at its masks and ``lengths``, or ``None``."""
+    if state.kernel is None or state.kernel.stats is not stats:
+        state.kernel = LikelihoodKernel(stats)
+    try:
+        state.kernel.factor(state.masks, lengths)
+        return state.kernel
+    except NotPositiveDefiniteError:
+        return None
+
+
 def _grad_potential(state: HmcState, stats: SufficientStats,
                     cfg: HmcConfig) -> np.ndarray | None:
     """Gradient of the surrogate potential; ``None`` if factorization fails."""
     g, dg = _surrogate(state.d, cfg.delta)
     grad = np.full(len(state.masks), 1.0 / cfg.prior.edge_mean)
     if stats.n:
-        try:
-            grad -= split_gradient(stats, state.masks, g)
-        except NotPositiveDefiniteError:
+        kernel = _factored(state, stats, g)
+        if kernel is None:
             return None
+        grad -= kernel.gradient()
     return grad * dg
 
 
@@ -455,11 +464,10 @@ def _true_potential(state: HmcState, stats: SufficientStats,
     resolved = len(state.laminar.events) == state.p - 1  # the full block and p - 2 splits
     topo_lp = state.laminar.log_prior() if resolved or prior.kind != "beta-splitting" else 0.0
     state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
-    try:
-        state.log_lik = gaussian_loglik(
-            stats, split_matrix(state.p, state.masks, state.d)) if stats.n else 0.0
-    except NotPositiveDefiniteError:
-        state.log_lik = -math.inf
+    state.log_lik = 0.0
+    if stats.n:
+        kernel = _factored(state, stats, state.d)
+        state.log_lik = -math.inf if kernel is None else kernel.log_lik
     return -state.log_lik - state.log_prior
 
 

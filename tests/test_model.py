@@ -12,6 +12,7 @@ from _oracles import (
 )
 from treecov.errors import (
     DataError,
+    DimensionError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
 )
@@ -23,7 +24,6 @@ from treecov.model import (
     loglik_gradient,
     sample_gaussian,
     sample_t,
-    split_gradient,
     suff_stats,
 )
 from treecov.rng import RngStream
@@ -105,11 +105,24 @@ class TestGaussianLoglik:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian_loglik(stats, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("m,error", [
+        (np.ones((3, 2)), DimensionError),
+        (np.ones(3), DimensionError),
+        (np.ones((2, 2)), DimensionError),  # square, but not 3-variate
+        (np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         InvalidArgumentError),
+        (np.diag([1.0, np.inf, 1.0]), InvalidArgumentError),
+    ], ids=["non-square", "vector", "wrong-p", "nan", "infinite-diagonal"])
+    def test_malformed_matrix_is_typed(self, m, error):
+        for stats in (SufficientStats(2, np.eye(3)), SufficientStats.empty(3)):
+            with pytest.raises(error):
+                gaussian_loglik(stats, m)
+
     def test_gradient_not_positive_definite(self):
         stats = SufficientStats(2, np.eye(2))
         with pytest.raises(NotPositiveDefiniteError):
             # leaf 1 at length 0 and the root at 1: sigma is all ones
-            split_gradient(stats, [0b01, 0b11], [0.0, 1.0])
+            LikelihoodKernel(stats).factor([0b01, 0b11], [0.0, 1.0])
 
     def test_permutation_invariance(self, rng):
         p = 5
@@ -247,7 +260,9 @@ class TestSplitProduct:
         """The gradient at ``tree``'s coordinates, at ``masks`` if given."""
         coords = list(tree.coordinates())
         every = [s.mask for s, _ in coords]
-        full = split_gradient(stats, every, [v for _, v in coords])
+        kernel = LikelihoodKernel(stats)
+        kernel.factor(every, [v for _, v in coords])
+        full = kernel.gradient()
         masks = every if masks is None else masks
         got = full[[every.index(m) for m in masks]]
         sigma = tree_to_matrix(tree).values
@@ -375,6 +390,55 @@ class TestLikelihoodKernel:
         assert kernel.log_lik == gaussian_loglik(stats, sigma)
         # the column cache keeps the stored masks only
         assert set(kernel.columns) <= set(lengths)
+
+    def test_factor_reuses_only_the_exact_position(self, rng, monkeypatch):
+        # a call at the last position reuses its factorization; the masks
+        # are compared by value, so one rewritten in place since (as a
+        # boundary crossing rewrites an HMC slot) factorizes again, and so
+        # does any call after an accepted move
+        import treecov.model as model
+
+        t = random_tree(6, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 30, rng))
+        masks = [s.mask for s, _ in t.coordinates()]
+        d = np.array([v for _, v in t.coordinates()])
+        j = next(j for j, m in enumerate(masks) if 2 <= m.bit_count() < 6)
+        new = next(c for c in resolution_candidates(t.topology, Split(6, masks[j]))
+                   if c.mask != masks[j]).mask
+        want = gaussian_loglik(stats, split_matrix(6, masks[:j] + [new] + masks[j + 1:], d))
+        calls = []
+        real = model._factor
+        monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
+        kernel = LikelihoodKernel(stats)
+        kernel.factor(masks, d)
+        grad = kernel.gradient()
+        kernel.factor(masks, d.copy())
+        assert len(calls) == 1
+        assert np.array_equal(kernel.gradient(), grad)
+        masks[j] = new
+        kernel.factor(masks, d)
+        assert len(calls) == 2
+        assert kernel.log_lik == want
+        lengths = dict(zip(masks, d))
+        kernel.propose([(masks[0], 0.1)], lengths)
+        kernel.accept()
+        kernel.factor(masks, d)
+        assert len(calls) == 3
+        assert kernel.log_lik == want
+
+    def test_failed_factor_leaves_nothing_to_reuse(self):
+        # a failed position is factorized again, and the last good one is kept
+        stats = SufficientStats(2, np.eye(2))
+        kernel = LikelihoodKernel(stats)
+        masks, d = [0b01, 0b10, 0b11], np.array([1.0, 1.0, 1.0])
+        kernel.factor(masks, d)
+        grad = kernel.gradient()
+        with pytest.raises(NotPositiveDefiniteError):
+            kernel.factor(masks, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            kernel.factor(masks, np.array([0.0, 0.0, 1.0]))
+        assert np.array_equal(kernel.gradient(), grad)
+        assert kernel.log_lik == gaussian_loglik(stats, np.array([[2.0, 1.0], [1.0, 2.0]]))
 
     def test_no_data_builds_nothing(self):
         lengths = {0b1: 1.0, 0b10: 1.0, 0b100: 1.0, 0b111: 1.0}

@@ -521,17 +521,17 @@ class TestHmcStep:
             assert state.laminar.log_prior() == prior.masks_log_prior(p, masks)
             assert state.log_prior == \
                 prior.masks_log_prior(p, masks) + lengths_log_prior(state.d, prior.edge_mean)
+            # the score, often read from the last gradient's factorization,
+            # equals a fresh likelihood of the slots
+            assert state.log_lik == pytest.approx(
+                gaussian_loglik(stats, block_sum_matrix(p, state.masks, state.d)), rel=1e-12)
 
     def test_one_gradient_per_leapfrog_step(self, monkeypatch):
         # the opening kick reuses the gradient the closing kick left, after
         # accepts and rejects alike: L gradients per step, L + 1 on the first
-        import treecov.samplers as samplers
         from treecov.samplers import _grad_potential
 
-        calls = []
-        real = samplers.split_gradient
-        monkeypatch.setattr(samplers, "split_gradient",
-                            lambda *a: calls.append(a) or real(*a))
+        calls = self.spy(monkeypatch, "gradient")
         truth = random_tree(6, "uniform-binary", 1.0, RngStream(7, 1))
         stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 60, RngStream(7, 3)))
         cfg = HmcConfig(step_size=0.035, leapfrog_steps=20)
@@ -545,20 +545,21 @@ class TestHmcStep:
         assert 0 < state.accepted < state.proposed
 
     @staticmethod
-    def failing(monkeypatch, name, failing_calls):
-        """Make ``samplers.<name>`` raise on the listed calls; returns every call's args."""
-        import treecov.samplers as samplers
+    def spy(monkeypatch, name, failing_calls=()):
+        """Record the arguments of every ``LikelihoodKernel.<name>`` call, and
+        make the listed calls raise ``NotPositiveDefiniteError``."""
+        from treecov.model import LikelihoodKernel
 
-        real = getattr(samplers, name)
+        real = getattr(LikelihoodKernel, name)
         calls = []
 
-        def flaky(*args):
+        def flaky(kernel, *args):
             calls.append(args)
             if len(calls) in failing_calls:
                 raise NotPositiveDefiniteError("injected failure")
-            return real(*args)
+            return real(kernel, *args)
 
-        monkeypatch.setattr(samplers, name, flaky)
+        monkeypatch.setattr(LikelihoodKernel, name, flaky)
         return calls
 
     @staticmethod
@@ -592,16 +593,21 @@ class TestHmcStep:
 
         state, stats, cfg, rng = self.scored_state()
         before = self.snapshot(state)
-        calls = self.failing(monkeypatch, "split_gradient", {5})
+        # the step starts from cached scores and gradient, so its first
+        # factorizations are its closing kicks'
+        calls = self.spy(monkeypatch, "factor", {5})
+        grads = self.spy(monkeypatch, "gradient")
         hmc_step(state, stats, cfg, rng)
-        assert len(calls) == 5  # the fifth closing kick failed and ended the trajectory
+        # the fifth closing kick's factorization failed and ended the trajectory
+        assert len(calls) == 5 and len(grads) == 4
         # the trajectory had moved and crossed a boundary before it failed,
         # and the reject undid both
-        assert calls[4][1] != before[0]
-        assert not np.array_equal(calls[4][2], _surrogate(state.d, cfg.delta)[0])
+        assert calls[4][0] != before[0]
+        assert not np.array_equal(calls[4][1], _surrogate(state.d, cfg.delta)[0])
         self.assert_restored(state, before)
-        hmc_step(state, stats, cfg, rng)  # the next step runs in full
-        assert len(calls) == 15 and state.proposed == before[-1] + 2
+        hmc_step(state, stats, cfg, rng)  # the next step runs in full, and is scored
+        assert len(grads) == 14 and len(calls) == 16
+        assert state.proposed == before[-1] + 2
         assert np.array_equal(state.grad, _grad_potential(state, stats, cfg))
 
     def test_failed_opening_gradient_rejects(self, monkeypatch):
@@ -613,24 +619,29 @@ class TestHmcStep:
         cfg = HmcConfig(step_size=0.035, leapfrog_steps=10)
         init = random_tree(5, "uniform-binary", 1.0, RngStream(3, 3))
         state = HmcState(init, cfg)
-        calls = self.failing(monkeypatch, "split_gradient", {1, 2})
+        # the first factorization scores the state; the next two are its
+        # gradients'
+        calls = self.spy(monkeypatch, "factor", {2, 3})
+        grads = self.spy(monkeypatch, "gradient")
         hmc_step(state, stats, cfg, RngStream(4))
-        assert len(calls) == 2 and state.grad is None
+        assert len(calls) == 3 and not grads and state.grad is None
         assert state.masks == [s.mask for s, _ in init.coordinates()]
         assert state.log_lik == gaussian_loglik(stats, tree_to_matrix(init))
         assert (state.accepted, state.proposed) == (0, 1)
         hmc_step(state, stats, cfg, RngStream(5))
-        assert len(calls) == 13 and state.grad is not None
+        assert len(grads) == 11 and state.grad is not None
 
     def test_failed_likelihood_rejects_and_restores(self, monkeypatch):
         state, stats, cfg, rng = self.scored_state()
         before = self.snapshot(state)
-        calls = self.failing(monkeypatch, "gaussian_loglik", {1})
+        # ten closing kicks' factorizations, then the trajectory's end score
+        calls = self.spy(monkeypatch, "factor", {11})
+        grads = self.spy(monkeypatch, "gradient")
         hmc_step(state, stats, cfg, rng)
-        assert len(calls) == 1  # the trajectory's end was scored, and failed
+        assert len(grads) == 10 and len(calls) == 11  # the end was scored, and failed
         self.assert_restored(state, before)
         hmc_step(state, stats, cfg, rng)
-        assert len(calls) == 2 and math.isfinite(state.log_lik)
+        assert len(calls) == 22 and math.isfinite(state.log_lik)
         assert state.proposed == before[-1] + 2
 
     def test_posterior_moves_toward_truth(self, rng):
