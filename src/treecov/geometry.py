@@ -3,27 +3,40 @@
 Internal-edge coordinates carry the stratified geodesic metric: within one
 topology the metric is Euclidean, and across topologies the geodesic is
 found by partitioning the uncommon splits into support pairs ``(A_i, B_i)``
-with non-decreasing norm ratios, each pair collapsing and regrowing through
-a shared boundary.  The full tree distance adds the Euclidean distance
-between the ``(root, leaf)`` length vectors:
+with non-decreasing norm ratios ``|A_i| / |B_i|``, each pair collapsing and
+regrowing through a shared boundary.  The full tree distance adds the
+Euclidean distance between the ``(root, leaf)`` length vectors:
 
     tree_distance = internal_geodesic_length + ||leaf_root_1 - leaf_root_2||.
 
-The support is refined from the single cone pair by repeatedly solving a
-minimum-weight vertex cover on the bipartite incompatibility graph of each
-pair (squared-length vertex weights, normalized per side); a cover of weight
-strictly below one yields a strictly shorter path.  Cover problems are
-solved by max-flow over exact integer capacities, so the combinatorial
-decisions are immune to float noise.  Geodesics are computed on a tree's
-internal ``{mask: length}`` map and its ``(root, leaves)`` vector; splits
-and trees are built only for what a public function returns.
+The support is found region by region (Owen & Provan 2011, "A fast
+algorithm for computing geodesic distances in tree space", IEEE/ACM TCBB
+8(1)).  An uncommon split's region is the smallest split both trees share
+that contains it, or the root; splits of different regions never clash, so
+each region is refined on its own.  A region starts as one pair and its
+pairs are split by a minimum-weight vertex cover of their bipartite
+incompatibility graph (squared-length vertex weights, normalized per side)
+until no cover weighs strictly less than one.  Cover problems are solved by
+max-flow over exact integer capacities, so the combinatorial decisions are
+immune to float noise; a side of a single split needs no max-flow, as its
+minimum cover is the set of splits it clashes with.  The regions' pairs are
+then merged in the order of their ratios, compared exactly by integer
+cross-products of the squared-length sums, and pairs whose ratios tie
+exactly become one pair: a refinement of all uncommon splits at once never
+splits such a tie, so the merged support is the one it gives.
+
+Geodesics are computed on a tree's internal ``{mask: length}`` map and its
+``(root, leaves)`` vector; splits and trees are built only for what a public
+function returns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
@@ -147,12 +160,29 @@ class GeodesicSupport:
         }
 
 
-def _exact_weights(items: list[tuple[int, float]]) -> list[int]:
+def _exact_weights(items: list[tuple[int, float]]) -> tuple[list[int], int]:
     """Each ``l * l``, a binary fraction ``n/d``, scaled exactly to the
-    largest ``d`` of its side."""
+    largest ``d`` of its side, and that ``d``."""
+    if len(items) == 1:
+        l = items[0][1]
+        n, d = (l * l).as_integer_ratio()
+        return [n], d
     ratios = [(l * l).as_integer_ratio() for _, l in items]
     den = max(d for _, d in ratios)
-    return [n * (den // d) for n, d in ratios]
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _clash(ma: int, mb: int) -> bool:
+    """Two distinct splits clash unless nested or disjoint."""
+    return bool(ma & mb and ma & ~mb and mb & ~ma)
+
+
+def _by_clash(mask: int, items: list[tuple[int, float]]):
+    """``items`` split into those that clash with ``mask`` and the rest."""
+    near, far = [], []
+    for item in items:
+        (near if _clash(mask, item[0]) else far).append(item)
+    return near, far
 
 
 def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
@@ -163,19 +193,29 @@ def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
     weights ``R_i/TA`` and ``S_j/TB`` are scaled by ``TA*TB`` to the integers
     ``R_i*TB`` and ``S_j*TA``, so a whole side weighs exactly ``TA*TB`` and
     the strict test ``weight < 1`` is exact.
+
+    A side of one split ``a`` has two covers of its clashing set ``N(a)``:
+    ``{a}``, weighing exactly 1, and ``N(a)``, lighter whenever it is not the
+    whole other side and every weight is positive (a zero weight could tie).
+    Then ``N(a)`` is the unique minimum and no max-flow is needed.
     """
     if not A or not B:
         return None
-    ra, rb = _exact_weights(A), _exact_weights(B)
+    if (len(A) == 1 or len(B) == 1) and all(l * l for _, l in (*A, *B)):
+        if len(A) == 1:
+            near, far = _by_clash(A[0][0], B)
+            return (([], far), (A, near)) if far else None
+        near, far = _by_clash(B[0][0], A)
+        return ((near, B), (far, [])) if far else None
+    (ra, _), (rb, _) = _exact_weights(A), _exact_weights(B)
     ta, tb = sum(ra), sum(rb)
     if ta == 0 or tb == 0:
         return None
-    # the masks differ, so they clash unless nested or disjoint
     edges = [
         (i, j)
         for i, (ma, _) in enumerate(A)
         for j, (mb, _) in enumerate(B)
-        if ma & mb and ma & ~mb and mb & ~ma
+        if _clash(ma, mb)
     ]
     cover_a, cover_b, weight = _min_weight_cover(
         [r * tb for r in ra], [r * ta for r in rb], edges)
@@ -191,23 +231,13 @@ def _split_pair(A: list[tuple[int, float]], B: list[tuple[int, float]]):
 def _refine_pairs(a_items: list[tuple[int, float]], b_items: list[tuple[int, float]]):
     """Split support pairs until no pair admits a cover of weight < 1.
 
-    A pair that does not split is final: its cover problem would come out
-    the same on every later round, so it is not solved again.
+    Each pair is solved once: its two halves are refined in turn, so the
+    final pairs are the leaves of a binary tree of cover problems.
     """
-    pairs = [(a_items, b_items, False)]
-    changed = True
-    while changed:
-        changed = False
-        new_pairs: list[tuple[list, list, bool]] = []
-        for A, B, final in pairs:
-            halves = None if final else _split_pair(A, B)
-            if halves is None:
-                new_pairs.append((A, B, True))
-            else:
-                new_pairs.extend((C, D, False) for C, D in halves)
-                changed = True
-        pairs = new_pairs
-    return [(A, B) for A, B, _ in pairs if A or B]
+    halves = _split_pair(a_items, b_items)
+    if halves is None:
+        return [(a_items, b_items)] if a_items or b_items else []
+    return [pr for C, D in halves for pr in _refine_pairs(C, D)]
 
 
 def _norm(items: list[tuple[int, float]]) -> float:
@@ -223,19 +253,98 @@ def _breakpoint(a: float, b: float) -> float:
     return a / (a + b)
 
 
-def _support(x: dict[int, float], y: dict[int, float]):
-    """Common ``(mask, length_x, length_y)`` triples and the ordered support
-    pairs ``(A, B, |A|, |B|)`` between two internal maps."""
-    common = [(m, l, y[m]) for m, l in x.items() if m in y]
-    a_items = [(m, l) for m, l in x.items() if m not in y]
-    b_items = [(m, l) for m, l in y.items() if m not in x]
-    pairs = [(A, B, _norm(A), _norm(B)) for A, B in _refine_pairs(a_items, b_items)]
+def _regions(common, a_items, b_items):
+    """The uncommon items grouped into ``(A_r, B_r)`` regions.
+
+    An uncommon split's region is the smallest common split containing it,
+    or the root; splits of different regions never clash.  The common
+    splits are sorted by size once, and each uncommon split scans only those
+    larger than itself up to the first that contains it.  Without common
+    splits, without items on one side, or with a square ``l * l`` that
+    underflows to zero (its ties are left to the whole refinement), there
+    is one region.
+    """
+    if not (common and a_items and b_items):
+        return [(a_items, b_items)]
+    outer = sorted((m for m, _, _ in common), key=int.bit_count)
+    sizes = [m.bit_count() for m in outer]
+    full = len(outer)
+    groups: dict[int, tuple[list, list]] = {}
+    for side, items in enumerate((a_items, b_items)):
+        for item in items:
+            m, l = item
+            if not l * l:
+                return [(a_items, b_items)]
+            i = bisect_right(sizes, m.bit_count())
+            while i < full and m & ~outer[i]:
+                i += 1
+            groups.setdefault(i, ([], []))[side].append(item)
+    return list(groups.values())
+
+
+def _sorted_pairs(A, B):
+    """One region's refined pairs ``(A, B, |A|, |B|)``, checked for order."""
+    pairs = [(A, B, _norm(A), _norm(B)) for A, B in _refine_pairs(A, B)]
     # ratio sequence must be non-decreasing; tolerate exact ties only
     bps = [_breakpoint(a, b) for _, _, a, b in pairs]
     for u, v in zip(bps, bps[1:]):
         if u > v + 1e-9:
             raise InvalidArgumentError(
                 f"geodesic support refinement produced unsorted ratios: {bps}")
+    return pairs
+
+
+def _exact_ratio(A, B) -> tuple[int, int]:
+    """``sum(l * l for A) / sum(l * l for B)`` of the float squares, exactly,
+    as ``(num, den)``; ``den`` is 0 for an empty ``B``."""
+    if not B:
+        return 1, 0
+    if not A:
+        return 0, 1
+    (ra, da), (rb, db) = _exact_weights(A), _exact_weights(B)
+    return sum(ra) * db, da * sum(rb)
+
+
+def _cross(r: tuple[int, int], s: tuple[int, int]) -> int:
+    """Negative, zero or positive as the exact ratio ``r`` is below, equal
+    to or above ``s``."""
+    return r[0] * s[1] - s[0] * r[1]
+
+
+def _joined(run, a_items, b_items):
+    """The pairs of ``run``, whose ratios tie, as one pair; each side keeps
+    the order of ``a_items`` or ``b_items``."""
+    in_a = {m for pr in run for m, _ in pr[0]}
+    in_b = {m for pr in run for m, _ in pr[1]}
+    A = [item for item in a_items if item[0] in in_a]
+    B = [item for item in b_items if item[0] in in_b]
+    return A, B, _norm(A), _norm(B)
+
+
+def _support(x: dict[int, float], y: dict[int, float]):
+    """Common ``(mask, length_x, length_y)`` triples and the ordered support
+    pairs ``(A, B, |A|, |B|)`` between two internal maps.
+
+    Each region is refined on its own; the regions' pairs are then merged in
+    the order of their exact ratios, and pairs of exactly equal ratio become
+    one pair whose sides keep the order of ``x`` and ``y``, as the whole
+    refinement never splits such a tie.
+    """
+    common = [(m, l, y[m]) for m, l in x.items() if m in y]
+    a_items = [(m, l) for m, l in x.items() if m not in y]
+    b_items = [(m, l) for m, l in y.items() if m not in x]
+    regions = _regions(common, a_items, b_items)
+    if len(regions) == 1:
+        return common, _sorted_pairs(*regions[0])
+    keyed = sorted(((_exact_ratio(pr[0], pr[1]), pr)
+                    for region in regions for pr in _sorted_pairs(*region)),
+                   key=cmp_to_key(lambda r, s: _cross(r[0], s[0])))
+    pairs, run = [], []
+    for k, (ratio, pr) in enumerate(keyed):
+        run.append(pr)
+        if k + 1 == len(keyed) or _cross(ratio, keyed[k + 1][0]):
+            pairs.append(run[0] if len(run) == 1 else _joined(run, a_items, b_items))
+            run = []
     return common, pairs
 
 

@@ -43,6 +43,11 @@ class Split:
             raise InvalidArgumentError(
                 f"mask {self.mask:#x} is not a nonempty subset of 1..{self.p}"
             )
+        # the dataclass hash, taken once: splits key every lengths map
+        object.__setattr__(self, "_hash", hash((self.p, self.mask)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_leaves(cls, p: int, leaves: Iterable[int]) -> "Split":

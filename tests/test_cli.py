@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -138,6 +139,27 @@ class TestDistance:
         out = json.loads(capsys.readouterr().out)
         assert out["d_bhv"] == pytest.approx(0.8)
         assert len(out["support"]["pairs"]) == 1
+
+    # common splits {1..4}, {5..8} and {9, 10}; uncommon splits in both
+    # inner regions and at the root, and the inner regions tie at ratio 1
+    REGIONS = (
+        "(0:0.5,((((1:1,2:1):0.5,3:1):0.4,4:1):0.9,"
+        "((5:1,6:1):0.3,7:1,8:1):0.6):0.7,(9:1,10:1):0.4);",
+        "(0:0.5,(6:1,(5:1,7:1):0.3,8:1):0.65,"
+        "(((1:1,3:1):0.5,(2:1,4:1):0.25):0.8,(9:1,10:1):0.1):0.2);",
+    )
+    REGIONS_DIGEST = "74da4502351806c9fab4abb8247bb822d95649a3c349a5b273972d7ce214605a"
+
+    def test_multi_region_stdout_pinned(self, tmp_path, capsys):
+        a, b = tmp_path / "a.nwk", tmp_path / "b.nwk"
+        a.write_text(self.REGIONS[0])
+        b.write_text(self.REGIONS[1])
+        assert main(["distance", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert [[s["split"] for s in pr["source"]]
+                for pr in json.loads(out)["support"]["pairs"]] == \
+            [["1,2", "5,6"], ["1,2,3"], ["1,2,3,4,5,6,7,8"]]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.REGIONS_DIGEST
 
     def test_mixed_formats(self, star_csv, tmp_path, capsys):
         nwk = tmp_path / "star.nwk"

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import brute_force_internal_distance, fraction_refine_pairs
 from treecov import geometry
@@ -19,7 +19,8 @@ from treecov.geometry import (
     tree_distance,
 )
 from treecov.rng import RngStream
-from treecov.treespace import Split, Topology, Tree, random_tree, star_tree
+from treecov.treespace import (
+    Split, Topology, Tree, random_tree, resolution_candidates, star_tree)
 from treecov.ultrametric import tree_to_matrix
 
 
@@ -64,6 +65,80 @@ def shaped_tree(p, lengths, rng):
     return Tree(t.topology, internal, t.leaf_lengths, t.root_length)
 
 
+def shaped_length(lengths, rng):
+    """One internal length drawn like :func:`shaped_tree`'s."""
+    if lengths == "equal":
+        return 1.0
+    if lengths == "tiny" and rng.uniform() < 0.5:
+        return 1e-9 * (1.0 + rng.uniform())
+    return rng.exponential()
+
+
+def regrafted(tree, moves, lengths, rng):
+    """``tree``, resolved, after ``moves`` swaps of one split for another of
+    its two alternatives from ``resolution_candidates``.  Both trees keep
+    every other split, so their support falls into several regions of
+    common splits."""
+    internal = dict(tree.internal_lengths)
+    for _ in range(moves):
+        removed = sorted(internal, key=lambda s: s.mask)[rng.integers(len(internal))]
+        swaps = [s for s in resolution_candidates(Topology(tree.p, frozenset(internal)),
+                                                  removed) if s != removed]
+        del internal[removed]
+        internal[swaps[rng.integers(len(swaps))]] = shaped_length(lengths, rng)
+    return Tree(Topology(tree.p, frozenset(internal)), internal,
+                tree.leaf_lengths, tree.root_length)
+
+
+def rearranged_pair(p, lengths, moves, rng):
+    """A resolved tree with shaped lengths and the tree ``moves`` regrafts
+    away; each then loses one split with probability 0.4."""
+    t = random_tree(p, "uniform-binary", 1.0, rng)
+    t1 = Tree(t.topology, {s: shaped_length(lengths, rng) for s in t.internal_lengths},
+              t.leaf_lengths, t.root_length)
+    t2 = regrafted(t1, moves, lengths, rng)
+    if rng.uniform() < 0.4:
+        t1 = drop_random_splits(t1, 1, rng)
+    if rng.uniform() < 0.4:
+        t2 = drop_random_splits(t2, 1, rng)
+    return t1, t2
+
+
+def clade_tree(p, lengths):
+    """A tree with internal lengths ``{leaf tuple: length}``."""
+    internal = {Split.from_leaves(p, c): v for c, v in lengths.items()}
+    return Tree(Topology(p, frozenset(internal)), internal, (1.0,) * p, 0.5)
+
+
+# Two regions, {1..7} and {8..12}, each one final pair: 2 splits against 4
+# and 1 against 2, so both squared ratios are exactly 1/2 while the norm
+# ratios sqrt(2)/2 and 1/sqrt(2) differ in the last bit.
+REGION_CLADES = (
+    [(1, 2), (1, 2, 3), (8, 9)],
+    [(2, 4), (2, 4, 5), (2, 4, 5, 6), (2, 4, 5, 6, 7), (9, 10), (9, 10, 11)],
+)
+COMMON_CLADES = [tuple(range(1, 8)), tuple(range(8, 13))]
+TIED_REGIONS = tuple(clade_tree(12, dict.fromkeys(COMMON_CLADES + cs, 1.0))
+                     for cs in REGION_CLADES)
+# The same regions at p = 14 plus a root region of ratio 1/3, with region
+# {8..12} so short that every square underflows to 0: its pair has no
+# ratio, so the whole support is refined at once.
+UNDERFLOW_REGIONS = (
+    clade_tree(14, {**dict.fromkeys(COMMON_CLADES + [(1, 2), (1, 2, 3)], 1.0),
+                    (8, 9): 1e-170, (1, 2, 3, 4, 5, 6, 7, 13): 1.0}),
+    clade_tree(14, {**dict.fromkeys(COMMON_CLADES + REGION_CLADES[1][:4], 1.0),
+                    (9, 10): 1e-170, (9, 10, 11): 1e-170, (8, 9, 10, 11, 12, 13): 3.0}),
+)
+
+
+@st.composite
+def rearranged_pairs(draw, p_max=20):
+    p = draw(st.integers(3, p_max))
+    lengths = draw(st.sampled_from(("random", "equal", "tiny")))
+    rng = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    return rearranged_pair(p, lengths, draw(st.integers(1, 4)), rng)
+
+
 @st.composite
 def tree_tuples(draw, count, p_max=20):
     p = draw(st.integers(3, p_max))
@@ -103,6 +178,21 @@ class TestIntegerRefinement:
                 fraction_refine_pairs(*uncommon_items(a, b))
             assert distance_or_error(a, b) == oracle_distance(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(pair=rearranged_pairs())
+    @example(pair=TIED_REGIONS)
+    @example(pair=UNDERFLOW_REGIONS)
+    def test_decomposed_support_is_whole_refinement(self, pair):
+        # trees that share most splits: refining each common-split region
+        # on its own and merging by ratio gives the pairs, item for item,
+        # of one refinement over all uncommon splits
+        t1, t2 = pair
+        for a, b in ((t1, t2), (t2, t1)):
+            (x, _), (y, _) = geometry._coords(a), geometry._coords(b)
+            _, pairs = geometry._support(x, y)
+            assert [(A, B) for A, B, _, _ in pairs] == \
+                fraction_refine_pairs(*uncommon_items(a, b))
+
     @pytest.mark.parametrize("p", [10, 20, 40])
     def test_seeded_distances_bit_identical(self, p):
         rng = RngStream(606, p)
@@ -126,6 +216,31 @@ class TestIntegerRefinement:
             assert len(solved) == len(set(solved))
             # a binary refinement tree whose leaves are the final pairs
             assert len(calls) == max(2 * len(support.pairs) - 1, 1)
+
+    def test_each_region_solved_once(self, monkeypatch):
+        # pairs a few regrafts apart span several regions, each refined as
+        # a binary tree of its own: 2 * k_r - 1 solves for k_r final pairs
+        calls = []
+        real = geometry._split_pair
+        monkeypatch.setattr(geometry, "_split_pair",
+                            lambda A, B: calls.append((A, B)) or real(A, B))
+        rng = RngStream(8)
+        several = 0
+        for i in range(30):
+            t1, t2 = rearranged_pair(12, "random", 1 + i % 4, rng)
+            (x, _), (y, _) = geometry._coords(t1), geometry._coords(t2)
+            common = [(m, l, y[m]) for m, l in x.items() if m in y]
+            regions = geometry._regions(common, *uncommon_items(t1, t2))
+            calls.clear()
+            solves = sum(max(2 * len(geometry._refine_pairs(A, B)) - 1, 1)
+                         for A, B in regions)
+            assert len(calls) == solves
+            calls.clear()
+            geometry._support(x, y)
+            solved = [(tuple(A), tuple(B)) for A, B in calls]
+            assert len(solved) == len(set(solved)) == solves
+            several += len(regions) > 1
+        assert several >= 10
 
     def test_near_zero_length_keeps_ratios_sorted(self, tree_factory):
         leaves = (1.0,) * 8

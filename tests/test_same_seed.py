@@ -8,7 +8,8 @@ archive JSON lines and their provenance.  A
 refactor of the samplers has to keep every one of them.  The posterior
 summary of a seeded archive over several topologies, Frechet mean
 included, is pinned the same way for refactors of the geometry and the
-summaries, and so are seeded draws of both topology priors and of
+summaries, and so are geodesic supports between seeded tree pairs and
+seeded draws of both topology priors and of
 ``random_tree`` for refactors of the fragmentation samplers.
 
 The digests depend on floating-point results, so a numpy, scipy or BLAS
@@ -24,7 +25,7 @@ import math
 import pytest
 
 from treecov.archive import ArchiveRecord, PosteriorArchive
-from treecov.geometry import MeanConfig
+from treecov.geometry import MeanConfig, bhv_distance
 from treecov.model import sample_gaussian
 from treecov.posterior import build_summary
 from treecov.priors import PriorSpec, sample_topology_prior
@@ -32,6 +33,8 @@ from treecov.rng import RngStream
 from treecov.samplers import HmcConfig, MhConfig, run_chain
 from treecov.treespace import random_tree
 from treecov.ultrametric import tree_to_matrix
+
+from test_geometry import rearranged_pair, shaped_tree
 
 P = 6
 
@@ -104,6 +107,26 @@ def test_summary_digest():
                            mean_cfg=MeanConfig(max_iterations=500))
     text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SUMMARY_DIGEST
+
+
+SUPPORT_DIGEST = "e8644f18734762f433c6bdf555cd34a6d11fee70deb1445672f6c2ec17cc3b94"
+
+
+def test_support_digest():
+    # 30 pairs per leaf count, alternately independent and 1-4 regrafts
+    # apart (several common-split regions), with random, equal (ratios
+    # that tie) and partly near-zero internal lengths
+    lines = []
+    for p in (10, 20, 40):
+        rng = RngStream(41, p)
+        for i in range(30):
+            lengths = ("random", "equal", "tiny")[i % 3]
+            t1, t2 = (rearranged_pair(p, lengths, 1 + i % 4, rng) if i % 2
+                      else (shaped_tree(p, lengths, rng), shaped_tree(p, lengths, rng)))
+            d, support = bhv_distance(t1, t2)
+            lines.append(json.dumps([d.hex(), support.to_dict()], sort_keys=True))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SUPPORT_DIGEST
 
 
 PRIOR_DRAW_SPECS = (
