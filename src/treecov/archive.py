@@ -116,8 +116,9 @@ class _Reader:
             hit = self.splits.get(spelling)
         except TypeError:  # not a list of hashables: from_leaves raises its error
             spelling = hit = None
-        # a float leaf equals its int but is malformed, so it is parsed (and raises)
-        if hit is None or type(sum(spelling)) is not int:
+        # a float or bool leaf equals its int but is malformed, so it is
+        # parsed (and raises)
+        if hit is None or {*map(type, spelling)} != {int}:
             hit = self._store(spelling, Split.from_leaves(self.p, leaves))
         return hit
 

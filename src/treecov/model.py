@@ -13,10 +13,13 @@ one factorization serves all coordinates.
 
 Both samplers score through :class:`LikelihoodKernel`, the one place that
 builds, factorizes and differentiates a sampler's covariance, and that
-prices a change of lengths by rank-one steps.  :func:`gaussian_loglik`
-factorizes a given matrix afresh; the kernel's caches are checked against
-it.  Every failed factorization raises ``NotPositiveDefiniteError`` from
-:func:`_factor`.
+prices a change of lengths by rank-one steps; an MH chain's kernel also
+owns the chain's ``{mask: length}`` map, which only its ``accept`` writes.
+:func:`gaussian_loglik` factorizes a given matrix afresh; the kernel's
+caches are checked against it.  Every factorization goes through
+:func:`_factor`, which raises ``NotPositiveDefiniteError`` when it fails
+and imports scipy's routines the first time it runs, so importing the
+package loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DataError,
@@ -39,6 +40,7 @@ from .treespace import Split, Tree
 from .ultrametric import as_matrix, split_indicators
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+dger = dpotrf = dpotrs = None  # scipy's, bound by the first _factor
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,20 @@ def suff_stats(data: DataSet) -> SufficientStats:
     return SufficientStats(data.n, 0.5 * (S + S.T))
 
 
+def _load_lapack():
+    """Bind scipy's ``dger``, ``dpotrf`` and ``dpotrs``.  Importing scipy is
+    most of the package's import time, so it waits for the first factorization."""
+    global dger, dpotrf, dpotrs
+    from scipy.linalg.blas import dger
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+
 def _factor(sigma: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor by LAPACK ``dpotrf``, its strict upper triangle
     left as ``sigma``'s.  Every likelihood and gradient factorization goes
     through here, and raises ``NotPositiveDefiniteError`` when it fails."""
+    if dpotrf is None:
+        _load_lapack()
     c, info = dpotrf(sigma, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError("covariance matrix is not numerically positive "
@@ -141,9 +153,12 @@ class LikelihoodKernel:
 
     :meth:`factor` builds ``sigma = V diag(d) V'`` from masks and lengths,
     the only routine that does, and factorizes it for ``W = sigma^-1``,
-    :meth:`gradient` and ``log_lik``.  :meth:`propose` prices adding
-    ``(mask, value)`` changes to the lengths from ``W`` and each mask's
-    cached indicator column ``v``, and :meth:`accept` applies the last one.
+    :meth:`gradient` and ``log_lik``.  Built with ``lengths``, the kernel
+    keeps that ``{mask: length}`` map, the same dict, as the one record of
+    a chain's coordinates: :meth:`propose` prices setting masks to new
+    lengths from ``W`` and each mask's cached indicator column ``v``,
+    :meth:`accept` writes the last proposal into the map, and
+    :meth:`refresh` factorizes at it.
 
     A change by ``delta`` on a split with indicator ``v`` adds ``delta v v'``
     to ``sigma``.  With ``u = W v``, ``c = v'u`` and the scatter matrix ``A``,
@@ -165,13 +180,14 @@ class LikelihoodKernel:
 
     def __init__(self, stats: SufficientStats, lengths: dict[int, float] | None = None):
         self.stats = stats
+        self.lengths = lengths
         self.W = None
         self._log_lik = 0.0  # None: not yet read from the factor in _at
         self.columns: dict[int, np.ndarray] = {}
         self._pending = None
         self._at = None  # (masks, lengths, V, factor) of the position W belongs to
         if lengths is not None:
-            self.refresh(lengths)
+            self.refresh()
 
     @property
     def log_lik(self) -> float:
@@ -201,30 +217,32 @@ class LikelihoodKernel:
         return -0.5 * self.stats.n * np.einsum("ij,ij->j", V, WV) \
             + 0.5 * np.einsum("ij,ij->j", WV, self.stats.S @ WV)
 
-    def refresh(self, lengths: dict[int, float]):
-        """Factorize at ``lengths`` in ascending mask order, even at the last
-        position; the column cache keeps the masks of ``lengths`` only."""
+    def refresh(self):
+        """Factorize at the kept lengths in ascending mask order, unless no
+        move was accepted since the last factorization; the column cache
+        keeps the stored masks only."""
         if not self.stats.n:
             return
+        lengths = self.lengths
         masks = sorted(lengths)
-        self._at = None
         self.factor(masks, [lengths[m] for m in masks])
         self.columns = {m: self.columns[m] for m in lengths if m in self.columns}
 
-    def propose(self, changes, lengths: dict[int, float]) -> float:
-        """Log-likelihood change from adding each ``(mask, value)`` to ``lengths``.
+    def propose(self, changes) -> float:
+        """Log-likelihood change from setting each ``(mask, length)`` in the map.
 
-        ``lengths`` are the coordinates the cache was built for, plus the
-        moves accepted since; a mask it lacks starts at zero.  Nothing
-        cached but the columns changes until :meth:`accept`.
+        Each pair is the rank-one change ``length - lengths.get(mask, 0.0)``;
+        a zero length drops the mask.  Nothing cached but the columns
+        changes until :meth:`accept`.
         """
         if self.W is None:
-            self._pending = (0.0, ())
+            self._pending = (0.0, (), changes)
             return 0.0
-        n, S, W, columns = self.stats.n, self.stats.S, self.W, self.columns
+        n, S, W, columns, lengths = self.stats.n, self.stats.S, self.W, self.columns, self.lengths
         dll = 0.0
         steps = []
-        for mask, delta in changes:
+        for mask, new in changes:
+            delta = new - lengths.get(mask, 0.0)
             v = columns.get(mask)
             if v is None:
                 v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
@@ -233,25 +251,27 @@ class LikelihoodKernel:
                 u -= scale * float(w @ v) * w
             denom = 1.0 + delta * float(v @ u)
             if not 0.0 < denom < math.inf:  # price the proposal afresh
-                moved = dict(lengths)
-                for m, dm in changes:
-                    moved[m] = moved.get(m, 0.0) + dm
-                fresh = LikelihoodKernel(self.stats, moved)
-                self._pending = (fresh.log_lik, fresh.W)
+                fresh = LikelihoodKernel(self.stats, {**lengths, **dict(changes)})
+                self._pending = (fresh.log_lik, fresh.W, changes)
                 return fresh.log_lik - self.log_lik
             dll -= 0.5 * (n * math.log(denom) - delta * float(S.dot(u).dot(u)) / denom)
             steps.append((delta / denom, u))
-        self._pending = (self.log_lik + dll, steps)
+        self._pending = (self.log_lik + dll, steps, changes)
         return dll
 
     def accept(self):
-        """Apply the last proposal to ``W`` and ``log_lik``."""
-        self._log_lik, update = self._pending
+        """Apply the last proposal to ``W``, ``log_lik`` and the lengths."""
+        self._log_lik, update, changes = self._pending
         if isinstance(update, np.ndarray):
             self.W = update
         else:
             for scale, u in update:  # W -= scale u u', in place
                 self.W = dger(-scale, u, u, a=self.W, overwrite_a=True)
+        for mask, new in changes:  # a zero length drops the mask
+            if new:
+                self.lengths[mask] = new
+            else:
+                del self.lengths[mask]
         self._pending = None
         self._at = None
 

@@ -30,7 +30,11 @@ built only for a kept record, whose archive record keeps the tree.  Both
 score through one :class:`LikelihoodKernel` per state: each MH move is
 priced by rank-one steps on its cached inverse, with one factorization per
 iteration at the end of the length sweep, and an HMC trajectory's end with
-no length below ``delta`` reuses its last gradient's factorization.
+no length below ``delta`` reuses its last gradient's factorization.  An MH
+chain's kernel owns its lengths: a move proposes new lengths and accepting
+it writes them.  Both states price their log prior fresh through one rule,
+:func:`_log_prior` of their kept tree and their lengths, so a kept record's
+``log_prior`` is a function of its tree.
 
 :func:`run_chain` is the one driver: it builds the state for the algo's
 config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
@@ -49,7 +53,7 @@ from . import model
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
 from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
 from .model import DataSet, LikelihoodKernel, SufficientStats, suff_stats
-from .priors import PriorSpec, edge_length_log_prior, lengths_log_prior, tree_log_prior
+from .priors import PriorSpec, lengths_log_prior, tree_log_prior
 from .rng import RngStream
 from .treespace import LaminarTree, Split, Tree, _tree_from_masks
 from .ultrametric import split_indicators, tree_to_matrix
@@ -135,33 +139,41 @@ def _is_internal(p: int, mask: int) -> bool:
     return 2 <= mask.bit_count() < p
 
 
+def _log_prior(laminar: LaminarTree, lengths, prior: PriorSpec) -> float:
+    """The log prior of a sampler state, priced fresh: the topology term of
+    its kept tree plus the exponential length term summed in the order of
+    ``lengths``.  Beta-splitting gives unresolved shapes no mass, so one
+    (``run_chain`` refuses it) gets a flat topology term."""
+    resolved = len(laminar.events) == laminar.p - 1  # the full block and p - 2 splits
+    topo_lp = laminar.log_prior() if resolved or prior.kind != "beta-splitting" else 0.0
+    return topo_lp + lengths_log_prior(lengths, prior.edge_mean)
+
+
 class ChainState:
     """Mutable working state of one MH chain.
 
     ``lengths`` maps the mask of every stored coordinate (leaves, internal
     splits and the root) to its length; ``internal`` is a fresh dict of its
     internal-split entries, so writing to it does not change the state.
-
     ``laminar`` is the kept containment tree of its internal splits, priced
-    by ``prior``; a topology move toggles its splits there, and
-    ``log_prior_topo`` caches its :meth:`LaminarTree.log_prior`.
+    by ``prior``; a topology move toggles its splits there.
 
-    ``kernel`` caches the inverse covariance and the log likelihood
-    (:class:`LikelihoodKernel`); the two log-prior pieces are cached
-    alongside.  Moves update the kernel by rank-one steps, and
-    :func:`mh_length_update` refactorizes it once per sweep.  Every update
-    keeps the caches consistent, and :meth:`check_consistency` recomputes
-    them from scratch for tests.
+    ``kernel`` (:class:`LikelihoodKernel`) owns ``lengths``, the same dict:
+    moves set lengths through its ``propose`` and ``accept``, which update
+    the inverse covariance and the log likelihood by rank-one steps, and
+    :func:`mh_length_update` refactorizes it once per sweep.  ``log_prior``
+    is priced fresh by :func:`_log_prior`, the lengths in ascending mask
+    order, so it is a function of the tree alone.  :meth:`check_consistency`
+    recomputes the caches from scratch for tests.
     """
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
         self.p = tree.p
+        self.prior = prior
         self.lengths: dict[int, float] = {s.mask: v for s, v in tree.coordinates()}
         self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
                                    prior.event_log_prob)
         self.kernel = LikelihoodKernel(stats, self.lengths)
-        self.log_prior_topo = self.laminar.log_prior()
-        self.log_prior_len = edge_length_log_prior(tree, prior.edge_mean)
         self.accepted_topology = 0
         self.proposed_topology = 0
         self.accepted_lengths = 0
@@ -177,7 +189,8 @@ class ChainState:
 
     @property
     def log_prior(self) -> float:
-        return self.log_prior_topo + self.log_prior_len
+        lengths = self.lengths
+        return _log_prior(self.laminar, [lengths[m] for m in sorted(lengths)], self.prior)
 
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, self.lengths)
@@ -199,8 +212,8 @@ class ChainState:
         """Raise ``AssertionError`` unless every cache matches a fresh recomputation.
 
         The inverse covariance is compared entrywise, relative to its largest
-        entry; the kept tree, its event terms, the topology log prior and
-        the cached indicator columns must be exact.
+        entry; the kept tree, its event terms and the cached indicator
+        columns must be exact.
         """
         t = self.tree()
         sigma = tree_to_matrix(t).values
@@ -214,8 +227,6 @@ class ChainState:
                 raise AssertionError(f"stale indicator column of {mask:#x}")
         masks = t.topology.sorted_masks()
         self.laminar.check_consistency(masks)
-        if self.log_prior_topo != prior.masks_log_prior(self.p, masks):
-            raise AssertionError(f"stale topology log prior: {self.log_prior_topo}")
         ll = model.gaussian_loglik(stats, sigma)
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
@@ -225,19 +236,11 @@ class ChainState:
 
 
 def _log_shrink_prob(m: int, p: int) -> float:
-    """Log probability of entering the shrink branch at a state with m splits."""
+    """Log probability of entering the shrink branch at a state with m splits;
+    that of the grow branch is ``_log_shrink_prob(p - 2 - m, p)``."""
     if m == 0:
         return -math.inf
     if m == p - 2:
-        return 0.0
-    return -math.log(2.0)
-
-
-def _log_grow_prob(m: int, p: int) -> float:
-    """Log probability of entering the grow branch at a state with m splits."""
-    if m == p - 2:
-        return -math.inf
-    if m == 0:
         return 0.0
     return -math.log(2.0)
 
@@ -273,45 +276,33 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
 
     if grow:
         cands = state.laminar.candidates()
-        mask_b = cands[rng.integers(len(cands))]
-        d_new = rng.exponential(a)
-        changes = [(mask_b, d_new)]
-        len_lp = -(d_new / a + math.log(a))
+        changes = [(cands[rng.integers(len(cands))], rng.exponential(a))]
     else:
         mask_a = internal[rng.integers(m)]
-        d = state.lengths[mask_a]
         cands = state.laminar.candidates(mask_a)
         # binary mode never stays at the boundary
         j = rng.integers(len(cands) if binary else len(cands) + 1)
         stay = j == len(cands)
-        changes = [(mask_a, -d)] if stay else [(mask_a, -d), (cands[j], d)]
-        len_lp = d / a + math.log(a) if stay else 0.0
-    dll = state.kernel.propose(changes, state.lengths)
+        changes = [(mask_a, 0.0)] if stay else [(mask_a, 0.0), (cands[j], state.lengths[mask_a])]
+    dll = state.kernel.propose(changes)
+    old_topo_lp = state.laminar.log_prior()
     for mask, _ in changes:
         state.laminar.toggle(mask)
-    new_topo_lp = state.laminar.log_prior()
 
-    log_alpha = (new_topo_lp - state.log_prior_topo) + dll
+    log_alpha = (state.laminar.log_prior() - old_topo_lp) + dll
     if grow:
         # reverse move: the shrink branch picks this split and stays (summed
         # left to right, not with +=, so the accept test rounds as before)
         log_alpha = log_alpha + _log_shrink_prob(m + 1, p) - math.log(m + 1) \
-            - _log_grow_prob(m, p)
+            - _log_shrink_prob(p - 2 - m, p)
     elif stay:
         # reverse move: the grow branch at the boundary regrows this split;
         # the Exp density of the dropped length cancels against the prior
-        log_alpha += _log_grow_prob(m - 1, p) + math.log(m) \
+        log_alpha += _log_shrink_prob(p - 1 - m, p) + math.log(m) \
             - _log_shrink_prob(m, p)
     if math.log(rng.uniform()) < log_alpha:
         state.accepted_topology += 1
-        for mask, delta in changes:
-            if mask in state.lengths:
-                del state.lengths[mask]  # shrunk to zero
-            else:
-                state.lengths[mask] = delta
         state.kernel.accept()
-        state.log_prior_topo = new_topo_lp
-        state.log_prior_len += len_lp
     else:
         for mask, _ in reversed(changes):
             state.laminar.toggle(mask)
@@ -354,19 +345,16 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     a = cfg.prior.edge_mean
     sd = cfg.sigma_L
     kernel = state.kernel
-    lengths = state.lengths
-    for mask in sorted(lengths):
-        cur = lengths[mask]
+    for mask in sorted(state.lengths):
+        cur = state.lengths[mask]
         prop = _sample_truncnorm(cur, sd, rng)
         state.proposed_lengths += 1
-        dll = kernel.propose([(mask, prop - cur)], lengths)
+        dll = kernel.propose([(mask, prop)])
         log_alpha = mh_length_log_ratio(cur, prop, dll, a, sd)
         if math.log(rng.uniform()) < log_alpha:
             state.accepted_lengths += 1
-            lengths[mask] = prop
             kernel.accept()
-            state.log_prior_len -= (prop - cur) / a
-    kernel.refresh(lengths)
+    kernel.refresh()
     return state
 
 
@@ -456,14 +444,10 @@ def _true_potential(state: HmcState, stats: SufficientStats,
     """Negative log posterior at the actual (unsmoothed) slot coordinates.
 
     Leaves both terms in ``state.log_lik`` and ``state.log_prior``.  Reads the
-    slots, not :meth:`HmcState.tree`, which drops zero lengths; beta-splitting
-    gives unresolved shapes no mass, so one (``run_chain`` refuses it) gets a
-    flat topology term.
+    slots, in slot order, not :meth:`HmcState.tree`, which drops zero
+    lengths; the prior is :func:`_log_prior`'s, as an MH chain's is.
     """
-    prior = cfg.prior
-    resolved = len(state.laminar.events) == state.p - 1  # the full block and p - 2 splits
-    topo_lp = state.laminar.log_prior() if resolved or prior.kind != "beta-splitting" else 0.0
-    state.log_prior = topo_lp + lengths_log_prior(state.d, prior.edge_mean)
+    state.log_prior = _log_prior(state.laminar, state.d, cfg.prior)
     state.log_lik = 0.0
     if stats.n:
         kernel = _factored(state, stats, state.d)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .geometry import MEAN_PASSES, MeanConfig, matrix_distance
-from .model import DataSet, sample_gaussian, sample_t
+from .model import DataSet, _load_lapack, sample_gaussian, sample_t
 from .newick import tree_to_newick
 from .posterior import build_summary
 from .rng import RngStream
@@ -278,7 +278,9 @@ def _map_jobs(fn, jobs) -> list:
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(*job) for job in jobs]
     # fork, not spawn: a spawned worker re-imports numpy and scipy, which
-    # costs about as much as a whole small scenario
+    # costs about as much as a whole small scenario; scipy is loaded here,
+    # so that the workers inherit it
+    _load_lapack()
     context = multiprocessing.get_context("fork")
     results = [None] * len(jobs)
     with ProcessPoolExecutor(workers - 1, mp_context=context) as pool:

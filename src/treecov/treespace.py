@@ -53,6 +53,8 @@ class Split:
     def from_leaves(cls, p: int, leaves: Iterable[int]) -> "Split":
         mask = 0
         for leaf in leaves:
+            if isinstance(leaf, bool):  # equal to 0 or 1, but no label
+                raise InvalidArgumentError(f"leaf {leaf} is a boolean, not a label")
             if not 1 <= leaf <= p:
                 raise InvalidArgumentError(f"leaf {leaf} outside 1..{p}")
             mask |= 1 << (leaf - 1)

@@ -9,8 +9,9 @@ rooted leaf-labeled trees under the linear map
 
 where ``E_A`` is the 0/1 matrix with ones on ``A x A``: with ``V`` the
 ``p x q`` indicator matrix of the stored splits and ``d`` their lengths, it
-is ``V diag(d) V'``, and :func:`split_matrices` builds every covariance,
-one matrix or a stack of them, from (split, length) pairs in that one form.
+is ``V diag(d) V'``.  :func:`split_matrices` builds a tree's matrix, or a
+stack of them for one topology, from (split, length) pairs in that form,
+and ``model.LikelihoodKernel.factor`` builds a sampler's the same way.
 Entry ``(i, j)`` is the sum of edge lengths from the root down to the most
 recent common ancestor of leaves ``i`` and ``j``.  ``matrix_to_tree``
 inverts the map by recursively splitting off the smallest entry and
@@ -73,7 +74,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class UltrametricMatrix:
-    """A validated strictly ultrametric matrix."""
+    """A read-only float copy of a matrix, as :func:`tree_to_matrix` returns.
+
+    Building one validates nothing: a tree's matrix is strictly ultrametric
+    by construction, and :func:`validate_ultrametric` (which
+    :func:`matrix_to_tree` runs first) checks any other.
+    """
 
     values: np.ndarray
 

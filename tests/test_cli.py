@@ -318,11 +318,12 @@ class TestBadRecordAfterGoodOnes:
          "incompatible splits Split({1,2}/4) and Split({2,3}/4)"),
         ({"lengths": {"1,2": 0.5}}, "internal_lengths keys must equal topology splits"),
         ({"splits": [[1.0, 2], [1, 2, 3]]}, "malformed value"),
+        ({"splits": [[True, 2], [1, 2, 3]]}, "leaf True is a boolean, not a label"),
         ({"splits": [[1, 2], [1, 2, 3], [1, 2]]}, "Split({1,2}/4) is listed twice"),
         ({"lengths": {"1,2": 0.5, "2,1": 0.5, "1,2,3": 0.4}},
          "lengths keys '1,2' and '2,1' both spell Split({1,2}/4)"),
     ], ids=["leaf-out-of-range", "incompatible", "lengths-keys-differ", "float-leaf",
-            "split-twice", "lengths-key-twice"])
+            "bool-leaf", "split-twice", "lengths-key-twice"])
     def test_names_line_three(self, change, message, tmp_path, capsys):
         path = tmp_path / "a.jsonl"
         records = [self.GOOD, self.GOOD | {"iter": 2, "root_length": 0.7},

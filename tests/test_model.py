@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,16 +332,14 @@ class TestLikelihoodKernel:
         kernel = LikelihoodKernel(stats, lengths)
         for pick, frac, accept in moves:
             mask = masks[pick % len(masks)]
-            delta = frac * lengths[mask]
-            dll = kernel.propose([(mask, delta)], lengths)
-            before = kernel.log_lik
             moved = dict(lengths)
-            moved[mask] += delta
+            moved[mask] += frac * lengths[mask]
+            dll = kernel.propose([(mask, moved[mask])])
+            before = kernel.log_lik
             assert before + dll == pytest.approx(
                 gaussian_loglik(stats, _fresh_sigma(p, moved)), rel=1e-9)
             if accept:
                 kernel.accept()
-                lengths = moved
             sigma = _fresh_sigma(p, lengths)
             W = np.linalg.inv(sigma)
             assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
@@ -360,7 +362,7 @@ class TestLikelihoodKernel:
         sigma = _fresh_sigma(p, {s.mask: v for s, v in swapped.coordinates()})
         assert np.all(np.abs(sigma - path_sum_matrix(swapped)) <= 1e-14 * np.abs(sigma).max())
         before = kernel.log_lik
-        dll = kernel.propose([(old.mask, -length), (new.mask, length)], lengths)
+        dll = kernel.propose([(old.mask, 0.0), (new.mask, length)])
         assert before + dll == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
         kernel.accept()
         assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
@@ -377,19 +379,23 @@ class TestLikelihoodKernel:
         calls = []
         real = model._factor
         monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
-        kernel.propose([(0b1, 0.3)], lengths)
+        kernel.propose([(0b1, lengths[0b1] + 0.3)])
         kernel.accept()
-        lengths[0b1] += 0.3
         absent = next(m for m in range(3, 31) if m not in lengths)
-        kernel.propose([(absent, 0.2)], lengths)
+        kernel.propose([(absent, 0.2)])
         assert not calls  # rank-one moves factorize nothing
         assert absent in kernel.columns
-        kernel.refresh(lengths)
+        kernel.refresh()
         assert len(calls) == 1
         sigma = _fresh_sigma(5, dict(sorted(lengths.items())))
         assert kernel.log_lik == gaussian_loglik(stats, sigma)
         # the column cache keeps the stored masks only
         assert set(kernel.columns) <= set(lengths)
+        # with no move accepted since, the factorization is reused
+        calls.clear()
+        kernel.propose([(0b1, 9.0)])
+        kernel.refresh()
+        assert not calls
 
     def test_factor_reuses_only_the_exact_position(self, rng, monkeypatch):
         # a call at the last position reuses its factorization; the masks
@@ -419,8 +425,8 @@ class TestLikelihoodKernel:
         kernel.factor(masks, d)
         assert len(calls) == 2
         assert kernel.log_lik == want
-        lengths = dict(zip(masks, d))
-        kernel.propose([(masks[0], 0.1)], lengths)
+        kernel.lengths = dict(zip(masks, d))
+        kernel.propose([(masks[0], d[0] + 0.1)])
         kernel.accept()
         kernel.factor(masks, d)
         assert len(calls) == 3
@@ -444,7 +450,7 @@ class TestLikelihoodKernel:
         lengths = {0b1: 1.0, 0b10: 1.0, 0b100: 1.0, 0b111: 1.0}
         kernel = LikelihoodKernel(SufficientStats.empty(3), lengths)
         assert kernel.W is None
-        assert kernel.propose([(0b1, 5.0)], lengths) == 0.0
+        assert kernel.propose([(0b1, 6.0)]) == 0.0
         kernel.accept()
         assert kernel.log_lik == 0.0
         assert not kernel.columns
@@ -456,20 +462,19 @@ class TestLikelihoodKernel:
         stats = SufficientStats(5, np.eye(2))
         lengths = {0b01: 1.0, 0b10: 1.0, 0b11: 1.0}
         kernel = LikelihoodKernel(stats, lengths)
-        kernel.propose([(0b01, 1e-17 - 1.0)], lengths)
+        kernel.propose([(0b01, 1e-17)])
         kernel.accept()
-        lengths[0b01] += 1e-17 - 1.0
         with pytest.raises(NotPositiveDefiniteError):
-            kernel.propose([(0b10, 1e-17 - 1.0)], lengths)
+            kernel.propose([(0b10, 1e-17)])
 
     def test_non_positive_denominator_falls_back_to_fresh(self, rng):
         # a corrupted inverse makes 1 + delta c negative; the move is then
         # priced and applied by a full factorization of the proposed lengths
-        self.check_fallback(rng, lambda delta: [(0b1, delta)])
+        self.check_fallback(rng, lambda lengths, new: [(0b1, new)])
 
     def test_second_step_denominator_falls_back_to_fresh(self, rng):
         # the same, when the negative 1 + delta c is a later step's
-        self.check_fallback(rng, lambda delta: [(0b1000, 0.0), (0b1, delta)])
+        self.check_fallback(rng, lambda lengths, new: [(0b1000, lengths[0b1000]), (0b1, new)])
 
     @staticmethod
     def check_fallback(rng, changes):
@@ -482,7 +487,21 @@ class TestLikelihoodKernel:
         moved = dict(lengths)
         moved[0b1] += delta
         sigma = _fresh_sigma(4, dict(sorted(moved.items())))
-        dll = kernel.propose(changes(delta), lengths)
+        dll = kernel.propose(changes(lengths, moved[0b1]))
         assert dll == gaussian_loglik(stats, sigma) - kernel.log_lik
         kernel.accept()
         assert np.allclose(kernel.W, np.linalg.inv(sigma))
+
+
+def test_scipy_loads_with_the_first_factorization():
+    # importing the CLI loads no scipy, which would be most of its import
+    # time; the first factorization loads it
+    code = ("import sys, treecov.cli, treecov.model as m\n"
+            "print('scipy' in sys.modules)\n"
+            "m.gaussian_loglik(m.SufficientStats(1, [[1.0]]), [[2.0]])\n"
+            "print('scipy' in sys.modules, m.dpotrf is not None)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "True"]

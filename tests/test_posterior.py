@@ -167,6 +167,7 @@ class TestLoadSharing:
              "3,x"),
             # equal to the stored (1, 2) but malformed
             ({"splits": [[1.0, 2], [3, 4]]}, TypeError, "unsupported operand", None),
+            ({"splits": [[True, 2], [3, 4]]}, InvalidArgumentError, "boolean", None),
             ({"splits": [[1, 2], [2, 3]], "lengths": {"1,2": 0.5, "2,3": 0.5}},
              InvalidTreeError, "incompatible splits", None),
             ({"splits": [[1, 2], [3, 4], [1, 2]]}, InvalidTreeError, "listed twice",

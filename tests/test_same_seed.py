@@ -41,13 +41,13 @@ P = 6
 CASES = {
     "mh-binary": (
         "init", "mh", MhConfig(iterations=120, burn_in=60, seed=11),
-        "34516acf649d839e8547a2a504769dc2d46bfb53286d2c263a65ff4614fdeef3",
+        "03b8d1c12696b71e99719d00ae409486cf3a05d79e4bbff2ffe74e981e3c2fc8",
     ),
     "mh-multifurcating-pd": (
         "init", "mh", MhConfig(
             iterations=120, burn_in=60, seed=12, mode="multifurcating",
             prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
-        "df1709a8ba50e456dc9c36b662a6493003ed460502dccdc6dce05cd9e15633e9",
+        "716b7426e204daaee0370d0674d21b95ee96587bfd42b9384332ce67cb0f17ec",
     ),
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
@@ -64,18 +64,45 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_same_seed_digest(name, tmp_path):
-    start, algo, cfg, expected = CASES[name]
+def run_case(name, tmp_path):
+    """The case's archive and the bytes of its saved JSON lines."""
+    start, algo, cfg, _ = CASES[name]
     truth = random_tree(P, rng=RngStream(7, 1))
     trees = {"truth": truth, "init": random_tree(P, rng=RngStream(7, 2))}
     data = sample_gaussian(tree_to_matrix(truth), 10 * P, RngStream(7, 3))
     archive = run_chain(data, trees[start], algo, cfg)
     path = tmp_path / "archive.jsonl"
     archive.save_jsonl(path)
-    digest = hashlib.sha256(path.read_bytes())
+    return archive, path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_same_seed_digest(name, tmp_path):
+    archive, text = run_case(name, tmp_path)
+    digest = hashlib.sha256(text)
     digest.update(json.dumps(archive.provenance, sort_keys=True).encode())
-    assert digest.hexdigest() == expected
+    assert digest.hexdigest() == CASES[name][3]
+
+
+# the MH cases' records without their log_prior, and their provenance: the
+# moves, trees and likelihoods a chain makes, whatever sums its prior
+MOVE_DIGESTS = {
+    "mh-binary": "667302f56eb2ac06007416c84116bde6e874d833656376cbe1a6db68162fb2e0",
+    "mh-multifurcating-pd":
+        "ca986948d42e68a461bd45cea9a5f830a3ca14c860af1d5b6ccb2a4395bb563a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_DIGESTS))
+def test_same_seed_moves(name, tmp_path):
+    archive, text = run_case(name, tmp_path)
+    digest = hashlib.sha256()
+    for line in text.decode().splitlines():
+        record = json.loads(line)
+        del record["log_prior"]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    digest.update(json.dumps(archive.provenance, sort_keys=True).encode())
+    assert digest.hexdigest() == MOVE_DIGESTS[name]
 
 
 SUMMARY_DIGEST = "5a705c373e0c795bfa1dab946ed87733585465bf587b1f3f741f3a1dbcebc7b7"

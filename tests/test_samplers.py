@@ -207,7 +207,7 @@ class TestTopologyUpdate:
             mh_topology_update(state, stats, cfg, moves)
             masks = sorted(state.internal)
             assert state.laminar.children == laminar_children(p, masks)
-            assert state.log_prior_topo == cfg.prior.masks_log_prior(p, masks)
+            assert state.laminar.log_prior() == cfg.prior.masks_log_prior(p, masks)
             assert state.laminar.candidates() == _growth_candidates(p, masks)
             for a in masks:
                 remainder = [m for m in masks if m != a]
@@ -708,6 +708,22 @@ class TestRunChain:
         assert len(archive) == cfg.iterations - cfg.burn_in
         assert len(validated) == len(archive)
         assert [t.topology for t in archive.trees()] == validated
+
+    @pytest.mark.parametrize("cfg", [
+        MhConfig(iterations=2000, burn_in=0, seed=8, prior=PriorSpec(beta=0.0)),
+        MhConfig(iterations=2000, burn_in=0, seed=9, mode="multifurcating",
+                 prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
+    ])
+    def test_record_log_prior_is_a_function_of_its_tree(self, cfg):
+        # a kept record's prior is priced from its tree alone, to the bit,
+        # whatever moves the chain made to reach it
+        truth = random_tree(8, "uniform-binary", 1.0, RngStream(51))
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 80, RngStream(52)))
+        init = random_tree(8, "uniform-binary", 1.0, RngStream(53))
+        archive = run_chain(stats, init, "mh", cfg)
+        assert archive.provenance["accept_topology"] > 0
+        for record in archive.records:
+            assert record.log_prior == ChainState(record.tree(), stats, cfg.prior).log_prior
 
     def test_one_leaf_is_rejected(self):
         # one leaf's edge and the root edge share mask 1: a chain would store

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from treecov.errors import DimensionError, InvalidArgumentError, InvalidTreeError
@@ -41,6 +42,12 @@ class TestSplit:
             Split(4, 0)
         with pytest.raises(InvalidArgumentError):
             Split.from_leaves(4, [5])
+
+    def test_rejects_boolean_leaves_but_not_numpy_integers(self):
+        # True equals leaf 1, but an archive spelling it is malformed
+        with pytest.raises(InvalidArgumentError, match="boolean"):
+            Split.from_leaves(4, [True, 2])
+        assert Split.from_leaves(4, np.array([1, 2])) == S(4, 1, 2)
 
     def test_equality_needs_same_p(self):
         assert S(4, 1, 2) != S(5, 1, 2)
