@@ -13,7 +13,9 @@ split set once per archive: records that share them share one
 :class:`Split` per split and one :class:`Topology`.  Every record's tree is
 still built, so its lengths and their keys are checked record by record.
 A split listed twice, or two ``lengths`` keys that spell one split, is an
-error rather than a double count.
+error rather than a double count, and so is a leaf repeated in one split.
+Every length and score must be a JSON number and ``iter`` an integer; a
+boolean or a numeric string is malformed.
 """
 
 from __future__ import annotations
@@ -87,6 +89,19 @@ def _distinct(splits) -> frozenset[Split]:
     return out
 
 
+def _check_numbers(d: dict):
+    """Raise ``TypeError`` unless the numeric fields of record ``d`` hold JSON
+    numbers and ``iter`` an integer: ``float`` reads ``true`` as 1.0 and
+    ``"0.5"`` as 0.5."""
+    if type(d["iter"]) is not int:
+        raise TypeError(f"iter {d['iter']!r} is not an integer")
+    kinds = {type(d["log_prior"]), type(d["log_lik"]), type(d["root_length"]),
+             *map(type, d["leaf_lengths"]), *map(type, d["lengths"].values())}
+    if not kinds <= {float, int}:
+        bad = sorted(k.__name__ for k in kinds - {float, int})
+        raise TypeError(f"a length or score is {', '.join(bad)}, not a number")
+
+
 class _Reader:
     """Parses the records of one archive with ``p`` leaves.
 
@@ -130,13 +145,14 @@ class _Reader:
         return hit
 
     def record(self, d: dict) -> ArchiveRecord:
+        _check_numbers(d)
         listed = [self._listed(ls) for ls in d["splits"]]
         lengths = {self._keyed(k): float(v) for k, v in d["lengths"].items()}
         log_prior, log_lik = float(d["log_prior"]), float(d["log_lik"])
         if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
             raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
                             f"log_lik {log_lik} must be finite")
-        iteration = int(d["iter"])
+        iteration = d["iter"]
         leaf_lengths = tuple(float(x) for x in d["leaf_lengths"])
         root_length = float(d["root_length"])
         if len(lengths) != len(d["lengths"]):
@@ -191,7 +207,7 @@ class PosteriorArchive:
                 fh.write(json.dumps(r.to_json_dict()) + "\n")
 
     @classmethod
-    def load_jsonl(cls, path, provenance: dict | None = None) -> "PosteriorArchive":
+    def load_jsonl(cls, path) -> "PosteriorArchive":
         """Read an archive, building each record's tree as its line is read.
 
         Each distinct split spelling is parsed, and each distinct split set
@@ -232,7 +248,7 @@ class PosteriorArchive:
                 records.append(record)
         if reader is None:
             raise InvalidArgumentError(f"archive {path} contains no records")
-        out = cls(p=reader.p, records=records, provenance=provenance or {})
+        out = cls(p=reader.p, records=records)
         out.validate()
         return out
 

@@ -206,8 +206,12 @@ def _sampler_from_config(cfg: dict, seed: int):
     algo = cfg.get("sampler", {}).get("algo", Scenario.algo)
     if algo not in ALGOS:
         raise ConfigError(f"unknown sampler algo {algo!r}")
-    return algo, _build(ALGOS[algo], cfg, "sampler", prior=_prior_from_config(cfg),
-                        seed=seed)
+    scfg = _build(ALGOS[algo], cfg, "sampler", prior=_prior_from_config(cfg), seed=seed)
+    mode = cfg.get("sampler", {}).get("mode", scfg.mode)
+    if mode != scfg.mode:  # HmcConfig.mode is a constant, which _build skips
+        raise ConfigError(f"[sampler] mode = {mode} needs algo = mh: "
+                          f"algo {algo} samples {scfg.mode} trees only")
+    return algo, scfg
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:

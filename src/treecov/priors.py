@@ -18,7 +18,8 @@ supplies only how one block splits and :meth:`PriorSpec.event_log_prob` of
 a split.  A :class:`PriorSpec` is validated once, when it is built.
 
 Edge lengths are i.i.d. exponential with a common mean across all stored
-coordinates (root, leaves, internal).
+coordinates (root, leaves, internal), summed in ascending mask order by
+both :func:`tree_log_prior` and :meth:`PriorSpec.log_prior`, the samplers'.
 """
 
 from __future__ import annotations
@@ -71,26 +72,27 @@ class PriorSpec:
             raise InvalidArgumentError(f"edge_mean must be positive, got {self.edge_mean}")
 
     def topology_log_prior(self, topology: Topology) -> float:
-        return self.masks_log_prior(topology.p, topology.sorted_masks())
-
-    def masks_log_prior(self, p: int, masks) -> float:
-        """The topology log prior of compatible internal split masks, in any order.
-
-        Equals :meth:`topology_log_prior` of ``Topology(p, masks)`` without
-        building or validating it: :meth:`LaminarTree.log_prior` of their
-        containment tree priced by :meth:`event_log_prob`.
-        """
-        if self.kind == "beta-splitting" and len(masks) != p - 2:
+        """:meth:`LaminarTree.log_prior` of the topology's containment tree."""
+        if self.kind == "beta-splitting" and not topology.is_resolved:
             raise InvalidArgumentError(
                 "beta-splitting is defined on resolved (binary) topologies only"
             )
-        return LaminarTree(p, masks, self.event_log_prob).log_prior()
+        return LaminarTree(topology.p, topology.sorted_masks(), self.event_log_prob).log_prior()
+
+    def log_prior(self, laminar: LaminarTree, lengths: dict[int, float]) -> float:
+        """A sampler state's log prior, its kept tree's topology term plus its
+        ``{mask: length}`` lengths' term, to the bit :func:`tree_log_prior` of
+        its tree.  Beta-splitting gives unresolved shapes no mass, so one
+        (``run_chain`` refuses it) gets a flat topology term."""
+        resolved = len(laminar.events) == laminar.p - 1  # the full block and p - 2 splits
+        topo_lp = laminar.log_prior() if resolved or self.kind != "beta-splitting" else 0.0
+        return topo_lp + lengths_log_prior(map(lengths.get, sorted(lengths)), self.edge_mean)
 
     def event_log_prob(self, children) -> float:
         """Log probability of one fragmentation event: a block into ``children``.
 
         ``children`` are the ascending masks of the sub-blocks, two of them
-        under beta-splitting.  Every term of :meth:`masks_log_prior` comes
+        under beta-splitting.  Every term of :meth:`topology_log_prior` comes
         from here.
         """
         sizes = [c.bit_count() for c in children]
@@ -156,9 +158,9 @@ def lengths_log_prior(lengths, a: float = 1.0) -> float:
 
 
 def edge_length_log_prior(t: Tree, a: float = 1.0) -> float:
-    """Sum of exponential(mean ``a``) log densities over all stored lengths."""
-    return lengths_log_prior(
-        (t.root_length, *t.leaf_lengths, *t.internal_lengths.values()), a)
+    """Sum of exponential(mean ``a``) log densities over all stored lengths,
+    in ascending mask order."""
+    return lengths_log_prior((v for _, v in t.coordinates()), a)
 
 
 def tree_log_prior(t: Tree, spec: PriorSpec) -> float:

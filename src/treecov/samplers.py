@@ -32,9 +32,11 @@ priced by rank-one steps on its cached inverse, with one factorization per
 iteration at the end of the length sweep, and an HMC trajectory's end with
 no length below ``delta`` reuses its last gradient's factorization.  An MH
 chain's kernel owns its lengths: a move proposes new lengths and accepting
-it writes them.  Both states price their log prior fresh through one rule,
-:func:`_log_prior` of their kept tree and their lengths, so a kept record's
-``log_prior`` is a function of its tree.
+it writes them.  Every move reads the prior its state was built with; a
+config supplies only tunables.  Both states price it fresh through one
+rule, :meth:`PriorSpec.log_prior`, so a kept record's ``log_prior`` is
+:func:`tree_log_prior` of its tree.  A failed HMC gradient raises, and
+:func:`hmc_step` rejects on it.
 
 :func:`run_chain` is the one driver: it builds the state for the algo's
 config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
@@ -44,6 +46,7 @@ config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -53,7 +56,7 @@ from . import model
 from .archive import ArchiveRecord, PosteriorArchive, config_digest
 from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteError
 from .model import DataSet, LikelihoodKernel, SufficientStats, suff_stats
-from .priors import PriorSpec, lengths_log_prior, tree_log_prior
+from .priors import PriorSpec, tree_log_prior
 from .rng import RngStream
 from .treespace import LaminarTree, Split, Tree, _tree_from_masks
 from .ultrametric import split_indicators, tree_to_matrix
@@ -139,16 +142,6 @@ def _is_internal(p: int, mask: int) -> bool:
     return 2 <= mask.bit_count() < p
 
 
-def _log_prior(laminar: LaminarTree, lengths, prior: PriorSpec) -> float:
-    """The log prior of a sampler state, priced fresh: the topology term of
-    its kept tree plus the exponential length term summed in the order of
-    ``lengths``.  Beta-splitting gives unresolved shapes no mass, so one
-    (``run_chain`` refuses it) gets a flat topology term."""
-    resolved = len(laminar.events) == laminar.p - 1  # the full block and p - 2 splits
-    topo_lp = laminar.log_prior() if resolved or prior.kind != "beta-splitting" else 0.0
-    return topo_lp + lengths_log_prior(lengths, prior.edge_mean)
-
-
 class ChainState:
     """Mutable working state of one MH chain.
 
@@ -156,15 +149,16 @@ class ChainState:
     splits and the root) to its length; ``internal`` is a fresh dict of its
     internal-split entries, so writing to it does not change the state.
     ``laminar`` is the kept containment tree of its internal splits, priced
-    by ``prior``; a topology move toggles its splits there.
+    by ``prior``, which every move reads; a topology move toggles its splits
+    there.
 
     ``kernel`` (:class:`LikelihoodKernel`) owns ``lengths``, the same dict:
     moves set lengths through its ``propose`` and ``accept``, which update
     the inverse covariance and the log likelihood by rank-one steps, and
     :func:`mh_length_update` refactorizes it once per sweep.  ``log_prior``
-    is priced fresh by :func:`_log_prior`, the lengths in ascending mask
-    order, so it is a function of the tree alone.  :meth:`check_consistency`
-    recomputes the caches from scratch for tests.
+    is priced fresh by :meth:`PriorSpec.log_prior`, so it is a function of
+    the tree alone.  :meth:`check_consistency` recomputes the caches from
+    scratch for tests.
     """
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
@@ -189,8 +183,7 @@ class ChainState:
 
     @property
     def log_prior(self) -> float:
-        lengths = self.lengths
-        return _log_prior(self.laminar, [lengths[m] for m in sorted(lengths)], self.prior)
+        return self.prior.log_prior(self.laminar, self.lengths)
 
     def tree(self) -> Tree:
         return _tree_from_masks(self.p, self.lengths)
@@ -231,7 +224,7 @@ class ChainState:
         if abs(ll - self.log_lik) > tol:
             raise AssertionError(f"stale log_lik: {self.log_lik} vs {ll}")
         lp = tree_log_prior(t, prior)
-        if abs(lp - self.log_prior) > tol:
+        if lp != self.log_prior:
             raise AssertionError(f"stale log_prior: {self.log_prior} vs {lp}")
 
 
@@ -266,7 +259,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     internal = sorted(state.laminar.events)[:-1]  # the full block sorts last
     m = len(internal)
     p = state.p
-    a = cfg.prior.edge_mean
+    a = state.prior.edge_mean
     binary = cfg.mode == "binary"
     if not internal and (binary or p < 3):
         return state  # no split to shrink and none to grow
@@ -342,7 +335,7 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     so rounding drift never outlives a sweep; that is an MH iteration's one
     factorization.  ``stats`` are the statistics ``state`` was built with.
     """
-    a = cfg.prior.edge_mean
+    a = state.prior.edge_mean
     sd = cfg.sigma_L
     kernel = state.kernel
     for mask in sorted(state.lengths):
@@ -368,15 +361,16 @@ class HmcState:
     Coordinate slots hold ``(mask, length, momentum)`` triples; a boundary
     crossing reassigns an internal slot to a different split, toggling both
     in ``laminar``, the kept tree of the internal slot masks priced by
-    ``cfg.prior`` (``HmcConfig()``'s when ``cfg`` is None).  Momenta have
-    unit mass, so each is also its slot's velocity.  ``grad`` is the
-    gradient of the surrogate potential at the current slots, ``None``
-    until it is first computed or after its evaluation failed; a leapfrog
-    step leaves the gradient of the slots it moves to, so each position is
-    differentiated once.  ``log_lik`` and ``log_prior`` belong to the current
-    slots once :func:`hmc_step` has scored them; a leapfrog step moves the
-    slots and sets ``log_lik`` to nan, or to -inf when its gradient fails.
-    ``kernel``, built at the first evaluation with data, scores the slots.
+    ``prior``, ``cfg.prior`` (``HmcConfig()``'s when ``cfg`` is None), which
+    every evaluation reads.  Momenta have unit mass, so each is also its
+    slot's velocity.  ``grad`` is the gradient of the surrogate potential
+    at the current slots, ``None`` until it is first computed or after its
+    factorization failed; a leapfrog step leaves the gradient of the slots
+    it moves to, so each position is differentiated once.  ``log_lik`` and
+    ``log_prior`` belong to the current slots once :func:`hmc_step` has
+    scored them; a leapfrog step moves the slots and sets ``log_lik`` to
+    nan.  ``kernel``, built at the first evaluation with data, scores the
+    slots.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig | None = None):
@@ -385,8 +379,9 @@ class HmcState:
         self.masks = [s.mask for s, _ in items]
         self.d = np.array([v for _, v in items], dtype=float)
         self.a = np.zeros(len(items))
+        self.prior = (cfg or HmcConfig()).prior
         self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
-                                   (cfg or HmcConfig()).prior.event_log_prob)
+                                   self.prior.event_log_prob)
         self.grad: np.ndarray | None = None
         self.kernel: LikelihoodKernel | None = None
         self.log_lik = self.log_prior = math.nan
@@ -415,43 +410,43 @@ def _surrogate(d: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return g, dg
 
 
-def _factored(state: HmcState, stats: SufficientStats, lengths) -> LikelihoodKernel | None:
-    """The state's kernel factorized at its masks and ``lengths``, or ``None``."""
+def _kernel(state: HmcState, stats: SufficientStats) -> LikelihoodKernel:
+    """The state's likelihood kernel for ``stats``, built on first use."""
     if state.kernel is None or state.kernel.stats is not stats:
         state.kernel = LikelihoodKernel(stats)
-    try:
-        state.kernel.factor(state.masks, lengths)
-        return state.kernel
-    except NotPositiveDefiniteError:
-        return None
+    return state.kernel
 
 
 def _grad_potential(state: HmcState, stats: SufficientStats,
-                    cfg: HmcConfig) -> np.ndarray | None:
-    """Gradient of the surrogate potential; ``None`` if factorization fails."""
+                    cfg: HmcConfig) -> np.ndarray:
+    """Gradient of the surrogate potential; raises ``NotPositiveDefiniteError``
+    when its factorization fails."""
     g, dg = _surrogate(state.d, cfg.delta)
-    grad = np.full(len(state.masks), 1.0 / cfg.prior.edge_mean)
+    grad = np.full(len(state.masks), 1.0 / state.prior.edge_mean)
     if stats.n:
-        kernel = _factored(state, stats, g)
-        if kernel is None:
-            return None
+        kernel = _kernel(state, stats)
+        kernel.factor(state.masks, g)
         grad -= kernel.gradient()
     return grad * dg
 
 
-def _true_potential(state: HmcState, stats: SufficientStats,
-                    cfg: HmcConfig) -> float:
+def _true_potential(state: HmcState, stats: SufficientStats) -> float:
     """Negative log posterior at the actual (unsmoothed) slot coordinates.
 
-    Leaves both terms in ``state.log_lik`` and ``state.log_prior``.  Reads the
-    slots, in slot order, not :meth:`HmcState.tree`, which drops zero
-    lengths; the prior is :func:`_log_prior`'s, as an MH chain's is.
+    Leaves both terms in ``state.log_lik`` and ``state.log_prior``, the
+    likelihood -inf when its factorization fails.  Reads the slots, not
+    :meth:`HmcState.tree`, which drops zero lengths; the prior is
+    :meth:`PriorSpec.log_prior`'s, as an MH chain's is.
     """
-    state.log_prior = _log_prior(state.laminar, state.d, cfg.prior)
+    state.log_prior = state.prior.log_prior(state.laminar, dict(zip(state.masks, state.d)))
     state.log_lik = 0.0
     if stats.n:
-        kernel = _factored(state, stats, state.d)
-        state.log_lik = -math.inf if kernel is None else kernel.log_lik
+        kernel = _kernel(state, stats)
+        try:
+            kernel.factor(state.masks, state.d)
+            state.log_lik = kernel.log_lik
+        except NotPositiveDefiniteError:
+            state.log_lik = -math.inf
     return -state.log_lik - state.log_prior
 
 
@@ -499,21 +494,16 @@ def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     The opening kick reads ``state.grad``, the gradient at the current
     slots, and the one gradient a step computes is the closing kick's, at
     the slots the drift reached; a state's first step also computes its
-    opening gradient.  When a gradient evaluation fails, ``state.grad`` is
-    ``None`` and ``log_lik`` -inf; the enclosing step then rejects.
+    opening gradient.  A failed gradient raises ``NotPositiveDefiniteError``
+    and leaves ``state.grad`` ``None``; the enclosing step then rejects.
     """
     state.log_lik = math.nan
     if state.grad is None:
         state.grad = _grad_potential(state, stats, cfg)
-        if state.grad is None:
-            state.log_lik = -math.inf
-            return state
     state.a -= 0.5 * cfg.step_size * state.grad
     _drift(state, cfg.step_size, rng, chooser)
+    state.grad = None  # a failed closing gradient leaves no stale opening one
     state.grad = _grad_potential(state, stats, cfg)
-    if state.grad is None:
-        state.log_lik = -math.inf
-        return state
     state.a -= 0.5 * cfg.step_size * state.grad
     return state
 
@@ -523,27 +513,29 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     """One full Hamiltonian proposal with fresh standard normal momenta.
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
-    the true-Hamiltonian ratio; a non-finite Hamiltonian rejects outright.
-    Either way the state's slots, kept tree, cached gradient and scores are
-    those it keeps, and the next step starts from them.
+    the true-Hamiltonian ratio; a failed gradient or a non-finite
+    Hamiltonian rejects outright.  Either way the state's slots, kept tree,
+    cached gradient and scores are those it keeps, and the next step starts
+    from them.
     """
     state.a = rng.generator.normal(size=len(state.masks))
     if math.isnan(state.log_lik):
-        _true_potential(state, stats, cfg)
+        _true_potential(state, stats)
     if state.grad is None:  # computed before saving, so a reject keeps it
-        state.grad = _grad_potential(state, stats, cfg)
+        with suppress(NotPositiveDefiniteError):  # the trajectory retries, and rejects
+            state.grad = _grad_potential(state, stats, cfg)
     h_cur = -state.log_lik - state.log_prior + _kinetic(state)
     saved = (list(state.masks), state.d.copy(), state.laminar.copy(),
              state.grad, state.log_lik, state.log_prior)
 
     state.proposed += 1
-    for _ in range(cfg.leapfrog_steps):
-        hmc_leapfrog(state, stats, cfg, rng, chooser)
-        if state.log_lik == -math.inf:
-            h_prop = math.inf
-            break
+    try:
+        for _ in range(cfg.leapfrog_steps):
+            hmc_leapfrog(state, stats, cfg, rng, chooser)
+    except NotPositiveDefiniteError:
+        h_prop = math.inf
     else:
-        h_prop = _true_potential(state, stats, cfg) + _kinetic(state)
+        h_prop = _true_potential(state, stats) + _kinetic(state)
 
     if math.isfinite(h_prop) and math.log(rng.uniform()) < h_cur - h_prop:
         state.accepted += 1

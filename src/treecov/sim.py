@@ -106,8 +106,7 @@ def _draw_truth(s: Scenario, rng: RngStream) -> Tree:
     return tree
 
 
-def _draw_data(s: Scenario, dist: str, truth_matrix, n: int,
-               rng: RngStream) -> DataSet:
+def _draw_data(dist: str, truth_matrix, n: int, rng: RngStream) -> DataSet:
     if dist == "normal":
         return sample_gaussian(truth_matrix, n, rng)
     return sample_t(truth_matrix, int(dist[1]), n, rng)
@@ -225,8 +224,7 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     truth_stream = RngStream(s.master_seed, truth_offset + _STREAM_TRUTH)
     truth = _draw_truth(s, truth_stream)
     truth_matrix = tree_to_matrix(truth)
-    data = _draw_data(s, dist, truth_matrix, n, RngStream(s.master_seed,
-                                                          base + _STREAM_DATA))
+    data = _draw_data(dist, truth_matrix, n, RngStream(s.master_seed, base + _STREAM_DATA))
     init = random_tree(s.p, "uniform-binary", s.length_mean,
                        RngStream(s.master_seed, base + _STREAM_INIT))
     cfg = replace(getattr(s, s.algo), seed=s.master_seed + base)

@@ -57,7 +57,10 @@ class Split:
                 raise InvalidArgumentError(f"leaf {leaf} is a boolean, not a label")
             if not 1 <= leaf <= p:
                 raise InvalidArgumentError(f"leaf {leaf} outside 1..{p}")
-            mask |= 1 << (leaf - 1)
+            bit = 1 << (leaf - 1)
+            if mask & bit:
+                raise InvalidArgumentError(f"leaf {leaf} appears twice")
+            mask |= bit
         return cls(p, mask)
 
     @classmethod

@@ -322,8 +322,20 @@ class TestBadRecordAfterGoodOnes:
         ({"splits": [[1, 2], [1, 2, 3], [1, 2]]}, "Split({1,2}/4) is listed twice"),
         ({"lengths": {"1,2": 0.5, "2,1": 0.5, "1,2,3": 0.4}},
          "lengths keys '1,2' and '2,1' both spell Split({1,2}/4)"),
+        # float() would read true as 1.0 and "0.5" as 0.5, int() "3" as 3
+        ({"iter": True}, "malformed value (iter True is not an integer)"),
+        ({"iter": "3"}, "malformed value (iter '3' is not an integer)"),
+        ({"log_prior": False}, "malformed value (a length or score is bool"),
+        ({"log_lik": "0.5"}, "malformed value (a length or score is str"),
+        ({"root_length": True}, "malformed value (a length or score is bool"),
+        ({"leaf_lengths": [1.0, "0.5", 1.0, 1.0]}, "malformed value (a length or score is str"),
+        ({"lengths": {"1,2": True, "1,2,3": 0.4}}, "malformed value (a length or score is bool"),
+        ({"splits": [[1, 1, 2], [1, 2, 3]]}, "leaf 1 appears twice"),
+        ({"lengths": {"1,1,2": 0.5, "1,2,3": 0.4}}, "leaf 1 appears twice"),
     ], ids=["leaf-out-of-range", "incompatible", "lengths-keys-differ", "float-leaf",
-            "bool-leaf", "split-twice", "lengths-key-twice"])
+            "bool-leaf", "split-twice", "lengths-key-twice", "bool-iter", "string-iter",
+            "bool-log-prior", "string-log-lik", "bool-root", "string-leaf-length",
+            "bool-length", "leaf-twice-in-split", "leaf-twice-in-key"])
     def test_names_line_three(self, change, message, tmp_path, capsys):
         path = tmp_path / "a.jsonl"
         records = [self.GOOD, self.GOOD | {"iter": 2, "root_length": 0.7},
@@ -765,6 +777,8 @@ splits_csv = {tmp_path / 'r.csv'}
         ("sigma_l = 0", "sigma_L must be positive"),
         ("algo = hmc\nepsilon = 0", "step_size must be positive"),
         ("mode = multifurcating", "multifurcating mode needs the poisson-dirichlet"),
+        ("algo = hmc\nmode = multifurcating",
+         "mode = multifurcating needs algo = mh: algo hmc samples binary trees only"),
     ])
     def test_rejected_sampler_value_exit_two(self, tmp_path, capsys, command, sampler,
                                              message):

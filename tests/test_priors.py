@@ -16,6 +16,7 @@ from treecov.priors import (
 )
 from treecov.rng import RngStream
 from treecov.treespace import (
+    LaminarTree,
     Topology,
     double_factorial,
     enumerate_topologies,
@@ -95,8 +96,8 @@ class TestPoissonDirichlet:
 
 
 class TestMaskLevelPrior:
-    """``PriorSpec.masks_log_prior`` prices split masks in any order exactly
-    as ``topology_log_prior`` prices their topology."""
+    """The containment tree of split masks given in any order prices them
+    exactly as ``topology_log_prior`` prices their topology."""
 
     @settings(max_examples=80, deadline=None)
     @given(p=st.integers(2, 14), seed=st.integers(0, 2 ** 32 - 1),
@@ -114,14 +115,13 @@ class TestMaskLevelPrior:
                                  (pd, [resolved, fewer, drawn])):
             for topo in topologies:
                 masks = rng.shuffled(topo.sorted_masks())
-                assert spec.masks_log_prior(p, masks) == spec.topology_log_prior(topo)
+                assert LaminarTree(p, masks, spec.event_log_prob).log_prior() == \
+                    spec.topology_log_prior(topo)
         assert beta_spec.topology_log_prior(resolved) == \
             beta_split_log_prior(resolved, beta)
         assert pd.topology_log_prior(fewer) == pd_log_prior(fewer, theta, alpha_pd)
         for topo in (fewer, drawn):
             if not topo.is_resolved:
-                with pytest.raises(InvalidArgumentError):
-                    beta_spec.masks_log_prior(p, topo.sorted_masks())
                 with pytest.raises(InvalidArgumentError):
                     beta_spec.topology_log_prior(topo)
 

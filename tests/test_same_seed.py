@@ -52,14 +52,14 @@ CASES = {
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                   step_size=0.05, seed=13),
-        "69d4b3c456cdc325c6d8af53f3a01310f58c5bdf503b8897a62306aa312228f7",
+        "23d1b03ba35da4d3ffc91de5e6e321bd2f1b14f7df1525aa785a4f3e359e1a17",
     ),
     # 8 of 12 proposals accepted, rejects at iterations 1, 3, 7 and 9, and
     # 26 boundary reassignments: a reject restores the cached scores
     "hmc-init": (
         "init", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                  step_size=0.035, seed=15),
-        "dd2bee2b33e6f9d6ce54af61ad8366b89a1373fd376b1ccb1ea6198f2174a947",
+        "3fce7b05529565f3850065a6dfc66216476c29f9f35ab95eecec07e5106e5375",
     ),
 }
 
@@ -84,9 +84,11 @@ def test_same_seed_digest(name, tmp_path):
     assert digest.hexdigest() == CASES[name][3]
 
 
-# the MH cases' records without their log_prior, and their provenance: the
+# every case's records without their log_prior, and its provenance: the
 # moves, trees and likelihoods a chain makes, whatever sums its prior
 MOVE_DIGESTS = {
+    "hmc-init": "5e3ca6d48326f99b0e25a571eb3a90d61c548886f10b9c40f924300d228f56db",
+    "hmc-truth": "353e36ec676b40846d8f49e7fd02f298b64d1ae6c9806561afd70aed2781438d",
     "mh-binary": "667302f56eb2ac06007416c84116bde6e874d833656376cbe1a6db68162fb2e0",
     "mh-multifurcating-pd":
         "ca986948d42e68a461bd45cea9a5f830a3ca14c860af1d5b6ccb2a4395bb563a",

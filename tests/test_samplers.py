@@ -66,6 +66,11 @@ class ScriptedRng:
         return 5e-324 if next(self.script) else 1e300
 
 
+def topology_prior(prior, p, masks):
+    """The topology log prior of internal split masks, priced afresh."""
+    return prior.topology_log_prior(Topology(p, frozenset(Split(p, m) for m in masks)))
+
+
 def two_split_tree():
     s12 = Split.from_leaves(4, (1, 2))
     s34 = Split.from_leaves(4, (3, 4))
@@ -207,7 +212,7 @@ class TestTopologyUpdate:
             mh_topology_update(state, stats, cfg, moves)
             masks = sorted(state.internal)
             assert state.laminar.children == laminar_children(p, masks)
-            assert state.laminar.log_prior() == cfg.prior.masks_log_prior(p, masks)
+            assert state.laminar.log_prior() == topology_prior(cfg.prior, p, masks)
             assert state.laminar.candidates() == _growth_candidates(p, masks)
             for a in masks:
                 remainder = [m for m in masks if m != a]
@@ -443,7 +448,7 @@ class TestHmcLeapfrog:
         state.d = state.d[order]
         internal = [j for j, m in enumerate(state.masks) if 2 <= m.bit_count() < p]
         state.d[internal[:2]] = 0.0
-        _true_potential(state, stats, cfg)
+        _true_potential(state, stats)
         fresh = block_sum_matrix(p, state.masks, state.d)
         assert state.log_lik == pytest.approx(gaussian_loglik(stats, fresh), rel=1e-12)
         assert state.log_lik == pytest.approx(
@@ -466,10 +471,10 @@ class TestHmcLeapfrog:
             cfg = HmcConfig(step_size=eps, leapfrog_steps=steps, delta=0.0)
             state = HmcState(t, cfg)
             state.a = RngStream(14).generator.normal(size=len(state.masks)) * 0.5
-            h0 = _true_potential(state, stats, cfg) + _kinetic(state)
+            h0 = _true_potential(state, stats) + _kinetic(state)
             for _ in range(steps):
                 hmc_leapfrog(state, stats, cfg, RngStream(15))
-            h1 = _true_potential(state, stats, cfg) + _kinetic(state)
+            h1 = _true_potential(state, stats) + _kinetic(state)
             drifts.append(abs(h1 - h0))
         ratio = drifts[0] / drifts[1]
         assert 3.0 < ratio < 5.0
@@ -518,9 +523,10 @@ class TestHmcStep:
             hmc_step(state, stats, cfg, rng)
             masks = sorted(m for m in state.masks if 2 <= m.bit_count() < p)
             state.laminar.check_consistency(masks)
-            assert state.laminar.log_prior() == prior.masks_log_prior(p, masks)
-            assert state.log_prior == \
-                prior.masks_log_prior(p, masks) + lengths_log_prior(state.d, prior.edge_mean)
+            assert state.laminar.log_prior() == topology_prior(prior, p, masks)
+            # the lengths summed in ascending mask order, not in slot order
+            assert state.log_prior == topology_prior(prior, p, masks) + lengths_log_prior(
+                [d for _, d in sorted(zip(state.masks, state.d))], prior.edge_mean)
             # the score, often read from the last gradient's factorization,
             # equals a fresh likelihood of the slots
             assert state.log_lik == pytest.approx(
@@ -609,6 +615,16 @@ class TestHmcStep:
         assert len(grads) == 14 and len(calls) == 16
         assert state.proposed == before[-1] + 2
         assert np.array_equal(state.grad, _grad_potential(state, stats, cfg))
+
+    def test_failed_leapfrog_gradient_raises(self, monkeypatch):
+        # a direct leapfrog step has no step to reject it: the failed
+        # closing gradient propagates and leaves no stale gradient behind
+        state, stats, cfg, rng = self.scored_state()
+        assert state.grad is not None
+        calls = self.spy(monkeypatch, "factor", {1})
+        with pytest.raises(NotPositiveDefiniteError):
+            hmc_leapfrog(state, stats, cfg, rng)
+        assert len(calls) == 1 and state.grad is None
 
     def test_failed_opening_gradient_rejects(self, monkeypatch):
         # a fresh state's gradient fails before the save and again in the
@@ -713,16 +729,25 @@ class TestRunChain:
         MhConfig(iterations=2000, burn_in=0, seed=8, prior=PriorSpec(beta=0.0)),
         MhConfig(iterations=2000, burn_in=0, seed=9, mode="multifurcating",
                  prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
+        HmcConfig(iterations=300, burn_in=0, step_size=0.05, leapfrog_steps=10, seed=8,
+                  prior=PriorSpec(beta=0.0)),
+        HmcConfig(iterations=300, burn_in=0, step_size=0.05, leapfrog_steps=10, seed=9,
+                  prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
     ])
     def test_record_log_prior_is_a_function_of_its_tree(self, cfg):
         # a kept record's prior is priced from its tree alone, to the bit,
-        # whatever moves the chain made to reach it
+        # whatever moves the chain made to reach it: both kernels sum it in
+        # tree_log_prior's order, ascending mask, also after HMC boundary
+        # reassignments reorder the slots
+        from treecov.priors import tree_log_prior
+
         truth = random_tree(8, "uniform-binary", 1.0, RngStream(51))
         stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 80, RngStream(52)))
         init = random_tree(8, "uniform-binary", 1.0, RngStream(53))
-        archive = run_chain(stats, init, "mh", cfg)
-        assert archive.provenance["accept_topology"] > 0
+        archive = run_chain(stats, init, cfg.algo, cfg)
+        assert archive.provenance["accept_topology" if cfg.algo == "mh" else "accept_hmc"] > 0
         for record in archive.records:
+            assert record.log_prior == tree_log_prior(record.tree(), cfg.prior)
             assert record.log_prior == ChainState(record.tree(), stats, cfg.prior).log_prior
 
     def test_one_leaf_is_rejected(self):

@@ -43,6 +43,11 @@ class TestSplit:
         with pytest.raises(InvalidArgumentError):
             Split.from_leaves(4, [5])
 
+    def test_rejects_repeated_leaf(self):
+        # OR-ing the same bit twice would read [1, 1, 2] as {1, 2}
+        with pytest.raises(InvalidArgumentError, match="leaf 1 appears twice"):
+            Split.from_leaves(4, [1, 1, 2])
+
     def test_rejects_boolean_leaves_but_not_numpy_integers(self):
         # True equals leaf 1, but an archive spelling it is malformed
         with pytest.raises(InvalidArgumentError, match="boolean"):
