@@ -16,6 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class Scenario:
             raise InvalidArgumentError("length_mean must be positive and finite")
         if not 0 < self.interval_level < 1:
             raise InvalidArgumentError("interval_level must be in (0, 1)")
+        if isinstance(self.mean_passes, bool) or not isinstance(self.mean_passes, Integral):
+            raise InvalidArgumentError(
+                f"mean_passes must be an integer, not {self.mean_passes!r}")
         if self.mean_passes < 1:
             raise InvalidArgumentError("mean_passes must be >= 1")
         if self.algo not in ALGOS:

@@ -18,7 +18,9 @@ from treecov.geometry import (
     matrix_distance,
     tree_distance,
 )
+from treecov.model import sample_gaussian
 from treecov.rng import RngStream
+from treecov.samplers import MhConfig, run_chain
 from treecov.treespace import (
     Split, Topology, Tree, random_tree, resolution_candidates, star_tree)
 from treecov.ultrametric import tree_to_matrix
@@ -476,6 +478,18 @@ class TestGeodesicPoint:
             geodesic_point(t1, t2, 1.5)
 
 
+def geodesic_steps(trees, order):
+    """The inductive mean from ``trees[0]``, stepping a fraction ``1/(k+1)``
+    along the full geodesic toward tree ``order[k-1]`` at step ``k``."""
+    coords = [geometry._coords(t) for t in trees]
+    x, u = coords[0]
+    for k, i in enumerate(order, 1):
+        y, v = coords[i]
+        if y != x or v != u:
+            x, u = geometry._point(*geometry._support(x, y), u, v, 1.0 / (k + 1))
+    return geometry._tree_from_masks(trees[0].p, x, u)
+
+
 class TestFrechetMean:
     def test_identical_inputs(self, rng):
         t = random_tree(5, "uniform-binary", 1.0, rng)
@@ -513,6 +527,70 @@ class TestFrechetMean:
         assert [f.name for f in dataclasses.fields(MeanConfig)] == ["max_iterations"]
         with pytest.raises(InvalidArgumentError):
             MeanConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("cap", [1.5, 3.0, float("nan"), True, False, "3"])
+    def test_cap_that_is_not_an_integer_refused(self, cap):
+        with pytest.raises(InvalidArgumentError, match="max_iterations must be an integer"):
+            MeanConfig(max_iterations=cap)
+
+    def test_numpy_integer_cap_accepted(self, rng):
+        trees = [random_tree(4, "uniform-binary", 1.0, rng) for _ in range(3)]
+        assert frechet_mean(trees, MeanConfig(max_iterations=np.int64(7))) == \
+            frechet_mean(trees, MeanConfig(max_iterations=7))
+
+    def test_stride_visits_every_tree_once_per_pass(self):
+        assert [geometry._stride(n) for n in (1, 2, 3, 10)] == [1, 1, 2, 7]
+        for n in range(1, 201):
+            g = geometry._stride(n)
+            assert math.gcd(g, n) == 1
+            assert sorted(k * g % n for k in range(1, n + 1)) == list(range(n))
+            # no integer coprime to n lies nearer 0.618 n
+            assert all(abs(h - 0.618 * n) >= abs(g - 0.618 * n)
+                       for h in range(1, n + 1) if math.gcd(h, n) == 1)
+
+    def test_same_orthant_steps_equal_geodesic_steps(self, rng):
+        # runs of one topology with jittered lengths, as in chain output: a
+        # step inside one orthant must equal the geodesic step bit for bit
+        bases = [random_tree(6, "uniform-binary", 1.0, rng) for _ in range(3)]
+        trees = []
+        for i in range(45):
+            base = bases[i // 15]
+            trees.append(Tree(base.topology,
+                              {s: v * (1.0 + 0.2 * rng.uniform())
+                               for s, v in base.internal_lengths.items()},
+                              base.leaf_lengths, base.root_length))
+        n, g = len(trees), geometry._stride(len(trees))
+        reference = geodesic_steps(trees, (k * g % n for k in range(1, MEAN_PASSES * n + 1)))
+        assert geometry._coords(frechet_mean(trees)) == geometry._coords(reference)
+
+    def test_chain_ordered_archive_near_reference(self):
+        # 400 kept MH records at p = 8 come in runs of one topology; the
+        # default mean must sit within 5e-3 of the sample's RMS spread from a
+        # 30-pass mean in fresh random orders (visiting the records in chain
+        # order, 3 passes, was 4.4e-2 away)
+        p = 8
+        truth = random_tree(p, "uniform-binary", 1.0, RngStream(1, 0))
+        data = sample_gaussian(tree_to_matrix(truth), p, RngStream(1, 1))
+        init = random_tree(p, "uniform-binary", 1.0, RngStream(1, 2))
+        trees = run_chain(data, init, "mh",
+                          MhConfig(iterations=800, burn_in=400, seed=1)).trees()
+        shuffle = np.random.default_rng(1)
+        reference = geodesic_steps(trees, (i for _ in range(30)
+                                           for i in shuffle.permutation(len(trees))))
+        spread = math.sqrt(math.fsum(tree_distance(reference, t, "l2") ** 2
+                                     for t in trees) / len(trees))
+        assert tree_distance(frechet_mean(trees), reference, "l2") < 5e-3 * spread
+
+    def test_grouped_spider_spurious_split_bounded(self):
+        # three pairwise incompatible splits, ten trees each, in groups: the
+        # mean is the star (Hotz et al. 2013), but the iterate keeps one
+        # split; visiting the groups in input order kept it at 0.099
+        groups = [single_split_tree(4, leaves, 1.0)
+                  for leaves in ((1, 2), (1, 3), (2, 3)) for _ in range(10)]
+        for trees in (groups, groups[::-1]):
+            lengths = list(frechet_mean(trees).internal_lengths.values())
+            assert len(lengths) <= 1
+            assert sum(lengths) < 0.03
 
     def test_default_budget_is_whole_passes(self, rng):
         trees = [random_tree(4, "uniform-binary", 1.0, rng) for _ in range(5)]

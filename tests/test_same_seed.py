@@ -107,7 +107,7 @@ def test_same_seed_moves(name, tmp_path):
     assert digest.hexdigest() == MOVE_DIGESTS[name]
 
 
-SUMMARY_DIGEST = "5a705c373e0c795bfa1dab946ed87733585465bf587b1f3f741f3a1dbcebc7b7"
+SUMMARY_DIGEST = "1528dced2e3c7b4cb261e78f22b28cfc4ee01efbc9c1918d7832502b6792d52e"
 
 
 def test_summary_digest():

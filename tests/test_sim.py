@@ -70,7 +70,7 @@ class TestScenario:
     @pytest.mark.parametrize("field,value", [
         ("length_mean", -1.0), ("length_mean", 0.0), ("length_mean", float("inf")),
         ("interval_level", 1.5), ("interval_level", 0.0),
-        ("mean_passes", 0),
+        ("mean_passes", 0), ("mean_passes", 1.5), ("mean_passes", True),
         ("drop_count", -1),
         ("p", 1), ("p", 65),
     ])
