@@ -329,8 +329,11 @@ def _support(x: dict[int, float], y: dict[int, float]):
     Each region is refined on its own; the regions' pairs are then merged in
     the order of their exact ratios, and pairs of exactly equal ratio become
     one pair whose sides keep the order of ``x`` and ``y``, as the whole
-    refinement never splits such a tie.
+    refinement never splits such a tie.  Two maps of one orthant (the same
+    splits) have every split common and no pairs, which is returned at once.
     """
+    if x.keys() == y.keys():
+        return [(m, l, y[m]) for m, l in x.items()], []
     common = [(m, l, y[m]) for m, l in x.items() if m in y]
     a_items = [(m, l) for m, l in x.items() if m not in y]
     b_items = [(m, l) for m, l in y.items() if m not in x]
@@ -468,13 +471,17 @@ class MeanConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        m = self.max_iterations
-        if m is None:
-            return
-        if isinstance(m, bool) or not isinstance(m, Integral):
-            raise InvalidArgumentError(f"max_iterations must be an integer, not {m!r}")
-        if m < 1:
-            raise InvalidArgumentError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            check_budget("max_iterations", self.max_iterations)
+
+
+def check_budget(name: str, value) -> None:
+    """Refuse a mean budget ``value`` that is not an integer of at least 1;
+    a boolean is refused.  ``name`` is the field named in the error."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1")
 
 
 def _stride(n: int) -> int:
@@ -516,9 +523,5 @@ def frechet_mean(trees: Sequence[Tree], cfg: MeanConfig | None = None) -> Tree:
         y, v = coords[k * g % n]
         if y == x and v == u:  # the target is the iterate: leave it exactly
             continue
-        if x.keys() == y.keys():  # one orthant: every split common, no pairs
-            support = [(m, l, y[m]) for m, l in x.items()], ()
-        else:
-            support = _support(x, y)
-        x, u = _point(*support, u, v, 1.0 / (k + 1))
+        x, u = _point(*_support(x, y), u, v, 1.0 / (k + 1))
     return _tree_from_masks(trees[0].p, x, u)

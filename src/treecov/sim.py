@@ -16,12 +16,11 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import MEAN_PASSES, MeanConfig, matrix_distance
+from .geometry import MEAN_PASSES, MeanConfig, check_budget, matrix_distance
 from .model import DataSet, _load_lapack, sample_gaussian, sample_t
 from .newick import tree_to_newick
 from .posterior import build_summary
@@ -77,11 +76,7 @@ class Scenario:
             raise InvalidArgumentError("length_mean must be positive and finite")
         if not 0 < self.interval_level < 1:
             raise InvalidArgumentError("interval_level must be in (0, 1)")
-        if isinstance(self.mean_passes, bool) or not isinstance(self.mean_passes, Integral):
-            raise InvalidArgumentError(
-                f"mean_passes must be an integer, not {self.mean_passes!r}")
-        if self.mean_passes < 1:
-            raise InvalidArgumentError("mean_passes must be >= 1")
+        check_budget("mean_passes", self.mean_passes)
         if self.algo not in ALGOS:
             raise InvalidArgumentError(f"unknown algo {self.algo!r}")
 
