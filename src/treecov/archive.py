@@ -12,6 +12,9 @@ Loading parses each distinct split spelling and validates each distinct
 split set once per archive: records that share them share one
 :class:`Split` per split and one :class:`Topology`.  Every record's tree is
 still built, so its lengths and their keys are checked record by record.
+Writing spells each distinct split once, as reading parses each once: a
+:class:`Split` keeps its leaf tuple and its key, and the records of one
+chain share their splits.
 A split listed twice, or two ``lengths`` keys that spell one split, is an
 error rather than a double count, and so is a leaf repeated in one split.
 Every length and score must be a JSON number and ``iter`` an integer; a

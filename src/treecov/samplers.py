@@ -25,10 +25,13 @@ unresolved topologies carry exactly their posterior mass.
 Both states keep the containment tree of their splits with its per-node
 prior terms (:class:`LaminarTree`): an MH topology move and an HMC
 reassignment read their candidates from it and rewrite two nodes, and both
-kernels read the topology prior from it.  A validated :class:`Topology` is
-built only for a kept record, whose archive record keeps the tree.  Both
-score through one :class:`LikelihoodKernel` per state: each MH move is
-priced by rank-one steps on its cached inverse, with one factorization per
+kernels read the topology prior from it.  Only a kept record builds a
+tree, which its archive record keeps; each state validates a
+:class:`Topology` once per distinct split set it keeps, so kept records
+share one ``Topology`` per split set and one :class:`Split` per split,
+while each record's tree still checks its lengths.  Both score through
+one :class:`LikelihoodKernel` per state: each MH move is priced by
+rank-one steps on its cached inverse, with one factorization per
 iteration at the end of the length sweep, and an HMC trajectory's end with
 no length below ``delta`` reuses its last gradient's factorization.  An MH
 chain's kernel owns its lengths: a move proposes new lengths and accepting
@@ -58,7 +61,7 @@ from .errors import InvalidArgumentError, InvalidTreeError, NotPositiveDefiniteE
 from .model import DataSet, LikelihoodKernel, SufficientStats, suff_stats
 from .priors import PriorSpec, tree_log_prior
 from .rng import RngStream
-from .treespace import LaminarTree, Split, Tree, _tree_from_masks
+from .treespace import LaminarTree, Split, Tree, _TopologyTable, _tree_from_masks
 from .ultrametric import split_indicators, tree_to_matrix
 
 
@@ -157,8 +160,10 @@ class ChainState:
     the inverse covariance and the log likelihood by rank-one steps, and
     :func:`mh_length_update` refactorizes it once per sweep.  ``log_prior``
     is priced fresh by :meth:`PriorSpec.log_prior`, so it is a function of
-    the tree alone.  :meth:`check_consistency` recomputes the caches from
-    scratch for tests.
+    the tree alone.  :meth:`tree` builds a kept record's tree through
+    ``topologies``, the chain's table of validated topologies, so each
+    distinct split set is validated once.  :meth:`check_consistency`
+    recomputes the caches from scratch for tests.
     """
 
     def __init__(self, tree: Tree, stats: SufficientStats, prior: PriorSpec):
@@ -168,6 +173,7 @@ class ChainState:
         self.laminar = LaminarTree(self.p, tree.topology.sorted_masks(),
                                    prior.event_log_prob)
         self.kernel = LikelihoodKernel(stats, self.lengths)
+        self.topologies = _TopologyTable(self.p)
         self.accepted_topology = 0
         self.proposed_topology = 0
         self.accepted_lengths = 0
@@ -186,7 +192,7 @@ class ChainState:
         return self.prior.log_prior(self.laminar, self.lengths)
 
     def tree(self) -> Tree:
-        return _tree_from_masks(self.p, self.lengths)
+        return _tree_from_masks(self.p, self.lengths, table=self.topologies)
 
     def step(self, stats: SufficientStats, cfg: MhConfig, rng: RngStream):
         """One MH iteration: a topology proposal, then a length sweep."""
@@ -370,7 +376,8 @@ class HmcState:
     ``log_prior`` belong to the current slots once :func:`hmc_step` has
     scored them; a leapfrog step moves the slots and sets ``log_lik`` to
     nan.  ``kernel``, built at the first evaluation with data, scores the
-    slots.
+    slots.  :meth:`tree` builds a kept record's tree through ``topologies``,
+    the chain's table of validated topologies, as :class:`ChainState` does.
     """
 
     def __init__(self, tree: Tree, cfg: HmcConfig | None = None):
@@ -384,12 +391,14 @@ class HmcState:
                                    self.prior.event_log_prob)
         self.grad: np.ndarray | None = None
         self.kernel: LikelihoodKernel | None = None
+        self.topologies = _TopologyTable(self.p)
         self.log_lik = self.log_prior = math.nan
         self.accepted = 0
         self.proposed = 0
 
     def tree(self) -> Tree:
-        return _tree_from_masks(self.p, dict(zip(self.masks, self.d)))
+        return _tree_from_masks(self.p, dict(zip(self.masks, self.d)),
+                                table=self.topologies)
 
     def step(self, stats: SufficientStats, cfg: HmcConfig, rng: RngStream):
         """One Hamiltonian proposal (:func:`hmc_step`)."""

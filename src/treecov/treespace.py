@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _betasplit
@@ -72,7 +72,17 @@ class Split:
         return cls.from_leaves(p, (i,))
 
     def leaves(self) -> tuple[int, ...]:
+        return self._leaves
+
+    # kept after the first call: an archive spells every split of every
+    # record by these
+    @cached_property
+    def _leaves(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.p) if self.mask >> i & 1)
+
+    @cached_property
+    def _key(self) -> str:
+        return ",".join(map(str, self._leaves))
 
     @property
     def size(self) -> int:
@@ -92,7 +102,7 @@ class Split:
 
     def key(self) -> str:
         """Canonical string form, e.g. ``"1,2,5"``."""
-        return ",".join(str(i) for i in self.leaves())
+        return self._key
 
     def __repr__(self):
         return f"Split({{{self.key()}}}/{self.p})"
@@ -404,19 +414,51 @@ class Tree:
                 f"root={self.root_length:.4g})")
 
 
+class _TopologyTable:
+    """The validated topologies of one chain, keyed by their internal masks.
+
+    ``topologies`` maps each frozenset of internal masks looked up to its
+    :class:`Topology`, validated when first built; ``splits`` holds one
+    :class:`Split` per mask across all of them.  Trees built through one
+    table share one ``Topology`` per split set and one ``Split`` per split.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.splits: dict[int, Split] = {}
+        self.topologies: dict[frozenset[int], Topology] = {}
+
+    def lookup(self, masks: frozenset[int]) -> Topology:
+        topology = self.topologies.get(masks)
+        if topology is None:
+            for m in masks:
+                if m not in self.splits:
+                    self.splits[m] = Split(self.p, m)
+            topology = Topology(self.p, frozenset(self.splits[m] for m in masks))
+            self.topologies[masks] = topology
+        return topology
+
+
 def _tree_from_masks(p: int, lengths: Mapping[int, float],
-                     vec: Sequence[float] | None = None) -> Tree:
+                     vec: Sequence[float] | None = None,
+                     table: _TopologyTable | None = None) -> Tree:
     """The validated tree of ``{mask: length}`` coordinates.
 
     Internal masks of positive length become splits; internal lengths of
     zero are left out.  ``vec`` is the ``(root, leaf_1, ..., leaf_p)``
     vector; without it the root and leaf lengths are read from ``lengths``.
+    The topology and its splits come from ``table``, a fresh one when it is
+    None, so a topology is validated once per table; the tree checks its
+    lengths every time.
     """
     if vec is None:
         vec = [lengths[(1 << p) - 1], *(lengths[1 << i] for i in range(p))]
-    internal = {Split(p, m): v for m, v in lengths.items()
-                if 2 <= m.bit_count() < p and v > 0.0}
-    return Tree(Topology(p, frozenset(internal)), internal, vec[1:], vec[0])
+    if table is None:
+        table = _TopologyTable(p)
+    internal = {m: v for m, v in lengths.items() if 2 <= m.bit_count() < p and v > 0.0}
+    topology = table.lookup(frozenset(internal))
+    return Tree(topology, {table.splits[m]: v for m, v in internal.items()},
+                vec[1:], vec[0])
 
 
 def star_tree(leaf_lengths: Iterable[float], root_length: float = 0.0) -> Tree:

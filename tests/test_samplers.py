@@ -37,6 +37,7 @@ from treecov.treespace import (
     Topology,
     Tree,
     _growth_candidates,
+    _tree_from_masks,
     laminar_children,
     random_tree,
     star_tree,
@@ -672,6 +673,22 @@ class TestHmcStep:
         assert archive.provenance["accept_hmc"] > 10
 
 
+KEPT_CHAINS = [
+    ("mh", MhConfig(iterations=60, burn_in=20, seed=3)),
+    ("mh", MhConfig(iterations=60, burn_in=20, seed=3, mode="multifurcating",
+                    prior=PriorSpec(kind="poisson-dirichlet"))),
+    ("hmc", HmcConfig(iterations=20, burn_in=4, step_size=0.02,
+                      leapfrog_steps=10, seed=3)),
+]
+
+
+def kept_chain(algo, cfg):
+    """A short chain at p = 6 with data, one archive per kernel and mode."""
+    truth = random_tree(6, "uniform-binary", 1.0, RngStream(61))
+    data = sample_gaussian(tree_to_matrix(truth), 60, RngStream(62))
+    return run_chain(data, random_tree(6, "uniform-binary", 1.0, RngStream(63)), algo, cfg)
+
+
 class TestRunChain:
     def test_deterministic_archives(self, rng):
         truth = random_tree(4, "uniform-binary", 1.0, rng)
@@ -710,8 +727,9 @@ class TestRunChain:
                           leapfrog_steps=10, seed=5)),
     ])
     def test_one_topology_per_kept_record(self, algo, cfg, monkeypatch):
-        # proposals and scorings price the prior from split masks; only a
-        # kept record's tree is validated, and the record keeps it
+        # proposals and scorings price the prior from split masks; only kept
+        # records build topologies, each distinct split set is validated
+        # once per chain, and every record keeps the validated object
         truth = random_tree(6, "uniform-binary", 1.0, RngStream(31))
         data = sample_gaussian(tree_to_matrix(truth), 60, RngStream(32))
         init = random_tree(6, "uniform-binary", 1.0, RngStream(33))
@@ -722,8 +740,11 @@ class TestRunChain:
         archive = run_chain(data, init, algo, cfg)
         archive.validate()
         assert len(archive) == cfg.iterations - cfg.burn_in
-        assert len(validated) == len(archive)
-        assert [t.topology for t in archive.trees()] == validated
+        by_splits = {t.splits: t for t in validated}
+        assert len(by_splits) == len(validated)
+        assert set(by_splits) == {t.topology.splits for t in archive.trees()}
+        assert len(validated) < len(archive)  # the chains revisit topologies
+        assert all(t.topology is by_splits[t.topology.splits] for t in archive.trees())
 
     @pytest.mark.parametrize("cfg", [
         MhConfig(iterations=2000, burn_in=0, seed=8, prior=PriorSpec(beta=0.0)),
@@ -906,17 +927,35 @@ class TestRunChain:
                 gaussian_loglik(suff_stats(data), tree_to_matrix(r.tree())),
                 rel=1e-12, abs=0.0)
 
-    def test_archive_roundtrip_disk(self, rng, tmp_path):
+    @pytest.mark.parametrize("algo,cfg", KEPT_CHAINS)
+    def test_kept_records_share_splits_and_topologies(self, algo, cfg):
+        # a chain builds one Split per distinct split and one Topology per
+        # distinct split set across its kept records; each tree is still
+        # the one a fresh table builds
+        archive = kept_chain(algo, cfg)
+        splits, topologies = {}, {}
+        for r in archive.records:
+            t = r.tree()
+            assert t.topology is topologies.setdefault(t.topology.splits, t.topology)
+            for s in (*t.topology.splits, *t.internal_lengths, *r.splits):
+                assert s is splits.setdefault(s, s)
+            lengths = {s.mask: v for s, v in t.coordinates()}
+            assert t == _tree_from_masks(t.p, lengths)
+        assert len(topologies) < len(archive)
+
+    def test_archive_roundtrip_disk(self, tmp_path):
+        # save, load and save again give the same bytes for every kernel
         from treecov.archive import PosteriorArchive
 
-        init = random_tree(4, "uniform-binary", 1.0, RngStream(6))
-        archive = run_chain(None, init, "mh",
-                            MhConfig(iterations=60, burn_in=40, seed=3))
-        path = tmp_path / "arch.jsonl"
-        archive.save_jsonl(path)
-        back = PosteriorArchive.load_jsonl(path)
-        assert [r.to_json_dict() for r in back.records] == \
-            [r.to_json_dict() for r in archive.records]
+        path, again = tmp_path / "arch.jsonl", tmp_path / "again.jsonl"
         tpath = tmp_path / "trace.csv"
-        archive.save_trace_csv(tpath)
-        assert PosteriorArchive.load_trace_csv(tpath) == archive.trace
+        for algo, cfg in KEPT_CHAINS:
+            archive = kept_chain(algo, cfg)
+            archive.save_jsonl(path)
+            back = PosteriorArchive.load_jsonl(path)
+            assert [r.to_json_dict() for r in back.records] == \
+                [r.to_json_dict() for r in archive.records]
+            back.save_jsonl(again)
+            assert again.read_bytes() == path.read_bytes()
+            archive.save_trace_csv(tpath)
+            assert PosteriorArchive.load_trace_csv(tpath) == archive.trace

@@ -10,6 +10,7 @@ from treecov.treespace import (
     Split,
     Topology,
     Tree,
+    _TopologyTable,
     _tree_from_masks,
     double_factorial,
     enumerate_topologies,
@@ -31,6 +32,20 @@ class TestSplit:
         assert s.leaves() == (2, 5)
         assert s.size == 2
         assert s.key() == "2,5"
+
+    @pytest.mark.parametrize("p,mask", [
+        (1, 1), (2, 1), (2, 3), (3, 5), (40, 0x8000000001), (40, (1 << 40) - 2),
+        (64, 1 << 63), (64, (1 << 63) | 0b1011), (64, (1 << 64) - 1),
+    ])
+    def test_cached_spellings_match_bit_enumeration(self, p, mask):
+        # leaves() and key() are taken once and kept; every call must read
+        # the split's own bits, the high ones included
+        leaves = tuple(i + 1 for i in range(64) if mask >> i & 1)
+        s = Split(p, mask)
+        for _ in range(2):
+            assert s.leaves() == leaves
+            assert s.key() == ",".join(str(i) for i in leaves)
+        assert Split.from_leaves(p, leaves) == s
 
     def test_root_and_leaf_flags(self):
         assert Split.root(4).is_root_edge
@@ -230,6 +245,31 @@ class TestTreeInvariants:
         pruned = _tree_from_masks(4, lengths)
         assert pruned.topology == Topology(4, frozenset([S(4, 1, 2)]))
         assert pruned.leaf_root_vector() == t.leaf_root_vector()
+
+    def test_tree_from_masks_table_validates_each_split_set_once(self, tree_factory,
+                                                                 monkeypatch):
+        t = tree_factory(5, {(1, 2): 0.5, (1, 2, 3): 0.2, (4, 5): 0.3})
+        lengths = {s.mask: v for s, v in t.coordinates()}
+        validated = []
+        real = Topology.__post_init__
+        monkeypatch.setattr(Topology, "__post_init__",
+                            lambda self: validated.append(self) or real(self))
+        table = _TopologyTable(5)
+        a = _tree_from_masks(5, lengths, table=table)
+        b = _tree_from_masks(5, {**lengths, S(5, 1, 2).mask: 0.9}, table=table)
+        lengths[S(5, 4, 5).mask] = 0.0
+        c = _tree_from_masks(5, lengths, table=table)
+        assert validated == [a.topology, c.topology]
+        assert b.topology is a.topology and c.topology is not a.topology
+        assert b.internal_lengths[S(5, 1, 2)] == 0.9
+        # one Split object per mask across the table's topologies
+        assert {id(s) for s in c.topology.splits} <= {id(s) for s in a.topology.splits}
+        assert a == t and c == _tree_from_masks(5, lengths)
+        # a bad split set is never stored, so it raises again
+        bad = {**lengths, S(5, 2, 3).mask: 0.1}
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError, match="incompatible"):
+                _tree_from_masks(5, bad, table=table)
 
     def test_coordinates_canonical_order(self, tree_factory):
         t = tree_factory(4, {(1, 2): 0.5, (1, 2, 3): 0.2})
