@@ -124,9 +124,11 @@ def _factor(sigma: np.ndarray) -> np.ndarray:
     return c
 
 
-def _loglik_from_factor(stats: SufficientStats, c: np.ndarray) -> float:
+def _loglik(stats: SufficientStats, c: np.ndarray, W: np.ndarray) -> float:
+    """Log likelihood from a factor ``c`` of the covariance and its inverse
+    ``W``: the quadratic term is ``tr(W S) = sum_ij W_ij S_ij``."""
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    quad = float(np.trace(dpotrs(c, stats.S, lower=1)[0]))
+    quad = float(np.vdot(W, stats.S))
     n, p = stats.n, stats.p
     return -0.5 * (n * p * LOG_2PI + n * logdet + quad)
 
@@ -134,9 +136,11 @@ def _loglik_from_factor(stats: SufficientStats, c: np.ndarray) -> float:
 def gaussian_loglik(stats: SufficientStats, m) -> float:
     """Exact mean-zero Gaussian log likelihood at a covariance matrix.
 
-    Computed as ``-(np/2) log 2pi - (n/2) logdet(m) - tr(m^-1 S) / 2`` from
-    one symmetric factorization.  Raises ``DimensionError`` unless ``m`` is
-    ``p x p``, ``InvalidArgumentError`` for a non-finite entry, and
+    Computed as ``-(np/2) log 2pi - (n/2) logdet(m) - tr(W S) / 2`` from one
+    symmetric factorization and the inverse ``W = m^-1`` it solves for, the
+    formula a :class:`LikelihoodKernel` reads from its kept inverse.
+    Raises ``DimensionError`` unless ``m`` is ``p x p``,
+    ``InvalidArgumentError`` for a non-finite entry, and
     ``NotPositiveDefiniteError`` when the factorization fails."""
     arr = as_matrix(m)
     if arr.shape != (stats.p, stats.p):
@@ -145,7 +149,8 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
         raise InvalidArgumentError("covariance matrix has non-finite entries")
     if stats.n == 0:
         return 0.0
-    return _loglik_from_factor(stats, _factor(arr))
+    c = _factor(arr)
+    return _loglik(stats, c, dpotrs(c, np.eye(stats.p), lower=1)[0])
 
 
 class LikelihoodKernel:
@@ -153,9 +158,11 @@ class LikelihoodKernel:
 
     :meth:`factor` builds ``sigma = V diag(d) V'`` from masks and lengths,
     the only routine that does, and factorizes it for ``W = sigma^-1``,
-    :meth:`gradient` and ``log_lik``.  Built with ``lengths``, the kernel
-    keeps that ``{mask: length}`` map, the same dict, as the one record of
-    a chain's coordinates: :meth:`propose` prices setting masks to new
+    :meth:`gradient` and ``log_lik``, whose quadratic term is ``tr(W S)``
+    read from that ``W``.  The indicator matrix ``V`` is kept while the
+    list of masks is unchanged.  Built with ``lengths``, the kernel keeps
+    that ``{mask: length}`` map, the same dict, as the one record of a
+    chain's coordinates: :meth:`propose` prices setting masks to new
     lengths from ``W`` and each mask's cached indicator column ``v``,
     :meth:`accept` writes the last proposal into the map, and
     :meth:`refresh` factorizes at it.
@@ -167,6 +174,9 @@ class LikelihoodKernel:
         delta loglik = -(1/2) (n log(1 + delta c) - delta u'Au / (1 + delta c))
 
     in ``O(p^2)``, and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
+    A leaf's ``v`` is a unit vector ``e_i``, so a first step on a leaf takes
+    ``u`` as column ``i`` of ``W`` and ``c = u_i``: the same numbers, without
+    the products by zero.
     Several changes are priced as successive rank-one steps, each on the
     ``W`` the steps before it leave; a topology swap lists the shrink first,
     so its intermediate matrix is the covariance of a tree with the edge at
@@ -182,10 +192,11 @@ class LikelihoodKernel:
         self.stats = stats
         self.lengths = lengths
         self.W = None
-        self._log_lik = 0.0  # None: not yet read from the factor in _at
+        self._log_lik = 0.0  # None: not yet read from the factor in _at and W
         self.columns: dict[int, np.ndarray] = {}
         self._pending = None
-        self._at = None  # (masks, lengths, V, factor) of the position W belongs to
+        self._V = None  # (masks, V) of the last factorization, kept across accepts
+        self._at = None  # (lengths, factor) of the position W belongs to
         if lengths is not None:
             self.refresh()
 
@@ -193,7 +204,7 @@ class LikelihoodKernel:
     def log_lik(self) -> float:
         """Read from the last factor when first asked for; a gradient needs none."""
         if self._log_lik is None:
-            self._log_lik = _loglik_from_factor(self.stats, self._at[3])
+            self._log_lik = _loglik(self.stats, self._at[1], self.W)
         return self._log_lik
 
     def factor(self, masks, lengths):
@@ -201,18 +212,23 @@ class LikelihoodKernel:
         call had the same position and nothing was accepted since.  Raises
         ``NotPositiveDefiniteError``, and changes nothing, when it fails."""
         d = np.array(lengths, dtype=float)
-        if self._at is not None and self._at[0] == masks and np.array_equal(self._at[1], d):
-            return
-        V = split_indicators(self.stats.p, masks)
+        kept = self._V
+        if kept is not None and kept[0] == masks:
+            if self._at is not None and np.array_equal(self._at[0], d):
+                return
+        else:
+            kept = (list(masks), split_indicators(self.stats.p, masks))
+        V = kept[1]
         c = _factor((V * d) @ V.T)
         self.W = dpotrs(c, np.eye(self.stats.p), lower=1)[0]
         self._log_lik = None
-        self._at = (list(masks), d, V, c)
+        self._V = kept
+        self._at = (d, c)
 
     def gradient(self) -> np.ndarray:
         """Log-likelihood gradient in each length at the last :meth:`factor`,
         in its masks' order: the diagonals of ``V'WV`` and ``(WV)' A (WV)``."""
-        V = self._at[2]
+        V = self._V[1]
         WV = self.W @ V
         return -0.5 * self.stats.n * np.einsum("ij,ij->j", V, WV) \
             + 0.5 * np.einsum("ij,ij->j", WV, self.stats.S @ WV)
@@ -243,13 +259,19 @@ class LikelihoodKernel:
         steps = []
         for mask, new in changes:
             delta = new - lengths.get(mask, 0.0)
-            v = columns.get(mask)
-            if v is None:
-                v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
-            u = W @ v
-            for scale, w in steps:  # u = W' v for the W' the earlier steps leave
-                u -= scale * float(w @ v) * w
-            denom = 1.0 + delta * float(v @ u)
+            if steps or mask & (mask - 1):
+                v = columns.get(mask)
+                if v is None:
+                    v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
+                u = W @ v
+                for scale, w in steps:  # u = W' v for the W' the earlier steps leave
+                    u -= scale * float(w @ v) * w
+                c = float(v @ u)
+            else:  # a leaf's first step: v = e_i
+                i = mask.bit_length() - 1
+                u = W[:, i].copy()
+                c = float(u[i])
+            denom = 1.0 + delta * c
             if not 0.0 < denom < math.inf:  # price the proposal afresh
                 fresh = LikelihoodKernel(self.stats, {**lengths, **dict(changes)})
                 self._pending = (fresh.log_lik, fresh.W, changes)

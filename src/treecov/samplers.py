@@ -7,7 +7,9 @@ along geodesics of the stratified geometry:
 * a Metropolis-Hastings sweep that first proposes a topology change by
   shrinking one internal edge to zero and regrowing one of the compatible
   alternatives (copying the length, a symmetric move), then updates every
-  stored length with a truncated-normal random walk;
+  stored length with a truncated-normal random walk, whose proposals and
+  acceptance uniforms a sweep draws as one batch each before it prices
+  any move;
 * a Hamiltonian kernel with unit-mass momenta whose leapfrog drift crosses
   orthant boundaries: at each coordinate's fractured step, earliest first,
   its momentum flips sign and an internal one is reassigned to a uniformly
@@ -31,8 +33,9 @@ tree, which its archive record keeps; each state validates a
 share one ``Topology`` per split set and one :class:`Split` per split,
 while each record's tree still checks its lengths.  Both score through
 one :class:`LikelihoodKernel` per state: each MH move is priced by
-rank-one steps on its cached inverse, with one factorization per
-iteration at the end of the length sweep, and an HMC trajectory's end with
+rank-one steps on its cached inverse, a leaf's from one column of it, with
+one factorization per iteration at the end of the length sweep, and the
+likelihood read as ``tr(W S)`` from that inverse; an HMC trajectory's end with
 no length below ``delta`` reuses its last gradient's factorization.  An MH
 chain's kernel owns its lengths: a move proposes new lengths and accepting
 it writes them.  Every move reads the prior its state was built with; a
@@ -65,7 +68,10 @@ from .treespace import LaminarTree, Split, Tree, _TopologyTable, _tree_from_mask
 from .ultrametric import split_indicators, tree_to_matrix
 
 
-def _norm_cdf(x: float) -> float:
+def _norm_cdf(x):
+    """Standard normal cdf, elementwise for an array (numpy has no erfc)."""
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.array([math.erfc(v) for v in (x / -math.sqrt(2.0)).tolist()])
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
@@ -308,24 +314,17 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     return state
 
 
-def _sample_truncnorm(mean: float, sd: float, rng: RngStream) -> float:
-    while True:
-        x = rng.normal(mean, sd)
-        if x > 0.0:
-            return x
-
-
-def mh_length_log_ratio(cur: float, prop: float, delta_loglik: float,
-                        edge_mean: float, sd: float) -> float:
+def mh_length_log_ratio(cur, prop, delta_loglik, edge_mean: float, sd: float):
     """Log acceptance ratio of one truncated-normal length move.
 
     Combines the likelihood change, the exponential prior change, and the
     normalization asymmetry of the positive-truncated normal proposal
     (the Gaussian kernels themselves cancel).  Antisymmetric under swapping
-    ``cur`` and ``prop`` with the likelihood change negated.
+    ``cur`` and ``prop`` with the likelihood change negated.  Elementwise
+    when ``cur`` and ``prop`` are arrays.
     """
     return (delta_loglik - (prop - cur) / edge_mean
-            + math.log(_norm_cdf(cur / sd)) - math.log(_norm_cdf(prop / sd)))
+            + np.log(_norm_cdf(cur / sd)) - np.log(_norm_cdf(prop / sd)))
 
 
 def mh_length_update(state: ChainState, stats: SufficientStats,
@@ -333,24 +332,37 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     """Truncated-normal random-walk sweep over every stored coordinate.
 
     Coordinates are visited in ascending bitmask order (leaves, internal
-    splits and the root edge interleaved canonically).  The acceptance
-    ratio carries the exponential prior, the likelihood, and the
-    truncated-normal normalization asymmetry.  Each move is a rank-one
-    change priced and applied by ``state.kernel`` in ``O(p^2)``.  With data
-    the sweep ends by refactorizing the covariance built from the lengths,
-    so rounding drift never outlives a sweep; that is an MH iteration's one
+    splits and the root edge interleaved canonically).  Each coordinate's
+    proposal depends only on its own length at the start of the sweep, so
+    the sweep draws its randomness up front: one ``standard_normal`` call
+    for every coordinate's ``cur + sigma_L z``, redraws of the non-positive
+    proposals only, in ascending index order, until all are positive, then
+    one ``random`` call for the acceptance uniforms.  The acceptance ratio
+    carries the exponential prior, the likelihood, and the truncated-normal
+    normalization asymmetry; every term but the likelihood is taken with
+    ``log u`` before the sweep (:func:`mh_length_log_ratio` at
+    ``delta_loglik = 0``), and a move is accepted when ``log u`` minus that
+    ratio is below its likelihood change.  Each move is a rank-one change
+    priced and applied by ``state.kernel`` in ``O(p^2)``.  With data the
+    sweep ends by refactorizing the covariance built from the lengths, so
+    rounding drift never outlives a sweep; that is an MH iteration's one
     factorization.  ``stats`` are the statistics ``state`` was built with.
     """
-    a = state.prior.edge_mean
-    sd = cfg.sigma_L
     kernel = state.kernel
-    for mask in sorted(state.lengths):
-        cur = state.lengths[mask]
-        prop = _sample_truncnorm(cur, sd, rng)
-        state.proposed_lengths += 1
-        dll = kernel.propose([(mask, prop)])
-        log_alpha = mh_length_log_ratio(cur, prop, dll, a, sd)
-        if math.log(rng.uniform()) < log_alpha:
+    gen = rng.generator
+    sd = cfg.sigma_L
+    masks = sorted(state.lengths)
+    cur = np.array([state.lengths[m] for m in masks])
+    prop = cur + sd * gen.standard_normal(len(masks))
+    redraw = np.flatnonzero(prop <= 0.0)
+    while len(redraw):
+        prop[redraw] = cur[redraw] + sd * gen.standard_normal(len(redraw))
+        redraw = redraw[prop[redraw] <= 0.0]
+    bars = np.log(gen.random(len(masks))) \
+        - mh_length_log_ratio(cur, prop, 0.0, state.prior.edge_mean, sd)
+    state.proposed_lengths += len(masks)
+    for mask, new, bar in zip(masks, prop.tolist(), bars.tolist()):
+        if bar < kernel.propose([(mask, new)]):
             state.accepted_lengths += 1
             kernel.accept()
     kernel.refresh()

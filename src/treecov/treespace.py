@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import _betasplit
 from .errors import DimensionError, InvalidArgumentError, InvalidTreeError
 from .rng import RngStream
@@ -156,13 +158,18 @@ class Topology:
             raise InvalidTreeError(
                 f"{len(self.splits)} internal splits exceeds p-2={self.p - 2}"
             )
+        # two masks are compatible exactly when their meet is 0 or one of
+        # them; the clash matrix is symmetric, so its first entry in row
+        # order is the first incompatible pair (i < j) of the sorted masks
         masks = self.sorted_masks()
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if not _masks_compatible(a, b):
-                    raise InvalidTreeError(
-                        f"incompatible splits {Split(self.p, a)} and {Split(self.p, b)}"
-                    )
+        bits = np.array(masks, dtype=np.uint64)
+        meet = bits[:, None] & bits
+        clash = np.flatnonzero((meet != 0) & (meet != bits[:, None]) & (meet != bits))
+        if clash.size:
+            i, j = divmod(int(clash[0]), len(masks))
+            raise InvalidTreeError(
+                f"incompatible splits {Split(self.p, masks[i])} and {Split(self.p, masks[j])}"
+            )
 
     @classmethod
     def from_leaf_sets(cls, p: int, leaf_sets: Iterable[Iterable[int]]) -> "Topology":

@@ -941,6 +941,39 @@ splits_csv = {tmp_path / 'r.csv'}
         assert [line["chain"] for line in lines] == [1, 2]
 
 
+def test_sample_loads_no_special_functions(tmp_path):
+    # an MH run with data loads scipy's linear algebra only: scipy.special
+    # or scipy.stats would add megabytes of resident memory to every run
+    rng = RngStream(3)
+    truth = random_tree(5, "uniform-binary", 1.0, rng)
+    write_dataset_csv(tmp_path / "data.csv", sample_gaussian(tree_to_matrix(truth), 50, rng),
+                      {"seed": 3, "true_tree": tree_to_newick(truth)})
+    cfg = write_config(tmp_path / "run.ini", f"""
+[model]
+p = 5
+
+[sampler]
+iterations = 30
+burn_in = 10
+
+[io]
+data = {tmp_path / 'data.csv'}
+archive = {tmp_path / 'arch.jsonl'}
+trace = {tmp_path / 'trace.csv'}
+""")
+    code = ("import json, sys\n"
+            "from treecov.cli import main\n"
+            f"code = main(['sample', '--config', {str(cfg)!r}])\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith(('scipy.special', 'scipy.stats')))\n"
+            "print(json.dumps([code, 'scipy.linalg' in sys.modules, loaded]))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(TestStdoutContract.SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, True, []]
+
+
 class TestExampleConfig:
     EXAMPLE = Path(__file__).resolve().parent.parent / "demos" / "run.example.ini"
 

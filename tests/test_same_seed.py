@@ -41,18 +41,18 @@ P = 6
 CASES = {
     "mh-binary": (
         "init", "mh", MhConfig(iterations=120, burn_in=60, seed=11),
-        "03b8d1c12696b71e99719d00ae409486cf3a05d79e4bbff2ffe74e981e3c2fc8",
+        "c0391500337d4280a6eae66a0fdd0a9ce9f9088d0f4745793089c9175e6e72b2",
     ),
     "mh-multifurcating-pd": (
         "init", "mh", MhConfig(
             iterations=120, burn_in=60, seed=12, mode="multifurcating",
             prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
-        "716b7426e204daaee0370d0674d21b95ee96587bfd42b9384332ce67cb0f17ec",
+        "3dc4c7ee16fd301b4b05fc19e7876e0e7de7bf55aa12325631ff0a46da243462",
     ),
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                   step_size=0.05, seed=13),
-        "23d1b03ba35da4d3ffc91de5e6e321bd2f1b14f7df1525aa785a4f3e359e1a17",
+        "ece611303a5d81589e42c560d69f9f9c47e4e2e1e45591f7e6a77f2a81c4303b",
     ),
     # 8 of 12 proposals accepted, rejects at iterations 1, 3, 7 and 9, and
     # 26 boundary reassignments: a reject restores the cached scores
@@ -88,10 +88,10 @@ def test_same_seed_digest(name, tmp_path):
 # moves, trees and likelihoods a chain makes, whatever sums its prior
 MOVE_DIGESTS = {
     "hmc-init": "5e3ca6d48326f99b0e25a571eb3a90d61c548886f10b9c40f924300d228f56db",
-    "hmc-truth": "353e36ec676b40846d8f49e7fd02f298b64d1ae6c9806561afd70aed2781438d",
-    "mh-binary": "667302f56eb2ac06007416c84116bde6e874d833656376cbe1a6db68162fb2e0",
+    "hmc-truth": "37b4585a56bdc3656e933d849ea2f401db4ea0e371dc132ac4ce9f8cc11bba75",
+    "mh-binary": "8369b1addee257fd7816f0aa8cda60c65c9610fadef2227eaaced3aaca1ce421",
     "mh-multifurcating-pd":
-        "ca986948d42e68a461bd45cea9a5f830a3ca14c860af1d5b6ccb2a4395bb563a",
+        "3ed29537855f40f9105304939b177d1e324e1812cb0b20bbea5c9279ae1d6810",
 }
 
 

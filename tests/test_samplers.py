@@ -280,6 +280,68 @@ class TestLengthUpdate:
         with pytest.raises(AssertionError, match="stale W"):
             state.check_consistency(stats, cfg.prior)
 
+    def test_batched_proposals_are_truncated_normals(self):
+        # lengths near zero with sigma_L = 5 send about half of each sweep's
+        # first draws below zero; after the redraws every proposal is
+        # positive and follows N(1e-6, 25) truncated to (0, inf)
+        cfg = MhConfig(sigma_L=5.0)
+        stats = SufficientStats.empty(40)
+        state = ChainState(random_tree(40, "uniform-binary", 1.0, RngStream(4)),
+                           stats, cfg.prior)
+        for mask in state.lengths:
+            state.lengths[mask] = 1e-6
+        proposals = []
+        # every move is rejected, so each sweep starts from the same lengths
+        state.kernel.propose = lambda changes: proposals.extend(changes) or -math.inf
+        rng = RngStream(9)
+        for _ in range(25):
+            mh_length_update(state, stats, cfg, rng)
+        masks = sorted(state.lengths)
+        assert [m for m, _ in proposals] == 25 * masks
+        x = np.sort([v for _, v in proposals])
+        assert x[0] > 0.0
+
+        def cdf(v):
+            return 0.5 * math.erfc(-(v - 1e-6) / (5.0 * math.sqrt(2.0)))
+
+        low = cdf(0.0)
+        fitted = np.array([(cdf(v) - low) / (1.0 - low) for v in x])
+        steps = np.arange(1, len(x) + 1) / len(x)
+        ks = max(np.max(steps - fitted), np.max(fitted - steps + 1.0 / len(x)))
+        assert ks < 1.63 / math.sqrt(len(x))  # the 1 % critical value
+
+    def test_batched_sweep_without_data(self, rng):
+        # the kernel prices nothing and every move is the prior's
+        cfg = MhConfig(sigma_L=0.5)
+        stats = SufficientStats.empty(7)
+        state = ChainState(random_tree(7, "uniform-binary", 1.0, rng), stats, cfg.prior)
+        for _ in range(30):
+            mh_length_update(state, stats, cfg, rng)
+        assert state.kernel.W is None and state.log_lik == 0.0
+        assert 0 < state.accepted_lengths < state.proposed_lengths == 30 * 13
+        state.check_consistency(stats, cfg.prior)
+
+    def test_batched_sweep_prices_afresh_when_a_step_is_singular(self, rng, monkeypatch):
+        # a negated, scaled inverse makes 1 + delta c negative for every
+        # lengthening move, so those moves are priced by a fresh
+        # factorization; the first such move accepted restores W, and the
+        # sweep still ends on the exact factorization
+        import treecov.model as model
+
+        truth = random_tree(6, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 60, rng))
+        cfg = MhConfig(sigma_L=0.5)
+        state = ChainState(truth, stats, cfg.prior)
+        state.log_lik  # read from the factor before W is spoiled
+        state.kernel.W = -1e3 * state.kernel.W
+        calls = []
+        real = model._factor
+        monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
+        mh_length_update(state, stats, cfg, rng)
+        assert len(calls) > 2  # fresh pricings, then the sweep's refresh
+        assert state.accepted_lengths > 0
+        state.check_consistency(stats, cfg.prior)
+
     @pytest.mark.parametrize("mode", ["binary", "multifurcating"])
     def test_one_factorization_per_iteration(self, rng, monkeypatch, mode):
         # one with data, at the end of the length sweep; none without

@@ -219,6 +219,27 @@ class TestTreeInvariants:
         with pytest.raises(InvalidTreeError, match="incompatible"):
             Topology(5, frozenset([S(5, 1, 2), S(5, 2, 3)]))
 
+    def test_incompatible_message_names_the_first_pair(self):
+        # {2,3} clashes with {1,2} and {3,4}, and {1,2,3} with {3,4}: the
+        # first pair in ascending mask order is reported
+        with pytest.raises(InvalidTreeError) as err:
+            Topology(6, frozenset([S(6, 3, 4), S(6, 1, 2, 3), S(6, 2, 3), S(6, 1, 2)]))
+        assert str(err.value) == "incompatible splits Split({1,2}/6) and Split({2,3}/6)"
+
+    def test_incompatible_pair_matches_a_pairwise_scan(self):
+        # a resolved tree at p = 40 with one split swapped for a random one
+        rng = RngStream(5)
+        for _ in range(20):
+            splits = sorted(random_tree(40, rng=rng).topology.splits, key=lambda s: s.mask)
+            del splits[rng.integers(len(splits))]
+            splits = sorted(splits + [Split(40, 3 + rng.integers((1 << 40) - 4))],
+                            key=lambda s: s.mask)
+            a, b = next((a, b) for a, b in itertools.combinations(splits, 2)
+                        if not split_compatible(a, b))
+            with pytest.raises(InvalidTreeError) as err:
+                Topology(40, frozenset(splits))
+            assert str(err.value) == f"incompatible splits {a} and {b}"
+
     def test_positive_lengths_enforced(self):
         s = S(4, 1, 2)
         with pytest.raises(Exception):
