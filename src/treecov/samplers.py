@@ -69,10 +69,9 @@ from .ultrametric import split_indicators, tree_to_matrix
 
 
 def _norm_cdf(x):
-    """Standard normal cdf, elementwise for an array (numpy has no erfc)."""
-    if isinstance(x, np.ndarray):
-        return 0.5 * np.array([math.erfc(v) for v in (x / -math.sqrt(2.0)).tolist()])
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    """Standard normal cdf, elementwise (numpy has no erfc)."""
+    z = np.asarray(x) / -math.sqrt(2.0)
+    return 0.5 * np.array([math.erfc(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 class _Schedule:
