@@ -8,10 +8,13 @@ burn-in) is a two-column CSV ``iter,log_lik``.  A record builds its
 validated :class:`Tree` once, on first use, and keeps it; a record made
 with :meth:`ArchiveRecord.from_tree` keeps the tree it was made from.
 
-Loading parses each distinct split spelling and validates each distinct
-split set once per archive: records that share them share one
-:class:`Split` per split and one :class:`Topology`.  Every record's tree is
-still built, so its lengths and their keys are checked record by record.
+Loading parses each distinct split spelling once and validates each
+distinct split set once per archive, through the topology table a chain
+keeps; every record, loaded or sampled, is made by
+:meth:`ArchiveRecord.from_tree`, so its ``lengths`` are in ascending mask
+order and the records of one split set share their splits and topology.
+Every record's tree is still built, so its lengths are checked record by
+record.
 Writing spells each distinct split once, as reading parses each once: a
 :class:`Split` keeps its leaf tuple and its key, and the records of one
 chain share their splits.
@@ -32,7 +35,7 @@ from functools import cached_property
 
 from .errors import (DataError, DimensionError, InvalidArgumentError,
                      InvalidTreeError, TreecovError)
-from .treespace import Split, Topology, Tree
+from .treespace import Split, Topology, Tree, _TopologyTable
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class ArchiveRecord:
                   tree: Tree) -> "ArchiveRecord":
         """The record of ``tree``, which it keeps as its validated tree."""
         record = cls(iteration=iteration, log_prior=log_prior, log_lik=log_lik,
-                     splits=tuple(tree.internal_lengths),
+                     splits=tree.topology.sorted_splits(),
                      lengths=dict(tree.internal_lengths),
                      leaf_lengths=tree.leaf_lengths, root_length=tree.root_length)
         record.__dict__["_tree"] = tree  # the slot cached_property fills
@@ -108,43 +111,37 @@ def _check_numbers(d: dict):
 class _Reader:
     """Parses the records of one archive with ``p`` leaves.
 
-    ``splits`` maps each spelling of a split (a ``splits`` entry's leaf
-    tuple, or a ``lengths`` key) to one :class:`Split` object per distinct
-    split; ``topologies`` maps each record's set of splits to its validated
-    :class:`Topology` and the splits in canonical order.  Only what parsed
-    and validated is stored, so a bad spelling or split set raises the same
-    error on every record that has it.
+    ``spellings`` maps each spelling of a split (a ``splits`` entry's leaf
+    tuple, or a ``lengths`` key) to the one :class:`Split` that ``table``
+    holds, which validates each split set as a chain's table does.  Only
+    what parsed and validated is stored, so a bad spelling or split set
+    raises the same error on every record that has it.
     """
 
     def __init__(self, p: int):
         self.p = p
-        self.splits: dict[tuple | str, Split] = {}
-        self.topologies: dict[frozenset[Split], tuple[Topology, tuple[Split, ...]]] = {}
-
-    def _store(self, spelling, split: Split) -> Split:
-        # one object per distinct split, filed under its canonical spelling
-        split = self.splits.setdefault(split.key(), split)
-        if spelling is not None:
-            self.splits[spelling] = split
-        return split
+        self.table = _TopologyTable(p)
+        self.spellings: dict[tuple | str, Split] = {}
 
     def _listed(self, leaves) -> Split:
         try:
             spelling = tuple(leaves)
-            hit = self.splits.get(spelling)
+            hit = self.spellings.get(spelling)
         except TypeError:  # not a list of hashables: from_leaves raises its error
             spelling = hit = None
         # a float or bool leaf equals its int but is malformed, so it is
         # parsed (and raises)
         if hit is None or {*map(type, spelling)} != {int}:
-            hit = self._store(spelling, Split.from_leaves(self.p, leaves))
+            hit = self.table.split(Split.from_leaves(self.p, leaves).mask)
+            if spelling is not None:
+                self.spellings[spelling] = hit
         return hit
 
     def _keyed(self, key: str) -> Split:
-        hit = self.splits.get(key)
+        hit = self.spellings.get(key)
         if hit is None:
-            hit = self._store(key, Split.from_leaves(
-                self.p, (int(x) for x in key.split(","))))
+            hit = self.spellings[key] = self.table.split(Split.from_leaves(
+                self.p, (int(x) for x in key.split(","))).mask)
         return hit
 
     def record(self, d: dict) -> ArchiveRecord:
@@ -155,7 +152,6 @@ class _Reader:
         if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
             raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
                             f"log_lik {log_lik} must be finite")
-        iteration = d["iter"]
         leaf_lengths = tuple(float(x) for x in d["leaf_lengths"])
         root_length = float(d["root_length"])
         if len(lengths) != len(d["lengths"]):
@@ -166,17 +162,9 @@ class _Reader:
                     raise InvalidTreeError(
                         f"lengths keys {first[s]!r} and {k!r} both spell {s}")
                 first[s] = k
-        key = _distinct(listed)
-        known = self.topologies.get(key)
-        if known is None:
-            ordered = tuple(sorted(key, key=lambda s: s.mask))
-            # built from the ordered splits, so errors name the same split as ever
-            known = self.topologies[key] = (Topology(self.p, frozenset(ordered)), ordered)
-        topology, splits = known
-        record = ArchiveRecord(iteration, log_prior, log_lik, splits, lengths,
-                               leaf_lengths, root_length)
-        record.__dict__["_tree"] = Tree(topology, lengths, leaf_lengths, root_length)
-        return record
+        topology = self.table.lookup(frozenset(s.mask for s in _distinct(listed)))
+        tree = Tree(topology, lengths, leaf_lengths, root_length)
+        return ArchiveRecord.from_tree(d["iter"], log_prior, log_lik, tree)
 
 
 @dataclass

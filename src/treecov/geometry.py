@@ -41,7 +41,7 @@ from numbers import Integral
 from typing import Sequence
 
 from .errors import DimensionError, InvalidArgumentError
-from .treespace import Split, Tree, _tree_from_masks
+from .treespace import Split, Tree, _clash, _tree_from_masks
 from .ultrametric import as_matrix, matrix_to_tree, DEFAULT_TOL
 
 
@@ -171,11 +171,6 @@ def _exact_weights(items: list[tuple[int, float]]) -> tuple[list[int], int]:
     ratios = [(l * l).as_integer_ratio() for _, l in items]
     den = max(d for _, d in ratios)
     return [n * (den // d) for n, d in ratios], den
-
-
-def _clash(ma: int, mb: int) -> bool:
-    """Two distinct splits clash unless nested or disjoint."""
-    return bool(ma & mb and ma & ~mb and mb & ~ma)
 
 
 def _by_clash(mask: int, items: list[tuple[int, float]]):

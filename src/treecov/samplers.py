@@ -529,7 +529,7 @@ def hmc_leapfrog(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
 
 
 def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
-             rng: RngStream, chooser=None) -> HmcState:
+             rng: RngStream) -> HmcState:
     """One full Hamiltonian proposal with fresh standard normal momenta.
 
     Runs ``leapfrog_steps`` surrogate-driven leapfrog steps and accepts with
@@ -551,7 +551,7 @@ def hmc_step(state: HmcState, stats: SufficientStats, cfg: HmcConfig,
     state.proposed += 1
     try:
         for _ in range(cfg.leapfrog_steps):
-            hmc_leapfrog(state, stats, cfg, rng, chooser)
+            hmc_leapfrog(state, stats, cfg, rng)
     except NotPositiveDefiniteError:
         h_prop = math.inf
     else:

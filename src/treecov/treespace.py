@@ -120,12 +120,12 @@ def split_compatible(a: Split, b: Split) -> bool:
     """
     if a.p != b.p:
         raise DimensionError(f"splits have different leaf counts: {a.p} != {b.p}")
-    return _masks_compatible(a.mask, b.mask)
+    return not _clash(a.mask, b.mask)
 
 
-def _masks_compatible(a: int, b: int) -> bool:
-    """Compatibility of two nonempty bitmasks (see :func:`split_compatible`)."""
-    return a == b or (a & b) == 0 or (a & ~b) == 0 or (b & ~a) == 0
+def _clash(ma: int, mb: int) -> bool:
+    """Two distinct splits clash unless nested or disjoint: the one compatibility rule."""
+    return bool(ma & mb and ma & ~mb and mb & ~ma)
 
 
 def set_compatible(splits: Iterable[Split]) -> bool:
@@ -148,8 +148,10 @@ class Topology:
     splits: frozenset[Split] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not (1 <= self.p <= MAX_LEAVES):
+            raise InvalidArgumentError(f"leaf count {self.p} outside 1..{MAX_LEAVES}")
         object.__setattr__(self, "splits", frozenset(self.splits))
-        for s in self.splits:
+        for s in self.sorted_splits():  # errors do not depend on insertion order
             if s.p != self.p:
                 raise DimensionError(f"split {s} does not match p={self.p}")
             if not s.is_internal:
@@ -179,11 +181,15 @@ class Topology:
     def is_resolved(self) -> bool:
         return len(self.splits) == self.p - 2
 
-    def sorted_splits(self) -> list[Split]:
-        return sorted(self.splits, key=lambda s: s.mask)
+    def sorted_splits(self) -> tuple[Split, ...]:
+        return self._sorted_splits
+
+    @cached_property  # kept: the records of one topology share it
+    def _sorted_splits(self) -> tuple[Split, ...]:
+        return tuple(sorted(self.splits, key=lambda s: s.mask))
 
     def sorted_masks(self) -> list[int]:
-        return sorted(s.mask for s in self.splits)
+        return [s.mask for s in self.sorted_splits()]
 
     def __repr__(self):
         inner = ";".join(s.key() for s in self.sorted_splits())
@@ -422,7 +428,7 @@ class Tree:
 
 
 class _TopologyTable:
-    """The validated topologies of one chain, keyed by their internal masks.
+    """The validated topologies of one chain or one archive load, by internal masks.
 
     ``topologies`` maps each frozenset of internal masks looked up to its
     :class:`Topology`, validated when first built; ``splits`` holds one
@@ -435,13 +441,16 @@ class _TopologyTable:
         self.splits: dict[int, Split] = {}
         self.topologies: dict[frozenset[int], Topology] = {}
 
+    def split(self, mask: int) -> Split:
+        split = self.splits.get(mask)
+        if split is None:
+            split = self.splits[mask] = Split(self.p, mask)
+        return split
+
     def lookup(self, masks: frozenset[int]) -> Topology:
         topology = self.topologies.get(masks)
         if topology is None:
-            for m in masks:
-                if m not in self.splits:
-                    self.splits[m] = Split(self.p, m)
-            topology = Topology(self.p, frozenset(self.splits[m] for m in masks))
+            topology = Topology(self.p, frozenset(map(self.split, masks)))
             self.topologies[masks] = topology
         return topology
 

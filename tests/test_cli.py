@@ -108,6 +108,15 @@ class TestConvert:
         write_matrix_csv(path, np.array([[3.0, 0, 1], [0, 3, 2], [1, 2, 3]]))
         assert main(["convert", str(path), "--to", "newick"]) == 1
 
+    def test_more_than_64_leaves_exit_one(self, tmp_path, capsys):
+        # a 65-leaf star would write Newick that convert --to matrix refuses
+        path = tmp_path / "big.csv"
+        write_matrix_csv(path, np.eye(65))
+        out = tmp_path / "big.nwk"
+        assert main(["convert", str(path), "--to", "newick", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "leaf count 65 outside 1..64"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_newick_exit_one(self, text, tmp_path, capsys):
         path = tmp_path / "bad.nwk"
@@ -516,6 +525,18 @@ seed = 5
         out, err_stream = capsys.readouterr()
         err = json.loads(out)["error"]
         assert str(path) in err and message in err
+        assert "Traceback" not in err_stream
+
+    def test_record_with_more_than_64_leaves_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "arch.jsonl"
+        record = self.GOOD_RECORD | {"splits": [], "lengths": {}, "leaf_lengths": [1.0] * 65}
+        path.write_text(json.dumps(record) + "\n")
+        expected = f"archive {path} line 1: leaf count 65 outside 1..64"
+        with pytest.raises(DataError, match=re.escape(expected)):
+            PosteriorArchive.load_jsonl(path)
+        assert main(["summarize", str(path), "--out", str(tmp_path / "s.json")]) == 1
+        out, err_stream = capsys.readouterr()
+        assert json.loads(out)["error"] == expected
         assert "Traceback" not in err_stream
 
     def test_two_chains_with_inits(self, tmp_path, capsys):

@@ -173,13 +173,13 @@ class TestLoadSharing:
             ({"splits": [[1, 2], [3, 4], [1, 2]]}, InvalidTreeError, "listed twice",
              None),
         ]
-        topologies = dict(reader.topologies)
+        topologies = dict(reader.table.topologies)
         for change, error, message, spelling in cases:
             for _ in range(2):  # a second try raises the same error
                 with pytest.raises(error, match=message):
                     reader.record(good | change)
-            assert spelling not in reader.splits
-            assert reader.topologies == topologies
+            assert spelling not in reader.spellings
+            assert reader.table.topologies == topologies
 
 
 class TestDuplicateSplits:

@@ -1001,6 +1001,7 @@ class TestRunChain:
             assert t.topology is topologies.setdefault(t.topology.splits, t.topology)
             for s in (*t.topology.splits, *t.internal_lengths, *r.splits):
                 assert s is splits.setdefault(s, s)
+            assert r.splits is t.topology.sorted_splits()
             lengths = {s.mask: v for s, v in t.coordinates()}
             assert t == _tree_from_masks(t.p, lengths)
         assert len(topologies) < len(archive)

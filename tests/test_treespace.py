@@ -226,6 +226,16 @@ class TestTreeInvariants:
             Topology(6, frozenset([S(6, 3, 4), S(6, 1, 2, 3), S(6, 2, 3), S(6, 1, 2)]))
         assert str(err.value) == "incompatible splits Split({1,2}/6) and Split({2,3}/6)"
 
+    @pytest.mark.parametrize("order", [(2, 4), (4, 2)])
+    def test_error_does_not_depend_on_insertion_order(self, order):
+        with pytest.raises(InvalidTreeError) as err:
+            Topology(4, frozenset(S(4, leaf) for leaf in order))
+        assert str(err.value) == "Split({2}/4) is not internal (size 2..3)"
+
+    def test_more_than_64_leaves_refused(self):
+        with pytest.raises(InvalidArgumentError, match=r"^leaf count 65 outside 1\.\.64$"):
+            star_tree([1.0] * 65)
+
     def test_incompatible_pair_matches_a_pairwise_scan(self):
         # a resolved tree at p = 40 with one split swapped for a random one
         rng = RngStream(5)
