@@ -234,7 +234,7 @@ class PosteriorArchive:
                     raise
                 except TreecovError as exc:
                     raise DataError(f"{where}: {exc}") from exc
-                except (AttributeError, TypeError, ValueError) as exc:
+                except (AttributeError, OverflowError, TypeError, ValueError) as exc:
                     raise DataError(f"{where}: malformed value ({exc})") from exc
                 records.append(record)
         if reader is None:

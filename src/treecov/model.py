@@ -153,6 +153,17 @@ def gaussian_loglik(stats: SufficientStats, m) -> float:
     return _loglik(stats, c, dpotrs(c, np.eye(stats.p), lower=1)[0])
 
 
+def _rank_one(n: int, S: np.ndarray, u: np.ndarray, c: float, delta: float):
+    """Log-likelihood change and downdate scale of the rank-one step
+    ``delta v v'``, with ``u = W v`` and ``c = v'u``: with ``t = 1 + delta c``,
+    ``(-(1/2) (n log t - delta u'Su / t), delta / t)``.  None when ``t`` is
+    not positive and finite, so the move must be priced afresh."""
+    t = 1.0 + delta * c
+    if not 0.0 < t < math.inf:
+        return None
+    return -0.5 * (n * math.log(t) - delta * float(S.dot(u).dot(u)) / t), delta / t
+
+
 class LikelihoodKernel:
     """The log likelihood of split coordinates, its gradient, and its changes.
 
@@ -164,7 +175,8 @@ class LikelihoodKernel:
     that ``{mask: length}`` map, the same dict, as the one record of a
     chain's coordinates: :meth:`propose` prices setting masks to new
     lengths from ``W`` and each mask's cached indicator column ``v``,
-    :meth:`accept` writes the last proposal into the map, and
+    :meth:`accept` writes the last proposal into the map, :meth:`sweep`
+    prices and keeps a whole MH length sweep's moves in one call, and
     :meth:`refresh` factorizes at it.
 
     A change by ``delta`` on a split with indicator ``v`` adds ``delta v v'``
@@ -173,7 +185,8 @@ class LikelihoodKernel:
 
         delta loglik = -(1/2) (n log(1 + delta c) - delta u'Au / (1 + delta c))
 
-    in ``O(p^2)``, and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
+    in ``O(p^2)`` (:func:`_rank_one`, shared by :meth:`propose` and
+    :meth:`sweep`), and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
     A leaf's ``v`` is a unit vector ``e_i``, so a first step on a leaf takes
     ``u`` as column ``i`` of ``W`` and ``c = u_i``: the same numbers, without
     the products by zero.
@@ -263,23 +276,27 @@ class LikelihoodKernel:
                 v = columns.get(mask)
                 if v is None:
                     v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
-                u = W @ v
+                u = W.dot(v)  # ndarray.dot: the dgemv and ddot of @, called faster
                 for scale, w in steps:  # u = W' v for the W' the earlier steps leave
                     u -= scale * float(w @ v) * w
-                c = float(v @ u)
+                c = float(v.dot(u))
             else:  # a leaf's first step: v = e_i
                 i = mask.bit_length() - 1
                 u = W[:, i].copy()
                 c = float(u[i])
-            denom = 1.0 + delta * c
-            if not 0.0 < denom < math.inf:  # price the proposal afresh
-                fresh = LikelihoodKernel(self.stats, {**lengths, **dict(changes)})
+            step = _rank_one(n, S, u, c, delta)
+            if step is None:
+                fresh = self._afresh(changes)
                 self._pending = (fresh.log_lik, fresh.W, changes)
                 return fresh.log_lik - self.log_lik
-            dll -= 0.5 * (n * math.log(denom) - delta * float(S.dot(u).dot(u)) / denom)
-            steps.append((delta / denom, u))
+            dll += step[0]
+            steps.append((step[1], u))
         self._pending = (self.log_lik + dll, steps, changes)
         return dll
+
+    def _afresh(self, changes) -> "LikelihoodKernel":
+        """A kernel factorized at the kept lengths with ``changes`` set."""
+        return LikelihoodKernel(self.stats, {**self.lengths, **dict(changes)})
 
     def accept(self):
         """Apply the last proposal to ``W``, ``log_lik`` and the lengths."""
@@ -296,6 +313,64 @@ class LikelihoodKernel:
                 del self.lengths[mask]
         self._pending = None
         self._at = None
+
+    def sweep(self, masks, lengths, bars) -> int:
+        """Set each mask in turn to its new length where its ``bar`` is below
+        the log-likelihood change; return how many moves were kept.
+
+        Each move is one rank-one step on the ``W`` the moves before it
+        leave, with the floating-point operations of :meth:`propose` and
+        :meth:`accept`, so one call gives, to the bit, the ``W``, lengths
+        and ``log_lik`` of proposing and accepting move by move.  A leaf
+        reads its column of ``W`` in place and copies it only to apply the
+        move.  Without data every move goes through :meth:`propose`.
+        """
+        if self.W is None:
+            kept = 0
+            for mask, new, bar in zip(masks, lengths, bars):
+                if bar < self.propose([(mask, new)]):
+                    self.accept()
+                    kept += 1
+            return kept
+        n, S, W, columns, current, ger = \
+            self.stats.n, self.stats.S, self.W, self.columns, self.lengths, dger
+        ll = self.log_lik
+        kept = 0
+        try:
+            for mask, new, bar in zip(masks, lengths, bars):
+                delta = new - current[mask]
+                leaf = not mask & (mask - 1)
+                if leaf:  # v = e_i: u is a view of column i of W
+                    i = mask.bit_length() - 1
+                    u = W[:, i]
+                    c = float(u[i])
+                else:
+                    v = columns.get(mask)
+                    if v is None:
+                        v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
+                    u = W.dot(v)
+                    c = float(v.dot(u))
+                step = _rank_one(n, S, u, c, delta)
+                if step is None:  # price the move afresh
+                    fresh = self._afresh([(mask, new)])
+                    if not bar < fresh.log_lik - ll:
+                        continue
+                    W, ll = fresh.W, fresh.log_lik
+                elif bar < step[0]:
+                    if leaf:  # dger writes W in place
+                        u = u.copy()
+                    W = ger(-step[1], u, u, a=W, overwrite_a=True)
+                    ll += step[0]
+                else:
+                    continue
+                current[mask] = new
+                kept += 1
+        finally:
+            self.W = W
+            if kept:
+                self._log_lik = ll
+                self._at = None
+        return kept
 
 
 def loglik_gradient(stats: SufficientStats, t: Tree) -> dict[Split, float]:

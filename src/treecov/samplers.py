@@ -9,7 +9,7 @@ along geodesics of the stratified geometry:
   alternatives (copying the length, a symmetric move), then updates every
   stored length with a truncated-normal random walk, whose proposals and
   acceptance uniforms a sweep draws as one batch each before it prices
-  any move;
+  all its moves in one kernel call;
 * a Hamiltonian kernel with unit-mass momenta whose leapfrog drift crosses
   orthant boundaries: at each coordinate's fractured step, earliest first,
   its momentum flips sign and an internal one is reassigned to a uniformly
@@ -26,15 +26,17 @@ unresolved topologies carry exactly their posterior mass.
 
 Both states keep the containment tree of their splits with its per-node
 prior terms (:class:`LaminarTree`): an MH topology move and an HMC
-reassignment read their candidates from it and rewrite two nodes, and both
-kernels read the topology prior from it.  Only a kept record builds a
+reassignment read their candidates from it and rewrite two nodes, a
+rejected move restores a snapshot of it, and both kernels read the
+topology prior from it.  Only a kept record builds a
 tree, which its archive record keeps; each state validates a
 :class:`Topology` once per distinct split set it keeps, so kept records
 share one ``Topology`` per split set and one :class:`Split` per split,
 while each record's tree still checks its lengths.  Both score through
 one :class:`LikelihoodKernel` per state: each MH move is priced by
-rank-one steps on its cached inverse, a leaf's from one column of it, with
-one factorization per iteration at the end of the length sweep, and the
+rank-one steps on its cached inverse, a leaf's from one column of it, a
+length sweep in one :meth:`LikelihoodKernel.sweep` call, with one
+factorization per iteration at the end of the length sweep, and the
 likelihood read as ``tr(W S)`` from that inverse; an HMC trajectory's end with
 no length below ``delta`` reuses its last gradient's factorization.  An MH
 chain's kernel owns its lengths: a move proposes new lengths and accepting
@@ -161,9 +163,10 @@ class ChainState:
     there.
 
     ``kernel`` (:class:`LikelihoodKernel`) owns ``lengths``, the same dict:
-    moves set lengths through its ``propose`` and ``accept``, which update
-    the inverse covariance and the log likelihood by rank-one steps, and
-    :func:`mh_length_update` refactorizes it once per sweep.  ``log_prior``
+    moves set lengths through its ``propose`` and ``accept`` (a length sweep
+    through its ``sweep``), which update the inverse covariance and the log
+    likelihood by rank-one steps, and :func:`mh_length_update` refactorizes
+    it once per sweep.  ``log_prior``
     is priced fresh by :meth:`PriorSpec.log_prior`, so it is a function of
     the tree alone.  :meth:`tree` builds a kept record's tree through
     ``topologies``, the chain's table of validated topologies, so each
@@ -265,7 +268,8 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     both reachable and leavable.  Replacements remain symmetric; the
     drop/grow acceptances carry the exact proposal-count correction, while
     the proposal density of the created or destroyed length cancels against
-    the edge-length prior.
+    the edge-length prior.  A rejected move restores a snapshot of
+    ``state.laminar`` taken before its splits were toggled.
     """
     internal = sorted(state.laminar.events)[:-1]  # the full block sorts last
     m = len(internal)
@@ -290,6 +294,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         changes = [(mask_a, 0.0)] if stay else [(mask_a, 0.0), (cands[j], state.lengths[mask_a])]
     dll = state.kernel.propose(changes)
     old_topo_lp = state.laminar.log_prior()
+    saved = state.laminar.copy()  # a rejected move restores it
     for mask, _ in changes:
         state.laminar.toggle(mask)
 
@@ -308,8 +313,7 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         state.accepted_topology += 1
         state.kernel.accept()
     else:
-        for mask, _ in reversed(changes):
-            state.laminar.toggle(mask)
+        state.laminar = saved
     return state
 
 
@@ -342,7 +346,8 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     ``log u`` before the sweep (:func:`mh_length_log_ratio` at
     ``delta_loglik = 0``), and a move is accepted when ``log u`` minus that
     ratio is below its likelihood change.  Each move is a rank-one change
-    priced and applied by ``state.kernel`` in ``O(p^2)``.  With data the
+    priced and applied in ``O(p^2)`` by one :meth:`LikelihoodKernel.sweep`
+    call on ``state.kernel`` for the whole sweep.  With data the
     sweep ends by refactorizing the covariance built from the lengths, so
     rounding drift never outlives a sweep; that is an MH iteration's one
     factorization.  ``stats`` are the statistics ``state`` was built with.
@@ -360,10 +365,7 @@ def mh_length_update(state: ChainState, stats: SufficientStats,
     bars = np.log(gen.random(len(masks))) \
         - mh_length_log_ratio(cur, prop, 0.0, state.prior.edge_mean, sd)
     state.proposed_lengths += len(masks)
-    for mask, new, bar in zip(masks, prop.tolist(), bars.tolist()):
-        if bar < kernel.propose([(mask, new)]):
-            state.accepted_lengths += 1
-            kernel.accept()
+    state.accepted_lengths += kernel.sweep(masks, prop.tolist(), bars.tolist())
     kernel.refresh()
     return state
 

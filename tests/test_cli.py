@@ -527,6 +527,22 @@ seed = 5
         assert str(path) in err and message in err
         assert "Traceback" not in err_stream
 
+    @pytest.mark.parametrize("key", ["root_length", "log_lik", "leaf_lengths", "lengths"])
+    def test_integer_too_large_for_a_float_exit_one(self, key, tmp_path, capsys):
+        # a JSON integer of 400 digits is an int, which float() refuses
+        path = tmp_path / "arch.jsonl"
+        big = {"leaf_lengths": ["BIG", 1.0, 1.0], "lengths": {"1,2": "BIG"}}.get(key, "BIG")
+        line = json.dumps(self.GOOD_RECORD | {key: big}).replace('"BIG"', "9" * 400)
+        path.write_text(line + "\n")
+        expected = (f"archive {path} line 1: malformed value "
+                    "(int too large to convert to float)")
+        with pytest.raises(DataError, match=re.escape(expected)):
+            PosteriorArchive.load_jsonl(path)
+        assert main(["summarize", str(path), "--out", str(tmp_path / "s.json")]) == 1
+        out, err_stream = capsys.readouterr()
+        assert json.loads(out)["error"] == expected
+        assert "Traceback" not in err_stream
+
     def test_record_with_more_than_64_leaves_exit_one(self, tmp_path, capsys):
         path = tmp_path / "arch.jsonl"
         record = self.GOOD_RECORD | {"splits": [], "lengths": {}, "leaf_lengths": [1.0] * 65}

@@ -345,6 +345,43 @@ class TestLikelihoodKernel:
             assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
             assert np.allclose(kernel.W, W, rtol=0.0, atol=1e-9 * np.abs(W).max())
 
+    @pytest.mark.parametrize("spoiled", [False, True])
+    @pytest.mark.parametrize("p", [6, 40])
+    def test_sweep_equals_move_by_move(self, p, spoiled):
+        # one sweep call, and propose/accept per coordinate on a twin, with
+        # the same proposals and bars end on the same bits, sweep after
+        # sweep; a spoiled last diagonal entry of W sends the last leaf's
+        # lengthening moves through the fallback after earlier moves were kept
+        rng = RngStream(60, p)
+        t = random_tree(p, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(t), 10 * p, rng))
+        batched = LikelihoodKernel(stats, {s.mask: v for s, v in t.coordinates()})
+        stepwise = LikelihoodKernel(stats, {s.mask: v for s, v in t.coordinates()})
+        start = dict(batched.lengths)
+        for _ in range(5):
+            if spoiled:
+                assert batched.log_lik == stepwise.log_lik  # read before W is spoiled
+                batched.W[-1, -1] = stepwise.W[-1, -1] = -1e3
+            masks = sorted(batched.lengths)
+            prop = [batched.lengths[m] * math.exp(0.1 * z)
+                    for m, z in zip(masks, rng.generator.standard_normal(len(masks)))]
+            bars = np.log(rng.generator.random(len(masks))).tolist()
+            kept = batched.sweep(masks, prop, bars)
+            by_move = 0
+            for mask, new, bar in zip(masks, prop, bars):
+                if bar < stepwise.propose([(mask, new)]):
+                    stepwise.accept()
+                    by_move += 1
+            assert 0 < kept == by_move < len(masks)
+            assert np.array_equal(batched.W, stepwise.W)
+            assert list(batched.lengths.items()) == list(stepwise.lengths.items())
+            assert batched.log_lik == stepwise.log_lik
+        moved = [m for m in start if batched.lengths[m] != start[m]]
+        assert any(m & (m - 1) == 0 for m in moved) and any(m & (m - 1) for m in moved)
+        if not spoiled:
+            sigma = _fresh_sigma(p, batched.lengths)
+            assert batched.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
+
     @pytest.mark.parametrize("p", [4, 7, 20])
     def test_two_changes_match_fresh_build(self, rng, p):
         # a topology swap: one internal split shrinks to zero and a
