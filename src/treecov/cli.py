@@ -45,7 +45,7 @@ from .posterior import build_summary
 from .priors import PriorSpec
 from .rng import RngStream
 from .samplers import ALGOS, run_chain
-from .sim import Scenario, _map_jobs, run_scenario, write_report
+from .sim import COST_CAP_SECONDS, Scenario, _map_jobs, run_scenario, write_report
 from .treespace import MAX_LEAVES, Tree, random_tree
 from .ultrametric import (
     DEFAULT_TOL,
@@ -457,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a replicated simulation scenario")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--force", action="store_true")
+    sp.add_argument("--force", action="store_true",
+                    help="run even when a pilot of the first chain prices the "
+                    f"chains above the {COST_CAP_SECONDS:.0f} s cap")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("mean", help="geodesic mean of an archive or Newick list")

@@ -6,6 +6,11 @@ the truth mode, and the sampler; each replicate draws a truth (or shares a
 fixed one), generates data, runs the chain, and scores split recovery,
 interval coverage, and the distances of the point estimates to the truth.
 Everything is a pure function of the master seed.
+
+Unless forced (``force=True``, or ``treecov simulate --force``),
+``run_scenario`` first times a short pilot of the first replicate's chain
+and refuses a scenario whose chains it prices above ``COST_CAP_SECONDS``
+(one hour); the summaries that score the chains are not priced.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ _STREAM_DATA = 1
 _STREAM_INIT = 2
 _CELL_STRIDE = 1 << 20
 _REP_STRIDE = 8
+COST_CAP_SECONDS = 3600.0
+PILOT_ITERATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,11 @@ class Scenario:
             raise InvalidArgumentError(f"p = {self.p} is outside 2..{MAX_LEAVES}")
         if self.replicates < 1:
             raise InvalidArgumentError("replicates must be >= 1")
+        for name in ("multipliers", "distributions"):
+            axis = getattr(self, name)
+            if not axis or len(set(axis)) < len(axis):
+                raise InvalidArgumentError(f"{name} must be non-empty and distinct, "
+                                           f"got {tuple(axis)}")
         if any(m < 1 for m in self.multipliers):
             raise InvalidArgumentError("sample-size multipliers must be positive")
         for d in self.distributions:
@@ -198,35 +210,38 @@ class ScenarioReport:
         return rows
 
 
-def estimate_cost_seconds(s: Scenario) -> float:
-    """Crude wall-clock estimate of the chains, used by the runtime guard.
-
-    Fitted to MH iterations of 0.32 / 0.51 / 1.23 ms and HMC leapfrog steps of
-    0.13 / 0.13 / 0.30 ms at p = 10 / 20 / 40 and n = 10p, one process, 2 vCPUs.
-    """
-    if s.algo == "mh":
-        steps, per_step = s.mh.iterations, 1.36e-5 * (2 * s.p + 2)
-    else:
-        steps = s.hmc.iterations * s.hmc.leapfrog_steps
-        per_step = 1.15e-4 + 2.9e-9 * s.p ** 3
-    cells = len(s.distributions) * len(s.multipliers)
-    return s.replicates * cells * steps * per_step
-
-
-def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
-                   cell_idx: int) -> tuple[ReplicateResult, str]:
-    n = mult * s.p
+def _chain_inputs(s: Scenario, dist: str, mult: int, rep: int, cell_idx: int):
+    """The truth, data, initial tree and sampler config of one replicate's
+    chain, each drawn afresh from that replicate's own streams."""
     base = cell_idx * _CELL_STRIDE + (rep + 1) * _REP_STRIDE
     # a fixed truth is shared by every cell and replicate; otherwise each
     # replicate draws its own
     truth_offset = 0 if s.fixed_truth else base
-    truth_stream = RngStream(s.master_seed, truth_offset + _STREAM_TRUTH)
-    truth = _draw_truth(s, truth_stream)
+    truth = _draw_truth(s, RngStream(s.master_seed, truth_offset + _STREAM_TRUTH))
     truth_matrix = tree_to_matrix(truth)
-    data = _draw_data(dist, truth_matrix, n, RngStream(s.master_seed, base + _STREAM_DATA))
+    data = _draw_data(dist, truth_matrix, mult * s.p,
+                      RngStream(s.master_seed, base + _STREAM_DATA))
     init = random_tree(s.p, "uniform-binary", s.length_mean,
                        RngStream(s.master_seed, base + _STREAM_INIT))
     cfg = replace(getattr(s, s.algo), seed=s.master_seed + base)
+    return truth, truth_matrix, data, init, cfg
+
+
+def _pilot_seconds_per_iteration(s: Scenario) -> float:
+    """Seconds per iteration of the first replicate's chain over its first
+    ``PILOT_ITERATIONS`` iterations, keeping only the last record, as a chain
+    past its burn-in keeps few; LAPACK is loaded before the clock starts."""
+    *_, data, init, cfg = _chain_inputs(s, s.distributions[0], s.multipliers[0], 0, 0)
+    cfg = replace(cfg, iterations=PILOT_ITERATIONS, burn_in=PILOT_ITERATIONS - 1)
+    _load_lapack()
+    t0 = time.perf_counter()
+    run_chain(data, init, s.algo, cfg)
+    return (time.perf_counter() - t0) / PILOT_ITERATIONS
+
+
+def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
+                   cell_idx: int) -> tuple[ReplicateResult, str]:
+    truth, truth_matrix, data, init, cfg = _chain_inputs(s, dist, mult, rep, cell_idx)
     archive = run_chain(data, init, s.algo, cfg)
 
     mean_cfg = MeanConfig(max_iterations=s.mean_passes * len(archive))
@@ -236,7 +251,7 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     num_splits = float(np.mean([len(r.splits) for r in archive.records]))
     return (
         ReplicateResult(
-            distribution=dist, n=n, replicate=rep,
+            distribution=dist, n=mult * s.p, replicate=rep,
             recovery=summary.recovery, coverage_rate=summary.coverage_rate,
             mean_d=mean_d, mean_frob=mean_frob,
             map_d=map_d, map_frob=map_frob,
@@ -247,33 +262,41 @@ def _run_replicate(s: Scenario, dist: str, mult: int, rep: int,
     )
 
 
-def _map_jobs(fn, jobs) -> list:
-    """``[fn(*job) for job in jobs]``, run on up to one process per available CPU.
-
-    With ``workers = min(available CPUs, len(jobs))`` of at least 2 and the
-    ``fork`` start method available, the caller is worker 0 and runs every
-    ``workers``-th job itself while ``workers - 1`` forked children run the
-    rest; otherwise the jobs run serially in the caller.  ``fn`` is pickled
-    by import path, so it must be a module-level function (or a
-    ``functools.partial`` of one).  Results come back in job order, so a pure
-    ``fn`` gives the serial output.  No worker outlives the call: when a job
-    raises, the jobs not yet started are cancelled and the error propagates
-    once the running ones have finished.
-    """
-    jobs = list(jobs)
+def _workers(jobs: int) -> int:
+    """How many processes ``_map_jobs`` runs ``jobs`` jobs on: one per
+    available CPU and at most one per job, or 1 where ``fork`` is unavailable."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(jobs))
+    workers = min(cpus, jobs)
+    if workers < 2:
+        return workers
+    # imported here, so that the serial path loads no process machinery
+    import multiprocessing
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _map_jobs(fn, jobs) -> list:
+    """``[fn(*job) for job in jobs]``, run on up to one process per available CPU.
+
+    With ``workers = _workers(len(jobs))`` of at least 2, the caller is
+    worker 0 and runs every ``workers``-th job itself while ``workers - 1``
+    forked children run the rest; otherwise the jobs run serially in the
+    caller.  ``fn`` is pickled by import path, so it must be a module-level
+    function (or a ``functools.partial`` of one).  Results come back in job
+    order, so a pure ``fn`` gives the serial output.  No worker outlives the
+    call: when a job raises, the jobs not yet started are cancelled and the
+    error propagates once the running ones have finished.
+    """
+    jobs = list(jobs)
+    workers = _workers(len(jobs))
     if workers < 2:
         return [fn(*job) for job in jobs]
-    # imported here, so that the serial path loads no process machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*job) for job in jobs]
     # fork, not spawn: a spawned worker re-imports numpy and scipy, which
     # costs about as much as a whole small scenario; scipy is loaded here,
     # so that the workers inherit it
@@ -294,21 +317,18 @@ def _map_jobs(fn, jobs) -> list:
     return results
 
 
-def run_scenario(s: Scenario, force: bool = False,
-                 cost_cap_seconds: float = 3600.0) -> ScenarioReport:
+def run_scenario(s: Scenario, force: bool = False) -> ScenarioReport:
     """Execute every (distribution, sample size, replicate) cell and score it.
 
-    Refuses scenarios whose estimated cost exceeds the cap unless forced.
-    Each replicate runs on its own independent streams, so they run on up to
-    one process per available CPU (``_map_jobs``) and the report equals a
-    serial run's except for ``elapsed_seconds``.
+    Unless ``force`` is set, a pilot first times ``PILOT_ITERATIONS``
+    iterations of the first replicate's chain, on fresh copies of its
+    streams, and the scenario is refused when that rate times every chain's
+    iterations over the worker count exceeds ``COST_CAP_SECONDS``; the
+    summaries are not priced.  Each replicate runs on its own independent
+    streams, so they run on up to one process per available CPU
+    (``_map_jobs``) and the report equals a serial run's except for
+    ``elapsed_seconds``.
     """
-    est = estimate_cost_seconds(s)
-    if est > cost_cap_seconds and not force:
-        raise InvalidArgumentError(
-            f"estimated cost {est:.0f}s exceeds cap {cost_cap_seconds:.0f}s; "
-            "pass force=True to run anyway"
-        )
     jobs = []
     cell_idx = 0
     for dist in s.distributions:
@@ -316,6 +336,14 @@ def run_scenario(s: Scenario, force: bool = False,
             for rep in range(s.replicates):
                 jobs.append((dist, mult, rep, cell_idx))
             cell_idx += 1
+
+    if not force:
+        est = (_pilot_seconds_per_iteration(s) * getattr(s, s.algo).iterations
+               * len(jobs) / _workers(len(jobs)))
+        if est > COST_CAP_SECONDS:
+            raise InvalidArgumentError(
+                f"estimated cost {est:.0f}s exceeds cap {COST_CAP_SECONDS:.0f}s; "
+                "pass force=True (treecov simulate --force) to run anyway")
 
     t0 = time.time()
     outputs = _map_jobs(_run_replicate, [(s, *j) for j in jobs])

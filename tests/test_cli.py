@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from treecov import sim
 from treecov.archive import ArchiveRecord, PosteriorArchive
 from treecov.cli import (
     _KNOWN_KEYS,
@@ -33,6 +34,7 @@ from treecov.treespace import random_tree, star_tree
 from treecov.ultrametric import matrix_to_tree, tree_to_matrix
 
 from test_newick import MALFORMED
+from test_sim import must_not_run
 
 
 @pytest.fixture
@@ -745,6 +747,32 @@ seed = 4
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert "cells" in rep and rep["p"] == 4
 
+    def test_over_the_cap_names_force(self, tmp_path, capsys, monkeypatch):
+        # the pilot prices these chains at about 1e5 s on two workers
+        cfg = write_config(tmp_path / "sim.ini", f"""
+[sampler]
+iterations = 1000000
+burn_in = 9000
+
+[scenario]
+p = 30
+multipliers = 3,5,10,25,50
+distributions = normal,t3
+replicates = 50
+
+[io]
+report = {tmp_path / 'rep.json'}
+splits_csv = {tmp_path / 'rec.csv'}
+""")
+        monkeypatch.setattr(sim, "_run_replicate", must_not_run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["simulate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert "--force" in json.loads(line)["error"]
+        assert "Traceback" not in captured.err
+        assert [f.name for f in tmp_path.iterdir()] == ["sim.ini"]
+
     @pytest.mark.parametrize("section,key", [("run", "threads"), ("io", "out_dir"),
                                              ("sampler", "lambda"), ("sampler", "mass")])
     def test_removed_keys_rejected(self, tmp_path, capsys, section, key):
@@ -905,6 +933,7 @@ class TestScenarioSection:
         ("drop_count = -1", "drop_count must be >= 0"),
         ("p = 1", "p = 1 is outside 2..64"),
         ("p = 65", "p = 65 is outside 2..64"),
+        ("multipliers = 5,5", "multipliers must be non-empty and distinct, got (5, 5)"),
     ])
     def test_exit_two_naming_the_section(self, tmp_path, capsys, line, message):
         keys = {"p": "4", "multipliers": "2", "replicates": "1",

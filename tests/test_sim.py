@@ -6,15 +6,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from treecov import sim
+from treecov import model, samplers, sim
 from treecov.errors import InvalidArgumentError, NotPositiveDefiniteError
-from treecov.samplers import HmcConfig, MhConfig
-from treecov.sim import (
-    Scenario,
-    estimate_cost_seconds,
-    run_scenario,
-    score_point_estimate,
-)
+from treecov.samplers import MhConfig
+from treecov.sim import COST_CAP_SECONDS, Scenario, run_scenario, score_point_estimate
 from treecov.treespace import Split, random_tree
 from treecov.ultrametric import tree_to_matrix
 
@@ -73,6 +68,8 @@ class TestScenario:
         ("mean_passes", 0), ("mean_passes", 1.5), ("mean_passes", True),
         ("drop_count", -1),
         ("p", 1), ("p", 65),
+        ("multipliers", ()), ("multipliers", (5, 5)),
+        ("distributions", ()), ("distributions", ("normal", "normal")),
     ])
     def test_unrunnable_value_refused(self, field, value):
         with pytest.raises(InvalidArgumentError, match=field):
@@ -135,24 +132,15 @@ class TestScenario:
                 assert 0.0 <= f <= 1.0
             assert row.mean_d >= 0.0 and row.map_frob >= 0.0
 
-    def test_cost_guard(self):
+    def test_cost_guard(self, monkeypatch):
+        # priced by the pilot at about 1e5 s on two workers, far past the cap;
+        # a replicate that starts fails the test at once instead of running
         s = Scenario(p=30, multipliers=(3, 5, 10, 25, 50), distributions=("normal", "t3"),
-                     replicates=50, mh=MhConfig(iterations=10000, burn_in=9000))
-        assert estimate_cost_seconds(s) > 3600
-        with pytest.raises(InvalidArgumentError):
-            run_scenario(s, cost_cap_seconds=3600.0)
-
-    @pytest.mark.parametrize("algo,p,ms_per_step", [
-        ("mh", 10, 0.32), ("mh", 20, 0.51), ("mh", 40, 1.23),
-        ("hmc", 10, 0.13), ("hmc", 20, 0.13), ("hmc", 40, 0.30),
-    ])
-    def test_cost_matches_measured_step_times(self, algo, p, ms_per_step):
-        # one replicate of 1000 MH iterations or 1000 leapfrog steps, priced
-        # within 20 % of the single-process timings the estimate was fitted to
-        s = Scenario(p=p, multipliers=(10,), replicates=1, algo=algo,
-                     mh=MhConfig(iterations=1000, burn_in=0),
-                     hmc=HmcConfig(iterations=100, burn_in=0, leapfrog_steps=10))
-        assert estimate_cost_seconds(s) == pytest.approx(ms_per_step, rel=0.2)
+                     replicates=50, mh=MhConfig(iterations=10**6, burn_in=9000))
+        monkeypatch.setattr(sim, "_run_replicate", must_not_run)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(InvalidArgumentError, match="exceeds cap 3600s.*--force"):
+            run_scenario(s)
 
     def test_misspecification_degrades_recovery(self):
         # heavy-tailed data recover the topology strictly worse than exact
@@ -193,6 +181,11 @@ def set_cpus(monkeypatch, count):
     """Make ``count`` CPUs available to the worker-count rule."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
+
+
+def must_not_run(*args):
+    """Stands in for a function the code under test must not call."""
+    raise AssertionError("a function that must not run was called")
 
 
 def comparable(report):
@@ -256,3 +249,50 @@ class TestWorkers:
                            match=f"replicate {failing} in the {worker}"):
             run_scenario(small_scenario(replicates=4))
         assert multiprocessing.active_children() == []
+
+
+class TestCostGuard:
+    """The pilot's rate, extrapolated over every chain and the workers,
+    against ``COST_CAP_SECONDS``."""
+
+    @pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9])
+    @pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (4, 3)])
+    def test_refuses_just_above_the_cap(self, monkeypatch, cpus, workers, scale):
+        # three jobs of 20 iterations on min(cpus, 3) workers, priced at
+        # scale times the cap
+        s = small_scenario(replicates=3, mh=MhConfig(iterations=20, burn_in=10))
+        rate = scale * COST_CAP_SECONDS * workers / (20 * 3)
+        monkeypatch.setattr(sim, "_pilot_seconds_per_iteration", lambda _: rate)
+        set_cpus(monkeypatch, cpus)
+        if scale < 1:
+            assert len(run_scenario(s).results) == 3
+            return
+        monkeypatch.setattr(sim, "_run_replicate", must_not_run)
+        with pytest.raises(InvalidArgumentError, match="estimated cost 3600s"):
+            run_scenario(s)
+
+    def test_forced_run_makes_no_pilot(self, monkeypatch):
+        monkeypatch.setattr(sim, "_pilot_seconds_per_iteration", must_not_run)
+        assert len(run_scenario(small_scenario(), force=True).results) == 2
+
+    def test_pilot_changes_no_draw(self, monkeypatch):
+        s = small_scenario()
+        set_cpus(monkeypatch, 1)
+        assert comparable(run_scenario(s)) == comparable(run_scenario(s, force=True))
+
+    @pytest.mark.parametrize("algo", ["mh", "hmc"])
+    def test_pilot_times_a_chain_with_lapack_loaded(self, monkeypatch, algo):
+        # a cold pilot would time the scipy import, many times the iterations
+        for name in ("dger", "dpotrf", "dpotrs"):
+            monkeypatch.setattr(model, name, None)
+        calls = []
+        run_chain = samplers.run_chain
+
+        def recording(data, init, chain_algo, cfg):
+            calls.append((model.dpotrf is not None, chain_algo, cfg.iterations))
+            return run_chain(data, init, chain_algo, cfg)
+
+        monkeypatch.setattr(sim, "run_chain", recording)
+        rate = sim._pilot_seconds_per_iteration(small_scenario(algo=algo))
+        assert calls == [(True, algo, sim.PILOT_ITERATIONS)]
+        assert rate > 0
