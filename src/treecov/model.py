@@ -14,7 +14,7 @@ one factorization serves all coordinates.
 Both samplers score through :class:`LikelihoodKernel`, the one place that
 builds, factorizes and differentiates a sampler's covariance, and that
 prices a change of lengths by rank-one steps; an MH chain's kernel also
-owns the chain's ``{mask: length}`` map, which only its ``accept`` writes.
+owns the chain's ``{mask: length}`` map, which only its moves write.
 :func:`gaussian_loglik` factorizes a given matrix afresh; the kernel's
 caches are checked against it.  Every factorization goes through
 :func:`_factor`, which raises ``NotPositiveDefiniteError`` when it fails
@@ -45,11 +45,9 @@ dger = dpotrf = dpotrs = None  # scipy's, bound by the first _factor
 
 @dataclass(frozen=True)
 class DataSet:
-    """An ``n x p`` sample with a tag for how it was generated."""
+    """An ``n x p`` sample of finite values."""
 
     values: np.ndarray
-    kind: str = "normal"
-    df: int | None = None
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -173,11 +171,10 @@ class LikelihoodKernel:
     read from that ``W``.  The indicator matrix ``V`` is kept while the
     list of masks is unchanged.  Built with ``lengths``, the kernel keeps
     that ``{mask: length}`` map, the same dict, as the one record of a
-    chain's coordinates: :meth:`propose` prices setting masks to new
-    lengths from ``W`` and each mask's cached indicator column ``v``,
-    :meth:`accept` writes the last proposal into the map, :meth:`sweep`
-    prices and keeps a whole MH length sweep's moves in one call, and
-    :meth:`refresh` factorizes at it.
+    chain's coordinates: :meth:`move` prices setting masks to new lengths
+    from ``W`` and each mask's cached indicator column ``v`` and keeps the
+    move when it clears its bar, :meth:`sweep` does so for a whole MH
+    length sweep's moves in one call, and :meth:`refresh` factorizes at it.
 
     A change by ``delta`` on a split with indicator ``v`` adds ``delta v v'``
     to ``sigma``.  With ``u = W v``, ``c = v'u`` and the scatter matrix ``A``,
@@ -185,8 +182,8 @@ class LikelihoodKernel:
 
         delta loglik = -(1/2) (n log(1 + delta c) - delta u'Au / (1 + delta c))
 
-    in ``O(p^2)`` (:func:`_rank_one`, shared by :meth:`propose` and
-    :meth:`sweep`), and accepting it downdates ``W -= delta/(1 + delta c) uu'``.
+    in ``O(p^2)`` (:func:`_rank_one`, shared by :meth:`move` and
+    :meth:`sweep`), and keeping it downdates ``W -= delta/(1 + delta c) uu'``.
     A leaf's ``v`` is a unit vector ``e_i``, so a first step on a leaf takes
     ``u`` as column ``i`` of ``W`` and ``c = u_i``: the same numbers, without
     the products by zero.
@@ -195,8 +192,8 @@ class LikelihoodKernel:
     so its intermediate matrix is the covariance of a tree with the edge at
     length zero, which is positive definite.  A step whose ``1 + delta c``
     is not positive and finite (a move to a matrix that is not positive
-    definite, or rounding in an ill-conditioned ``W``) makes the proposal a
-    full factorization of the proposed lengths, which raises
+    definite, or rounding in an ill-conditioned ``W``) prices the move by a
+    full factorization of the proposed lengths (:meth:`_afresh`), which raises
     ``NotPositiveDefiniteError`` if it fails.  Without data :meth:`refresh`
     builds nothing and the likelihood is identically zero.
     """
@@ -207,8 +204,7 @@ class LikelihoodKernel:
         self.W = None
         self._log_lik = 0.0  # None: not yet read from the factor in _at and W
         self.columns: dict[int, np.ndarray] = {}
-        self._pending = None
-        self._V = None  # (masks, V) of the last factorization, kept across accepts
+        self._V = None  # (masks, V) of the last factorization, kept across moves
         self._at = None  # (lengths, factor) of the position W belongs to
         if lengths is not None:
             self.refresh()
@@ -222,7 +218,7 @@ class LikelihoodKernel:
 
     def factor(self, masks, lengths):
         """Factorize at the lengths of ``masks``, in that order, unless the last
-        call had the same position and nothing was accepted since.  Raises
+        call had the same position and no move was kept since.  Raises
         ``NotPositiveDefiniteError``, and changes nothing, when it fails."""
         d = np.array(lengths, dtype=float)
         kept = self._V
@@ -248,7 +244,7 @@ class LikelihoodKernel:
 
     def refresh(self):
         """Factorize at the kept lengths in ascending mask order, unless no
-        move was accepted since the last factorization; the column cache
+        move was kept since the last factorization; the column cache
         keeps the stored masks only."""
         if not self.stats.n:
             return
@@ -257,15 +253,18 @@ class LikelihoodKernel:
         self.factor(masks, [lengths[m] for m in masks])
         self.columns = {m: self.columns[m] for m in lengths if m in self.columns}
 
-    def propose(self, changes) -> float:
-        """Log-likelihood change from setting each ``(mask, length)`` in the map.
+    def move(self, changes, bar: float) -> float:
+        """Log-likelihood change from setting each ``(mask, length)`` in the
+        map, the changes kept when ``bar`` is below it.
 
-        Each pair is the rank-one change ``length - lengths.get(mask, 0.0)``;
-        a zero length drops the mask.  Nothing cached but the columns
-        changes until :meth:`accept`.
+        Each pair is the rank-one change ``length - lengths.get(mask, 0.0)``
+        on the ``W`` the pairs before it leave; a zero length drops the
+        mask.  A kept move downdates ``W`` and sets ``log_lik`` and the
+        lengths; a move not kept changes nothing cached but the columns.
         """
         if self.W is None:
-            self._pending = (0.0, (), changes)
+            if bar < 0.0:
+                self._set(changes)
             return 0.0
         n, S, W, columns, lengths = self.stats.n, self.stats.S, self.W, self.columns, self.lengths
         dll = 0.0
@@ -287,31 +286,32 @@ class LikelihoodKernel:
             step = _rank_one(n, S, u, c, delta)
             if step is None:
                 fresh = self._afresh(changes)
-                self._pending = (fresh.log_lik, fresh.W, changes)
-                return fresh.log_lik - self.log_lik
+                dll = fresh.log_lik - self.log_lik
+                if bar < dll:
+                    self.W, self._log_lik = fresh.W, fresh.log_lik
+                    self._set(changes)
+                return dll
             dll += step[0]
             steps.append((step[1], u))
-        self._pending = (self.log_lik + dll, steps, changes)
+        if bar < dll:
+            self._log_lik = self.log_lik + dll
+            for scale, u in steps:  # W -= scale u u', in place
+                W = dger(-scale, u, u, a=W, overwrite_a=True)
+            self.W = W
+            self._set(changes)
         return dll
 
     def _afresh(self, changes) -> "LikelihoodKernel":
         """A kernel factorized at the kept lengths with ``changes`` set."""
         return LikelihoodKernel(self.stats, {**self.lengths, **dict(changes)})
 
-    def accept(self):
-        """Apply the last proposal to ``W``, ``log_lik`` and the lengths."""
-        self._log_lik, update, changes = self._pending
-        if isinstance(update, np.ndarray):
-            self.W = update
-        else:
-            for scale, u in update:  # W -= scale u u', in place
-                self.W = dger(-scale, u, u, a=self.W, overwrite_a=True)
-        for mask, new in changes:  # a zero length drops the mask
+    def _set(self, changes):
+        """Write kept changes into the lengths; a zero length drops the mask."""
+        for mask, new in changes:
             if new:
                 self.lengths[mask] = new
             else:
                 del self.lengths[mask]
-        self._pending = None
         self._at = None
 
     def sweep(self, masks, lengths, bars) -> int:
@@ -319,19 +319,16 @@ class LikelihoodKernel:
         the log-likelihood change; return how many moves were kept.
 
         Each move is one rank-one step on the ``W`` the moves before it
-        leave, with the floating-point operations of :meth:`propose` and
-        :meth:`accept`, so one call gives, to the bit, the ``W``, lengths
-        and ``log_lik`` of proposing and accepting move by move.  A leaf
-        reads its column of ``W`` in place and copies it only to apply the
-        move.  Without data every move goes through :meth:`propose`.
+        leave, with the floating-point operations of :meth:`move`, so one
+        call gives, to the bit, the ``W``, lengths and ``log_lik`` of one
+        :meth:`move` per mask.  A leaf reads its column of ``W`` in place
+        and copies it only to apply the move.  Without data every change is
+        zero, so a move is kept where its bar is below zero.
         """
-        if self.W is None:
-            kept = 0
-            for mask, new, bar in zip(masks, lengths, bars):
-                if bar < self.propose([(mask, new)]):
-                    self.accept()
-                    kept += 1
-            return kept
+        if self.W is None:  # every change is zero
+            kept = [(mask, new) for mask, new, bar in zip(masks, lengths, bars) if bar < 0.0]
+            self.lengths.update(kept)
+            return len(kept)
         n, S, W, columns, current, ger = \
             self.stats.n, self.stats.S, self.W, self.columns, self.lengths, dger
         ll = self.log_lik
@@ -396,7 +393,7 @@ def sample_gaussian(m, n: int, rng: RngStream) -> DataSet:
         raise NotPositiveDefiniteError(
             f"covariance matrix is not numerically positive definite ({exc})") from exc
     Z = rng.generator.normal(size=(n, arr.shape[0]))
-    return DataSet(Z @ L.T, kind="normal")
+    return DataSet(Z @ L.T)
 
 
 def sample_t(m, df: int, n: int, rng: RngStream) -> DataSet:
@@ -413,4 +410,4 @@ def sample_t(m, df: int, n: int, rng: RngStream) -> DataSet:
         raise InvalidArgumentError("df above 64 is not supported")
     z = sample_gaussian(m, n, rng).values
     w = np.sum(rng.generator.normal(size=(n, df)) ** 2, axis=1)
-    return DataSet(z * np.sqrt(df / w)[:, None], kind=f"t{df}", df=df)
+    return DataSet(z * np.sqrt(df / w)[:, None])

@@ -40,7 +40,8 @@ def tree_to_newick(t: Tree) -> str:
         length = t.internal_lengths[Split(p, mask)]
         return f"({','.join(parts)}):{_fmt(length)}"
 
-    tops = [f"0:{_fmt(t.root_length)}"] + [render(c) for c in children[full]]
+    # one leaf is the full block, so it is a child of the top level itself
+    tops = [f"0:{_fmt(t.root_length)}"] + [render(c) for c in children[full] or [full]]
     return f"({','.join(tops)});"
 
 

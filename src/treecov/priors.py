@@ -18,8 +18,10 @@ supplies only how one block splits and :meth:`PriorSpec.event_log_prob` of
 a split.  A :class:`PriorSpec` is validated once, when it is built.
 
 Edge lengths are i.i.d. exponential with a common mean across all stored
-coordinates (root, leaves, internal), summed in ascending mask order by
-both :func:`tree_log_prior` and :meth:`PriorSpec.log_prior`, the samplers'.
+coordinates (root, leaves, internal).  Every prior sum is one
+``math.fsum``, correctly rounded whatever the order of its terms, so
+:meth:`PriorSpec.log_prior`, the samplers' rule, and :func:`tree_log_prior`
+agree to the bit on one tree.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class PriorSpec:
         (``run_chain`` refuses it) gets a flat topology term."""
         resolved = len(laminar.events) == laminar.p - 1  # the full block and p - 2 splits
         topo_lp = laminar.log_prior() if resolved or self.kind != "beta-splitting" else 0.0
-        return topo_lp + lengths_log_prior(map(lengths.get, sorted(lengths)), self.edge_mean)
+        return topo_lp + lengths_log_prior(lengths.values(), self.edge_mean)
 
     def event_log_prob(self, children) -> float:
         """Log probability of one fragmentation event: a block into ``children``.
@@ -151,15 +153,11 @@ def lengths_log_prior(lengths, a: float = 1.0) -> float:
     if a == math.inf:
         return 0.0
     log_a = math.log(a)
-    total = 0.0
-    for x in lengths:
-        total -= x / a + log_a
-    return total
+    return math.fsum(-x / a - log_a for x in lengths)
 
 
 def edge_length_log_prior(t: Tree, a: float = 1.0) -> float:
-    """Sum of exponential(mean ``a``) log densities over all stored lengths,
-    in ascending mask order."""
+    """Sum of exponential(mean ``a``) log densities over all stored lengths."""
     return lengths_log_prior((v for _, v in t.coordinates()), a)
 
 

@@ -34,17 +34,18 @@ tree, which its archive record keeps; each state validates a
 share one ``Topology`` per split set and one :class:`Split` per split,
 while each record's tree still checks its lengths.  Both score through
 one :class:`LikelihoodKernel` per state: each MH move is priced by
-rank-one steps on its cached inverse, a leaf's from one column of it, a
-length sweep in one :meth:`LikelihoodKernel.sweep` call, with one
+rank-one steps on its cached inverse, a leaf's from one column of it, and
+kept in the same call when ``log u`` less its other log-ratio terms is
+below its likelihood change: a topology move in :meth:`LikelihoodKernel.move`,
+a length sweep in one :meth:`LikelihoodKernel.sweep` call, with one
 factorization per iteration at the end of the length sweep, and the
 likelihood read as ``tr(W S)`` from that inverse; an HMC trajectory's end with
 no length below ``delta`` reuses its last gradient's factorization.  An MH
-chain's kernel owns its lengths: a move proposes new lengths and accepting
-it writes them.  Every move reads the prior its state was built with; a
-config supplies only tunables.  Both states price it fresh through one
-rule, :meth:`PriorSpec.log_prior`, so a kept record's ``log_prior`` is
-:func:`tree_log_prior` of its tree.  A failed HMC gradient raises, and
-:func:`hmc_step` rejects on it.
+chain's kernel owns its lengths, which only those calls write.  Every move
+reads the prior its state was built with; a config supplies only tunables.
+Both states price it fresh through one rule, :meth:`PriorSpec.log_prior`,
+so a kept record's ``log_prior`` is :func:`tree_log_prior` of its tree.  A
+failed HMC gradient raises, and :func:`hmc_step` rejects on it.
 
 :func:`run_chain` is the one driver: it builds the state for the algo's
 config (:data:`ALGOS`), runs one ``state.step`` per iteration and records
@@ -163,12 +164,12 @@ class ChainState:
     there.
 
     ``kernel`` (:class:`LikelihoodKernel`) owns ``lengths``, the same dict:
-    moves set lengths through its ``propose`` and ``accept`` (a length sweep
-    through its ``sweep``), which update the inverse covariance and the log
-    likelihood by rank-one steps, and :func:`mh_length_update` refactorizes
-    it once per sweep.  ``log_prior``
-    is priced fresh by :meth:`PriorSpec.log_prior`, so it is a function of
-    the tree alone.  :meth:`tree` builds a kept record's tree through
+    a topology move sets lengths through one ``move`` call and a length
+    sweep through one ``sweep`` call, which update the inverse covariance
+    and the log likelihood by rank-one steps, and :func:`mh_length_update`
+    refactorizes it once per sweep.  ``log_prior`` is priced fresh by
+    :meth:`PriorSpec.log_prior`, so it is a function of the tree alone.
+    :meth:`tree` builds a kept record's tree through
     ``topologies``, the chain's table of validated topologies, so each
     distinct split set is validated once.  :meth:`check_consistency`
     recomputes the caches from scratch for tests.
@@ -268,8 +269,11 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
     both reachable and leavable.  Replacements remain symmetric; the
     drop/grow acceptances carry the exact proposal-count correction, while
     the proposal density of the created or destroyed length cancels against
-    the edge-length prior.  A rejected move restores a snapshot of
-    ``state.laminar`` taken before its splits were toggled.
+    the edge-length prior.  The splits are toggled in ``state.laminar``
+    first, which prices the prior change; ``log u`` less the log ratio's
+    other terms is the bar of one :meth:`LikelihoodKernel.move` call, which
+    keeps the move when the bar is below its likelihood change.  Otherwise,
+    also when pricing raises, the snapshot taken before the toggles is restored.
     """
     internal = sorted(state.laminar.events)[:-1]  # the full block sorts last
     m = len(internal)
@@ -292,28 +296,27 @@ def mh_topology_update(state: ChainState, stats: SufficientStats,
         j = rng.integers(len(cands) if binary else len(cands) + 1)
         stay = j == len(cands)
         changes = [(mask_a, 0.0)] if stay else [(mask_a, 0.0), (cands[j], state.lengths[mask_a])]
-    dll = state.kernel.propose(changes)
-    old_topo_lp = state.laminar.log_prior()
-    saved = state.laminar.copy()  # a rejected move restores it
-    for mask, _ in changes:
-        state.laminar.toggle(mask)
-
-    log_alpha = (state.laminar.log_prior() - old_topo_lp) + dll
-    if grow:
-        # reverse move: the shrink branch picks this split and stays (summed
-        # left to right, not with +=, so the accept test rounds as before)
-        log_alpha = log_alpha + _log_shrink_prob(m + 1, p) - math.log(m + 1) \
-            - _log_shrink_prob(p - 2 - m, p)
-    elif stay:
-        # reverse move: the grow branch at the boundary regrows this split;
-        # the Exp density of the dropped length cancels against the prior
-        log_alpha += _log_shrink_prob(p - 1 - m, p) + math.log(m) \
-            - _log_shrink_prob(m, p)
-    if math.log(rng.uniform()) < log_alpha:
+    saved = state.laminar.copy()  # restored unless the move is kept
+    kept = False
+    try:
+        for mask, _ in changes:
+            state.laminar.toggle(mask)
+        log_ratio = state.laminar.log_prior() - saved.log_prior()
+        if grow:  # reverse move: the shrink branch picks this split and stays
+            log_ratio += _log_shrink_prob(m + 1, p) - math.log(m + 1) \
+                - _log_shrink_prob(p - 2 - m, p)
+        elif stay:
+            # reverse move: the grow branch at the boundary regrows this split;
+            # the Exp density of the dropped length cancels against the prior
+            log_ratio += _log_shrink_prob(p - 1 - m, p) + math.log(m) \
+                - _log_shrink_prob(m, p)
+        bar = math.log(rng.uniform()) - log_ratio
+        kept = bar < state.kernel.move(changes, bar)
+    finally:
+        if not kept:
+            state.laminar = saved
+    if kept:
         state.accepted_topology += 1
-        state.kernel.accept()
-    else:
-        state.laminar = saved
     return state
 
 

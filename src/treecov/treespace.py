@@ -290,11 +290,9 @@ class LaminarTree:
         return out
 
     def log_prior(self) -> float:
-        """The topology log prior: the event terms summed in ascending block order."""
-        total = 0.0
-        for block in sorted(self.events):
-            total += self.events[block]
-        return total
+        """The topology log prior: the correctly rounded sum of the event
+        terms, which no order of the blocks changes."""
+        return math.fsum(self.events.values())
 
     def candidates(self, removed: int | None = None) -> list[int]:
         """The masks a split can grow into, in ascending order.

@@ -105,6 +105,17 @@ class TestConvert:
             recovered = read_matrix_csv(back)
             assert np.max(np.abs(original - recovered)) < 1e-10
 
+    def test_one_leaf_roundtrip(self, tmp_path, capsys):
+        mpath = tmp_path / "m.csv"
+        write_matrix_csv(mpath, np.array([[1.0]]))
+        assert main(["convert", str(mpath), "--to", "newick"]) == 0
+        text = capsys.readouterr().out.strip()
+        assert text == "(0:0,1:1);"
+        npath = tmp_path / "t.nwk"
+        npath.write_text(text + "\n")
+        assert main(["convert", str(npath), "--to", "matrix"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_invalid_matrix_exit_one(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_matrix_csv(path, np.array([[3.0, 0, 1], [0, 3, 2], [1, 2, 3]]))

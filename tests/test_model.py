@@ -334,12 +334,11 @@ class TestLikelihoodKernel:
             mask = masks[pick % len(masks)]
             moved = dict(lengths)
             moved[mask] += frac * lengths[mask]
-            dll = kernel.propose([(mask, moved[mask])])
-            before = kernel.log_lik
+            before, old = kernel.log_lik, lengths[mask]
+            dll = kernel.move([(mask, moved[mask])], -math.inf if accept else math.inf)
             assert before + dll == pytest.approx(
                 gaussian_loglik(stats, _fresh_sigma(p, moved)), rel=1e-9)
-            if accept:
-                kernel.accept()
+            assert lengths[mask] == (moved[mask] if accept else old)
             sigma = _fresh_sigma(p, lengths)
             W = np.linalg.inv(sigma)
             assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-9)
@@ -348,7 +347,7 @@ class TestLikelihoodKernel:
     @pytest.mark.parametrize("spoiled", [False, True])
     @pytest.mark.parametrize("p", [6, 40])
     def test_sweep_equals_move_by_move(self, p, spoiled):
-        # one sweep call, and propose/accept per coordinate on a twin, with
+        # one sweep call, and one move call per coordinate on a twin, with
         # the same proposals and bars end on the same bits, sweep after
         # sweep; a spoiled last diagonal entry of W sends the last leaf's
         # lengthening moves through the fallback after earlier moves were kept
@@ -369,8 +368,7 @@ class TestLikelihoodKernel:
             kept = batched.sweep(masks, prop, bars)
             by_move = 0
             for mask, new, bar in zip(masks, prop, bars):
-                if bar < stepwise.propose([(mask, new)]):
-                    stepwise.accept()
+                if bar < stepwise.move([(mask, new)], bar):
                     by_move += 1
             assert 0 < kept == by_move < len(masks)
             assert np.array_equal(batched.W, stepwise.W)
@@ -399,9 +397,9 @@ class TestLikelihoodKernel:
         sigma = _fresh_sigma(p, {s.mask: v for s, v in swapped.coordinates()})
         assert np.all(np.abs(sigma - path_sum_matrix(swapped)) <= 1e-14 * np.abs(sigma).max())
         before = kernel.log_lik
-        dll = kernel.propose([(old.mask, 0.0), (new.mask, length)])
+        dll = kernel.move([(old.mask, 0.0), (new.mask, length)], -math.inf)
         assert before + dll == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
-        kernel.accept()
+        assert old.mask not in lengths and lengths[new.mask] == length
         assert kernel.log_lik == pytest.approx(gaussian_loglik(stats, sigma), rel=1e-12)
         assert np.allclose(kernel.W, np.linalg.inv(sigma), rtol=0.0,
                            atol=1e-9 * np.abs(kernel.W).max())
@@ -416,10 +414,9 @@ class TestLikelihoodKernel:
         calls = []
         real = model._factor
         monkeypatch.setattr(model, "_factor", lambda *a: calls.append(a) or real(*a))
-        kernel.propose([(0b1, lengths[0b1] + 0.3)])
-        kernel.accept()
+        kernel.move([(0b1, lengths[0b1] + 0.3)], -math.inf)  # kept
         absent = next(m for m in range(3, 31) if m not in lengths)
-        kernel.propose([(absent, 0.2)])
+        kernel.move([(absent, 0.2)], math.inf)  # priced, not kept
         assert not calls  # rank-one moves factorize nothing
         assert absent in kernel.columns
         kernel.refresh()
@@ -428,9 +425,9 @@ class TestLikelihoodKernel:
         assert kernel.log_lik == gaussian_loglik(stats, sigma)
         # the column cache keeps the stored masks only
         assert set(kernel.columns) <= set(lengths)
-        # with no move accepted since, the factorization is reused
+        # with no move kept since, the factorization is reused
         calls.clear()
-        kernel.propose([(0b1, 9.0)])
+        kernel.move([(0b1, 9.0)], math.inf)
         kernel.refresh()
         assert not calls
 
@@ -438,7 +435,7 @@ class TestLikelihoodKernel:
         # a call at the last position reuses its factorization; the masks
         # are compared by value, so one rewritten in place since (as a
         # boundary crossing rewrites an HMC slot) factorizes again, and so
-        # does any call after an accepted move
+        # does any call after a kept move
         import treecov.model as model
 
         t = random_tree(6, "uniform-binary", 1.0, rng)
@@ -463,8 +460,7 @@ class TestLikelihoodKernel:
         assert len(calls) == 2
         assert kernel.log_lik == want
         kernel.lengths = dict(zip(masks, d))
-        kernel.propose([(masks[0], d[0] + 0.1)])
-        kernel.accept()
+        kernel.move([(masks[0], d[0] + 0.1)], -math.inf)
         kernel.factor(masks, d)
         assert len(calls) == 3
         assert kernel.log_lik == want
@@ -487,8 +483,8 @@ class TestLikelihoodKernel:
         lengths = {0b1: 1.0, 0b10: 1.0, 0b100: 1.0, 0b111: 1.0}
         kernel = LikelihoodKernel(SufficientStats.empty(3), lengths)
         assert kernel.W is None
-        assert kernel.propose([(0b1, 6.0)]) == 0.0
-        kernel.accept()
+        assert kernel.move([(0b1, 6.0)], -math.inf) == 0.0
+        assert lengths[0b1] == 6.0
         assert kernel.log_lik == 0.0
         assert not kernel.columns
 
@@ -499,10 +495,10 @@ class TestLikelihoodKernel:
         stats = SufficientStats(5, np.eye(2))
         lengths = {0b01: 1.0, 0b10: 1.0, 0b11: 1.0}
         kernel = LikelihoodKernel(stats, lengths)
-        kernel.propose([(0b01, 1e-17)])
-        kernel.accept()
+        kernel.move([(0b01, 1e-17)], -math.inf)
         with pytest.raises(NotPositiveDefiniteError):
-            kernel.propose([(0b10, 1e-17)])
+            kernel.move([(0b10, 1e-17)], -math.inf)
+        assert lengths == {0b01: 1e-17, 0b10: 1.0, 0b11: 1.0}
 
     def test_non_positive_denominator_falls_back_to_fresh(self, rng):
         # a corrupted inverse makes 1 + delta c negative; the move is then
@@ -524,9 +520,10 @@ class TestLikelihoodKernel:
         moved = dict(lengths)
         moved[0b1] += delta
         sigma = _fresh_sigma(4, dict(sorted(moved.items())))
-        dll = kernel.propose(changes(lengths, moved[0b1]))
-        assert dll == gaussian_loglik(stats, sigma) - kernel.log_lik
-        kernel.accept()
+        before = kernel.log_lik
+        dll = kernel.move(changes(lengths, moved[0b1]), -math.inf)
+        assert dll == gaussian_loglik(stats, sigma) - before
+        assert lengths == moved
         assert np.allclose(kernel.W, np.linalg.inv(sigma))
 
 

@@ -46,6 +46,14 @@ class TestRoundTrip:
             t = random_tree(p, "uniform-binary", 1.0, rng)
             assert newick_to_tree(tree_to_newick(t)) == t
 
+    def test_one_leaf(self):
+        # the one leaf is the full block; it prints beside leaf 0
+        text = "(0:0,1:1);"
+        t = newick_to_tree(text)
+        assert (t.p, t.leaf_lengths, t.root_length) == (1, (1.0,), 0.0)
+        assert tree_to_newick(t) == text
+        assert newick_to_tree(tree_to_newick(t)) == t
+
     def test_multifurcating_roundtrip(self, tree_factory):
         t = tree_factory(6, {(1, 2): 0.3, (4, 5, 6): 0.7})
         assert newick_to_tree(tree_to_newick(t)) == t

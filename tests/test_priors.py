@@ -17,7 +17,9 @@ from treecov.priors import (
 from treecov.rng import RngStream
 from treecov.treespace import (
     LaminarTree,
+    Split,
     Topology,
+    Tree,
     double_factorial,
     enumerate_topologies,
     random_tree,
@@ -124,6 +126,41 @@ class TestMaskLevelPrior:
             if not topo.is_resolved:
                 with pytest.raises(InvalidArgumentError):
                     beta_spec.topology_log_prior(topo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1), pd=st.booleans(),
+           toggles=st.integers(0, 40))
+    def test_sums_do_not_depend_on_order(self, p, seed, pd, toggles):
+        # a tree reached by random toggles keeps its event terms, and a map
+        # filled in shuffled order its lengths, in no particular order; both
+        # prior sums still equal a fresh tree's and tree_log_prior, exactly
+        rng = RngStream(seed)
+        spec = PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25) if pd \
+            else PriorSpec(beta=0.0)
+        laminar = LaminarTree(p, [], spec.event_log_prob)
+        masks = set()
+
+        def toggle(mask):
+            laminar.toggle(mask)
+            masks.symmetric_difference_update({mask})
+
+        for _ in range(toggles):
+            cands = laminar.candidates()
+            if masks and (not cands or rng.uniform() < 0.5):
+                toggle(sorted(masks)[rng.integers(len(masks))])
+            else:
+                toggle(cands[rng.integers(len(cands))])
+        while not pd and len(masks) < p - 2:  # beta-splitting prices resolved trees
+            cands = laminar.candidates()
+            toggle(cands[rng.integers(len(cands))])
+        internal = {Split(p, m): 0.01 + rng.exponential(1.0) for m in masks}
+        tree = Tree(Topology(p, frozenset(internal)), internal,
+                    tuple(0.01 + rng.exponential(1.0) for _ in range(p)), rng.exponential(1.0))
+        lengths = dict(rng.shuffled([(s.mask, v) for s, v in tree.coordinates()]))
+        fresh = LaminarTree(p, sorted(masks), spec.event_log_prob)
+        assert laminar.events == fresh.events
+        assert laminar.log_prior() == fresh.log_prior() == spec.topology_log_prior(tree.topology)
+        assert spec.log_prior(laminar, lengths) == tree_log_prior(tree, spec)
 
 
 class TestEdgeLengthPrior:

@@ -41,25 +41,25 @@ P = 6
 CASES = {
     "mh-binary": (
         "init", "mh", MhConfig(iterations=120, burn_in=60, seed=11),
-        "c0391500337d4280a6eae66a0fdd0a9ce9f9088d0f4745793089c9175e6e72b2",
+        "e0a18d3f07a403885c12496cdf74e4ebaa9c2221ac6a934c7dae904668fcb33f",
     ),
     "mh-multifurcating-pd": (
         "init", "mh", MhConfig(
             iterations=120, burn_in=60, seed=12, mode="multifurcating",
             prior=PriorSpec(kind="poisson-dirichlet", theta=1.5, alpha_pd=0.25)),
-        "3dc4c7ee16fd301b4b05fc19e7876e0e7de7bf55aa12325631ff0a46da243462",
+        "99ababf8a392839b0d393d08399a9b219bd046915f72f5fb7644114ceba03f92",
     ),
     "hmc-truth": (
         "truth", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                   step_size=0.05, seed=13),
-        "ece611303a5d81589e42c560d69f9f9c47e4e2e1e45591f7e6a77f2a81c4303b",
+        "b47cb72612681ed88dce8caea08672294765cce8fa0e04c1f31ce34e5b0ac468",
     ),
     # 8 of 12 proposals accepted, rejects at iterations 1, 3, 7 and 9, and
     # 26 boundary reassignments: a reject restores the cached scores
     "hmc-init": (
         "init", "hmc", HmcConfig(iterations=12, burn_in=6, leapfrog_steps=20,
                                  step_size=0.035, seed=15),
-        "3fce7b05529565f3850065a6dfc66216476c29f9f35ab95eecec07e5106e5375",
+        "da016cec84aa50587b3481d90fd2d97495859ae67d281f70f8bc5155187b1c46",
     ),
 }
 

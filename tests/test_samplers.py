@@ -236,6 +236,41 @@ class TestTopologyUpdate:
         with pytest.raises(NotPositiveDefiniteError):
             ChainState(tree, SufficientStats(5, np.eye(2)), PriorSpec())
 
+    @pytest.mark.parametrize("mode", ["binary", "multifurcating"])
+    def test_move_whose_pricing_raises_leaves_the_chain(self, rng, monkeypatch, mode):
+        # every step priced afresh, and every fresh factorization failing:
+        # each move raises from its pricing, after its splits were toggled,
+        # and the chain is left as it was
+        import treecov.model as model
+
+        truth = random_tree(7, "uniform-binary", 1.0, rng)
+        stats = suff_stats(sample_gaussian(tree_to_matrix(truth), 70, rng))
+        cfg = MhConfig(mode=mode, prior=PriorSpec(kind="poisson-dirichlet"))
+        state = ChainState(random_tree(7, "uniform-binary", 1.0, rng), stats, cfg.prior)
+        for _ in range(5):
+            state.step(stats, cfg, rng)
+        laminar = state.laminar
+        before = (dict(laminar.children), dict(laminar.parent), dict(laminar.events),
+                  dict(state.lengths), state.kernel.W.copy(), state.log_lik,
+                  state.accepted_topology, state.proposed_topology + 10)
+
+        def fail(sigma):
+            raise NotPositiveDefiniteError("patched")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_rank_one", lambda *a: None)
+            patch.setattr(model, "_factor", fail)
+            for _ in range(10):
+                with pytest.raises(NotPositiveDefiniteError):
+                    mh_topology_update(state, stats, cfg, rng)
+        laminar = state.laminar
+        after = (laminar.children, laminar.parent, laminar.events,
+                 state.lengths, state.kernel.W, state.log_lik,
+                 state.accepted_topology, state.proposed_topology)
+        assert all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                   for x, y in zip(before, after))
+        state.check_consistency(stats, cfg.prior)
+
 
 class TestLengthUpdate:
     def test_ratio_antisymmetry(self, rng):
@@ -291,8 +326,10 @@ class TestLengthUpdate:
         for mask in state.lengths:
             state.lengths[mask] = 1e-6
         proposals = []
-        # every move is rejected, so each sweep starts from the same lengths
-        state.kernel.propose = lambda changes: proposals.extend(changes) or -math.inf
+        # the sweep sees every proposal and keeps none, so each sweep starts
+        # from the same lengths
+        state.kernel.sweep = lambda masks, lengths, bars: proposals.extend(
+            zip(masks, lengths)) or 0
         rng = RngStream(9)
         for _ in range(25):
             mh_length_update(state, stats, cfg, rng)
@@ -587,7 +624,7 @@ class TestHmcStep:
             masks = sorted(m for m in state.masks if 2 <= m.bit_count() < p)
             state.laminar.check_consistency(masks)
             assert state.laminar.log_prior() == topology_prior(prior, p, masks)
-            # the lengths summed in ascending mask order, not in slot order
+            # the lengths' sum does not depend on the order of the slots
             assert state.log_prior == topology_prior(prior, p, masks) + lengths_log_prior(
                 [d for _, d in sorted(zip(state.masks, state.d))], prior.edge_mean)
             # the score, often read from the last gradient's factorization,
@@ -819,9 +856,8 @@ class TestRunChain:
     ])
     def test_record_log_prior_is_a_function_of_its_tree(self, cfg):
         # a kept record's prior is priced from its tree alone, to the bit,
-        # whatever moves the chain made to reach it: both kernels sum it in
-        # tree_log_prior's order, ascending mask, also after HMC boundary
-        # reassignments reorder the slots
+        # whatever moves the chain made to reach it, also after HMC boundary
+        # reassignments reorder the slots: every prior sum is order-free
         from treecov.priors import tree_log_prior
 
         truth = random_tree(8, "uniform-binary", 1.0, RngStream(51))
