@@ -8,13 +8,14 @@ burn-in) is a two-column CSV ``iter,log_lik``.  A record builds its
 validated :class:`Tree` once, on first use, and keeps it; a record made
 with :meth:`ArchiveRecord.from_tree` keeps the tree it was made from.
 
-Loading parses each distinct split spelling once and validates each
-distinct split set once per archive, through the topology table a chain
-keeps; every record, loaded or sampled, is made by
+Loading validates each record layout once per archive: the first record
+with a given ``splits`` spelling and ``lengths`` keys has every spelling
+parsed and its split set validated, through the topology table a chain
+keeps.  A later record of a known layout has only its numbers checked:
+the types of its leaves and values, and its lengths by the rule every
+tree is built with.  Every record, loaded or sampled, is made by
 :meth:`ArchiveRecord.from_tree`, so its ``lengths`` are in ascending mask
 order and the records of one split set share their splits and topology.
-Every record's tree is still built, so its lengths are checked record by
-record.
 Writing spells each distinct split once, as reading parses each once: a
 :class:`Split` keeps its leaf tuple and its key, and the records of one
 chain share their splits.
@@ -32,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import (DataError, DimensionError, InvalidArgumentError,
                      InvalidTreeError, TreecovError)
@@ -113,15 +115,20 @@ class _Reader:
 
     ``spellings`` maps each spelling of a split (a ``splits`` entry's leaf
     tuple, or a ``lengths`` key) to the one :class:`Split` that ``table``
-    holds, which validates each split set as a chain's table does.  Only
-    what parsed and validated is stored, so a bad spelling or split set
-    raises the same error on every record that has it.
+    holds, which validates each split set as a chain's table does.
+    ``layouts`` maps each record layout that built a tree (its ``splits``
+    spelling as a tuple of leaf tuples, and its ``lengths`` keys) to the
+    tree's topology, its splits in ascending mask order and, when the keys
+    are in another order, the key index of each.  Only what parsed and
+    validated is stored, so a bad spelling, split set or record raises the
+    same error on every record that has it.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.table = _TopologyTable(p)
         self.spellings: dict[tuple | str, Split] = {}
+        self.layouts: dict[tuple, tuple[Topology, tuple[Split, ...], list[int] | None]] = {}
 
     def _listed(self, leaves) -> Split:
         try:
@@ -146,12 +153,30 @@ class _Reader:
 
     def record(self, d: dict) -> ArchiveRecord:
         _check_numbers(d)
+        try:
+            layout = (tuple(map(tuple, d["splits"])), tuple(d["lengths"]))
+            known = self.layouts.get(layout)
+        except TypeError:  # not lists of hashables: parsed below, which raises
+            layout = known = None
+        # a float or bool leaf equals its int but is malformed, so it is parsed
+        if known is None or not {*map(type, chain.from_iterable(layout[0]))} <= {int}:
+            return self._parsed(d, layout)
+        topology, splits, order = known
+        values = list(d["lengths"].values())
+        if order is not None:
+            values = [values[i] for i in order]
+        lengths = dict(zip(splits, map(float, values)))
+        log_prior, log_lik = self._scores(d)
+        tree = Tree._from_floats(topology, lengths, tuple(map(float, d["leaf_lengths"])),
+                                 float(d["root_length"]))
+        return ArchiveRecord.from_tree(d["iter"], log_prior, log_lik, tree)
+
+    def _parsed(self, d: dict, layout: tuple | None) -> ArchiveRecord:
+        """The record of ``d``, every spelling parsed and its split set looked
+        up; its layout is stored once its tree is built."""
         listed = [self._listed(ls) for ls in d["splits"]]
         lengths = {self._keyed(k): float(v) for k, v in d["lengths"].items()}
-        log_prior, log_lik = float(d["log_prior"]), float(d["log_lik"])
-        if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
-            raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
-                            f"log_lik {log_lik} must be finite")
+        log_prior, log_lik = self._scores(d)
         leaf_lengths = tuple(float(x) for x in d["leaf_lengths"])
         root_length = float(d["root_length"])
         if len(lengths) != len(d["lengths"]):
@@ -164,7 +189,20 @@ class _Reader:
                 first[s] = k
         topology = self.table.lookup(frozenset(s.mask for s in _distinct(listed)))
         tree = Tree(topology, lengths, leaf_lengths, root_length)
+        if layout is not None:
+            keyed = [s.mask for s in lengths]
+            order = sorted(range(len(keyed)), key=keyed.__getitem__)
+            self.layouts[layout] = (topology, topology.sorted_splits(),
+                                    None if order == list(range(len(order))) else order)
         return ArchiveRecord.from_tree(d["iter"], log_prior, log_lik, tree)
+
+    @staticmethod
+    def _scores(d: dict) -> tuple[float, float]:
+        log_prior, log_lik = float(d["log_prior"]), float(d["log_lik"])
+        if not (math.isfinite(log_prior) and math.isfinite(log_lik)):
+            raise DataError(f"record {d['iter']}: log_prior {log_prior} and "
+                            f"log_lik {log_lik} must be finite")
+        return log_prior, log_lik
 
 
 @dataclass
@@ -201,41 +239,43 @@ class PosteriorArchive:
     def load_jsonl(cls, path) -> "PosteriorArchive":
         """Read an archive, building each record's tree as its line is read.
 
-        Each distinct split spelling is parsed, and each distinct split set
-        validated as a topology, once per call; every record's lengths are
-        checked by its own tree.  A malformed line, record or tree raises a
+        Each record layout is validated once per call; every record's
+        numbers are checked.  A malformed line, record or tree raises a
         typed error that names ``archive PATH line N``.
         """
         records = []
         reader = None
+
+        def where() -> str:
+            return f"archive {path} line {lineno}"
+
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                where = f"archive {path} line {lineno}"
                 try:
                     d = json.loads(line.decode())
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise DataError(f"{where}: not valid JSON ({exc})") from exc
+                    raise DataError(f"{where()}: not valid JSON ({exc})") from exc
                 if not isinstance(d, dict):
                     raise DataError(
-                        f"{where}: expected a JSON object, got {type(d).__name__}")
+                        f"{where()}: expected a JSON object, got {type(d).__name__}")
                 try:
                     leaves = len(d["leaf_lengths"])
                     reader = reader or _Reader(leaves)
                     if leaves != reader.p:
-                        raise DimensionError(f"{where}: record has {leaves} "
+                        raise DimensionError(f"{where()}: record has {leaves} "
                                              f"leaves, earlier records have {reader.p}")
                     record = reader.record(d)
                 except KeyError as exc:
-                    raise DataError(f"{where}: missing key {exc}") from exc
+                    raise DataError(f"{where()}: missing key {exc}") from exc
                 except DimensionError:
                     raise
                 except TreecovError as exc:
-                    raise DataError(f"{where}: {exc}") from exc
+                    raise DataError(f"{where()}: {exc}") from exc
                 except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-                    raise DataError(f"{where}: malformed value ({exc})") from exc
+                    raise DataError(f"{where()}: malformed value ({exc})") from exc
                 records.append(record)
         if reader is None:
             raise InvalidArgumentError(f"archive {path} contains no records")

@@ -367,12 +367,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _first_byte(path) -> bytes:
+    """The first byte of a file that is not ASCII whitespace; empty if none."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(4096), b""):
+            if chunk := chunk.lstrip():
+                return chunk[:1]
+    return b""
+
+
 def cmd_mean(args) -> int:
-    text = _read_text(args.input).strip()
-    if text.startswith("{"):
-        archive = PosteriorArchive.load_jsonl(args.input)
-        trees = archive.trees()
+    # an archive is read once, by its loader, which also names a blank input
+    if _first_byte(args.input) in (b"{", b""):
+        trees = PosteriorArchive.load_jsonl(args.input).trees()
     else:
+        text = _read_text(args.input)
         trees = [newick_to_tree(line) for line in text.splitlines() if line.strip()]
     mean_tree = frechet_mean(trees, MeanConfig(max_iterations=args.mean_iterations))
     matrix = tree_to_matrix(mean_tree)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .treespace import Split, Tree
-from .ultrametric import as_matrix, split_indicators
+from .ultrametric import as_matrix, split_indicator, split_indicators
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 dger = dpotrf = dpotrs = None  # scipy's, bound by the first _factor
@@ -274,7 +274,7 @@ class LikelihoodKernel:
             if steps or mask & (mask - 1):
                 v = columns.get(mask)
                 if v is None:
-                    v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
+                    v = columns[mask] = split_indicator(self.stats.p, mask)
                 u = W.dot(v)  # ndarray.dot: the dgemv and ddot of @, called faster
                 for scale, w in steps:  # u = W' v for the W' the earlier steps leave
                     u -= scale * float(w @ v) * w
@@ -344,7 +344,7 @@ class LikelihoodKernel:
                 else:
                     v = columns.get(mask)
                     if v is None:
-                        v = columns[mask] = split_indicators(self.stats.p, [mask])[:, 0]
+                        v = columns[mask] = split_indicator(self.stats.p, mask)
                     u = W.dot(v)
                     c = float(v.dot(u))
                 step = _rank_one(n, S, u, c, delta)

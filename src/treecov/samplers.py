@@ -68,7 +68,7 @@ from .model import DataSet, LikelihoodKernel, SufficientStats, suff_stats
 from .priors import PriorSpec, tree_log_prior
 from .rng import RngStream
 from .treespace import LaminarTree, Split, Tree, _TopologyTable, _tree_from_masks
-from .ultrametric import split_indicators, tree_to_matrix
+from .ultrametric import split_indicator, tree_to_matrix
 
 
 def _norm_cdf(x):
@@ -231,7 +231,7 @@ class ChainState:
             if err > tol * float(np.max(np.abs(fresh))):
                 raise AssertionError(f"stale W: off by {err}")
         for mask, v in self.kernel.columns.items():
-            if not np.array_equal(v, split_indicators(self.p, [mask])[:, 0]):
+            if not np.array_equal(v, split_indicator(self.p, mask)):
                 raise AssertionError(f"stale indicator column of {mask:#x}")
         masks = t.topology.sorted_masks()
         self.laminar.check_consistency(masks)

@@ -358,29 +358,49 @@ class Tree:
     root_length: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "internal_lengths",
-            {s: float(v) for s, v in sorted(self.internal_lengths.items(),
-                                            key=lambda kv: kv[0].mask)},
-        )
-        object.__setattr__(self, "leaf_lengths",
-                           tuple(float(x) for x in self.leaf_lengths))
+        items = self.internal_lengths.items()
+        if tuple(self.internal_lengths) != self.topology.sorted_splits():  # not ascending
+            items = sorted(items, key=lambda kv: kv[0].mask)
+        object.__setattr__(self, "internal_lengths", {s: float(v) for s, v in items})
+        object.__setattr__(self, "leaf_lengths", tuple(map(float, self.leaf_lengths)))
         object.__setattr__(self, "root_length", float(self.root_length))
-        if set(self.internal_lengths) != set(self.topology.splits):
+        if self.internal_lengths.keys() != self.topology.splits:
             raise InvalidTreeError("internal_lengths keys must equal topology splits")
-        if not all(map(math.isfinite, (*self.internal_lengths.values(),
-                                       *self.leaf_lengths, self.root_length))):
+        self._check_lengths()
+
+    @classmethod
+    def _from_floats(cls, topology: Topology, internal_lengths: dict[Split, float],
+                     leaf_lengths: tuple[float, ...], root_length: float) -> "Tree":
+        """The tree of lengths that are already floats, ``internal_lengths``
+        keyed by the splits of ``topology`` in ascending mask order: only the
+        lengths are checked, by the rule every tree is built with."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(topology=topology, internal_lengths=internal_lengths,
+                             leaf_lengths=leaf_lengths, root_length=root_length)
+        tree._check_lengths()
+        return tree
+
+    def _check_lengths(self):
+        """Raise ``InvalidTreeError`` unless every length is finite, the
+        internal and leaf lengths are positive, the root's is non-negative
+        and there are ``p`` leaf lengths; the first of these that fails is
+        the one named."""
+        internal, leaves, root = \
+            self.internal_lengths.values(), self.leaf_lengths, self.root_length
+        # a NaN or inf term leaves the sum non-finite; a sum that overflows
+        # only sends the tree through the checks that name a fault
+        if (math.isfinite(sum(internal) + sum(leaves) + root) and len(leaves) == self.p
+                and min(internal, default=1.0) > 0 and min(leaves) > 0 and root >= 0):
+            return
+        if not all(map(math.isfinite, (*internal, *leaves, root))):
             raise InvalidTreeError("edge lengths must be finite")
-        if any(v <= 0 for v in self.internal_lengths.values()):
+        if any(v <= 0 for v in internal):
             raise InvalidTreeError("internal edge lengths must be positive")
-        if len(self.leaf_lengths) != self.p:
-            raise InvalidTreeError(
-                f"expected {self.p} leaf lengths, got {len(self.leaf_lengths)}"
-            )
-        if any(v <= 0 for v in self.leaf_lengths):
+        if len(leaves) != self.p:
+            raise InvalidTreeError(f"expected {self.p} leaf lengths, got {len(leaves)}")
+        if any(v <= 0 for v in leaves):
             raise InvalidTreeError("leaf edge lengths must be positive")
-        if self.root_length < 0:
+        if root < 0:
             raise InvalidTreeError("root edge length must be non-negative")
 
     @property

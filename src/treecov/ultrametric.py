@@ -206,6 +206,15 @@ def split_indicators(p: int, masks) -> np.ndarray:
     return (bits >> np.arange(p, dtype=np.uint64)[:, None] & np.uint64(1)).astype(float)
 
 
+_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def split_indicator(p: int, mask: int) -> np.ndarray:
+    """Column ``j`` of :func:`split_indicators` for ``mask = masks[j]``: the
+    length-``p`` 0/1 vector of its leaves, without the ``p x q`` matrix."""
+    return (np.uint64(mask) >> _SHIFTS[:p] & np.uint64(1)).astype(float)
+
+
 def split_matrix(p: int, masks, lengths) -> np.ndarray:
     """``V diag(d) V'``: the sum of ``lengths[j] * E_A`` over the splits ``A = masks[j]``.
 

@@ -809,6 +809,31 @@ splits_csv = {tmp_path / 'rec.csv'}
         assert validate_ultrametric(mean).valid
         assert newick_to_tree((tmp_path / "m.nwk").read_text()).p == 4
 
+    def test_mean_reads_an_archive_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "a.jsonl"
+        archive = run_chain(None, random_tree(4), "mh", MhConfig(iterations=6, burn_in=2))
+        archive.save_jsonl(path)
+        path.write_text("\n \n" + path.read_text())  # blank lines before the first record
+        loads = []
+        load = PosteriorArchive.load_jsonl.__func__
+        monkeypatch.setattr(PosteriorArchive, "load_jsonl", classmethod(
+            lambda cls, p: loads.append(p) or load(cls, p)))
+        monkeypatch.setattr("treecov.cli._read_text", must_not_run)
+        assert main(["mean", str(path), "--out", str(tmp_path / "m.csv")]) == 0
+        assert loads == [str(path)]
+        assert json.loads(capsys.readouterr().out)["num_trees"] == len(archive)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+    def test_mean_of_no_trees_names_the_input(self, text, tmp_path, capsys):
+        path = tmp_path / "none.txt"
+        path.write_text(text)
+        out = tmp_path / "m.csv"
+        assert main(["mean", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == f"archive {path} contains no records"
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
 
 class TestRunSection:
     """A negative seed, a chain count below 1, a leaf count outside 2..64 or

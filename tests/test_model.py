@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from treecov.treespace import (
     resolution_candidates,
     star_tree,
 )
-from treecov.ultrametric import split_indicators, split_matrix, tree_to_matrix
+from treecov.ultrametric import split_indicator, split_indicators, split_matrix, tree_to_matrix
 
 
 class TestSuffStats:
@@ -303,6 +304,17 @@ class TestSplitProduct:
         assert np.flatnonzero(V[:, 1]).tolist() == [63]
         assert np.flatnonzero(V[:, 2]).tolist() == [0]
         assert np.flatnonzero(V[:, 3]).tolist() == [1, 2]
+
+    def test_one_mask_indicator_is_the_column(self):
+        draw = random.Random(8)
+        for p in range(2, 65):
+            masks = [(1 << p) - 1, 1, 1 << (p - 1)] + \
+                [draw.randrange(1, 1 << p) for _ in range(20)]
+            V = split_indicators(p, masks)
+            for j, mask in enumerate(masks):
+                v = split_indicator(p, mask)
+                assert v.dtype == V.dtype and v.shape == (p,)
+                assert v.tobytes() == V[:, j].tobytes()
 
 
 def _fresh_sigma(p, lengths):

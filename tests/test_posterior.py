@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -180,6 +181,70 @@ class TestLoadSharing:
                     reader.record(good | change)
             assert spelling not in reader.spellings
             assert reader.table.topologies == topologies
+
+    GOOD = {"iter": 1, "log_prior": 0.0, "log_lik": 0.0,
+            "splits": [[1, 2], [1, 2, 3]], "lengths": {"1,2": 0.5, "1,2,3": 0.4},
+            "leaf_lengths": [1.0] * 4, "root_length": 0.5}
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "-1"])
+    @pytest.mark.parametrize("slot", ["internal", "leaf", "root"])
+    def test_bad_length_in_a_known_layout_names_its_line(self, slot, value, tmp_path):
+        bad = self.GOOD | {"iter": 3} | {
+            "internal": {"lengths": {"1,2": 0.5, "1,2,3": "X"}},
+            "leaf": {"leaf_lengths": [1.0, 1.0, "X", 1.0]},
+            "root": {"root_length": "X"}}[slot]
+        records = [self.GOOD, self.GOOD | {"iter": 2}, bad, self.GOOD | {"iter": 4}]
+        path = tmp_path / "a.jsonl"
+        path.write_text("".join(json.dumps(d).replace('"X"', value) + "\n" for d in records))
+        if value in ("NaN", "Infinity", "-Infinity"):
+            message = "edge lengths must be finite"
+        elif slot == "root":
+            message = {"0": None, "-1": "root edge length must be non-negative"}[value]
+        else:
+            message = f"{slot} edge lengths must be positive"
+        if message is None:  # a root length of 0 is allowed
+            assert PosteriorArchive.load_jsonl(path).records[2].root_length == 0.0
+            return
+        with pytest.raises(DataError) as exc:
+            PosteriorArchive.load_jsonl(path)
+        assert str(exc.value) == f"archive {path} line 3: {message}"
+
+    def test_a_layout_is_stored_only_once_its_tree_is_built(self):
+        reader = _Reader(4)
+        short = self.GOOD | {"lengths": {"1,2": 0.5}}
+        for _ in range(2):
+            with pytest.raises(InvalidTreeError, match="keys must equal topology splits"):
+                reader.record(short)
+        with pytest.raises(InvalidTreeError, match="finite"):
+            reader.record(self.GOOD | {"root_length": math.nan})
+        assert reader.layouts == {}
+        assert reader.record(self.GOOD) == _Reader(4).record(self.GOOD)
+        assert len(reader.layouts) == 1
+
+    def test_lengths_keys_in_two_orders(self, tmp_path):
+        # one split set, its lengths keys spelled in either order, an integer
+        # length, and its splits listed in another order
+        lines = []
+        for i in range(8):
+            d = self.GOOD | {"iter": i + 1, "root_length": 0.1 * i,
+                             "lengths": {"1,2": 0.5 + i, "1,2,3": 1 + i}}
+            if i % 2:
+                d["lengths"] = dict(reversed(d["lengths"].items()))
+            if i % 3 == 2:
+                d["splits"] = [[1, 2, 3], [2, 1]]
+            lines.append(d)
+        path = tmp_path / "a.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        loaded = PosteriorArchive.load_jsonl(path).records
+        # each record parsed on its own, with nothing known
+        expected = [_Reader(4).record(d) for d in lines]
+        assert loaded == expected
+        a, b = Split.from_leaves(4, (1, 2)), Split.from_leaves(4, (1, 2, 3))
+        for i, r in enumerate(loaded):
+            assert list(r.lengths.items()) == [(a, 0.5 + i), (b, 1.0 + i)]
+            assert list(r.tree().internal_lengths) == [a, b]
+            assert all(type(v) is float for v in r.lengths.values())
+            assert r.tree().topology is loaded[0].tree().topology
 
 
 class TestDuplicateSplits:

@@ -1054,6 +1054,7 @@ class TestRunChain:
             back = PosteriorArchive.load_jsonl(path)
             assert [r.to_json_dict() for r in back.records] == \
                 [r.to_json_dict() for r in archive.records]
+            assert back.records == archive.records
             back.save_jsonl(again)
             assert again.read_bytes() == path.read_bytes()
             archive.save_trace_csv(tpath)

@@ -209,6 +209,25 @@ class TestRandomTree:
         assert t1 == t2
 
 
+# internal lengths of {1,2} and {1,2,3}, leaf lengths, root, the error
+_FINITE = "edge lengths must be finite"
+_BAD_LENGTHS = [
+    *[((x, 0.2), (1.0,) * 4, 0.5, _FINITE) for x in (math.nan, math.inf, -math.inf)],
+    *[((0.5, 0.2), (1.0, 1.0, x, 1.0), 0.5, _FINITE)
+      for x in (math.nan, math.inf, -math.inf)],
+    *[((0.5, 0.2), (1.0,) * 4, x, _FINITE) for x in (math.nan, math.inf, -math.inf)],
+    ((0.5, 0.2), (1.0, -1.0, math.nan, 1.0), 0.5, _FINITE),
+    ((0.5, 0.0), (1.0,) * 4, 0.5, "internal edge lengths must be positive"),
+    ((-0.5, 0.2), (1.0,) * 4, 0.5, "internal edge lengths must be positive"),
+    ((0.5, 0.2), (1.0,) * 4, -0.5, "root edge length must be non-negative"),
+    ((0.5, 0.2), (1.0,) * 3, 0.5, "expected 4 leaf lengths, got 3"),
+    ((0.5, 0.2), (1.0,) * 5, 0.5, "expected 4 leaf lengths, got 5"),
+    ((0.0, 0.2), (1.0,) * 3, -0.5, "internal edge lengths must be positive"),
+    ((0.5, 0.2), (-1.0,) * 3, 0.5, "expected 4 leaf lengths, got 3"),
+    ((0.5, 0.2), (1.0, 0.0, 1.0, 1.0), -0.5, "leaf edge lengths must be positive"),
+]
+
+
 class TestTreeInvariants:
     def test_lengths_must_match_topology(self):
         s = S(4, 1, 2)
@@ -266,6 +285,71 @@ class TestTreeInvariants:
         root = value if where == "root" else 0.5
         with pytest.raises(InvalidTreeError, match="finite"):
             Tree(Topology(4, frozenset([s])), internal, leaves, root)
+
+    @pytest.mark.parametrize("internal, leaves, root, message", _BAD_LENGTHS)
+    @pytest.mark.parametrize("build", ["Tree", "_from_floats"])
+    def test_length_errors_in_order(self, internal, leaves, root, message, build):
+        splits = (S(4, 1, 2), S(4, 1, 2, 3))
+        make = Tree if build == "Tree" else Tree._from_floats
+        with pytest.raises(InvalidTreeError) as err:
+            make(Topology(4, frozenset(splits)), dict(zip(splits, internal)), leaves, root)
+        assert str(err.value) == message
+
+    @staticmethod
+    def first_length_error(internal, leaves, root, p):
+        """The error of the checks in the order a tree makes them, one by one."""
+        if not all(map(math.isfinite, (*internal, *leaves, root))):
+            return "edge lengths must be finite"
+        if any(v <= 0 for v in internal):
+            return "internal edge lengths must be positive"
+        if len(leaves) != p:
+            return f"expected {p} leaf lengths, got {len(leaves)}"
+        if any(v <= 0 for v in leaves):
+            return "leaf edge lengths must be positive"
+        if root < 0:
+            return "root edge length must be non-negative"
+        return None
+
+    def test_length_checks_match_the_one_by_one_checks(self):
+        # random mixes of good and bad values, p = 1..6, in each slot
+        rng = RngStream(11)
+        values = [0.5, 2.0, 1e308, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+        for _ in range(3000):
+            p = 1 + rng.integers(6)
+            topology = random_tree(p, rng=rng).topology if p > 1 else Topology(1)
+            splits = topology.sorted_splits()
+            pick = [values[rng.integers(3)] if rng.uniform() < 0.8
+                    else values[rng.integers(len(values))] for _ in range(len(splits) + p + 2)]
+            internal = dict(zip(splits, pick))
+            leaves = tuple(pick[len(splits):len(splits) + p + rng.integers(3) - 1])
+            root = pick[-1]
+            expected = self.first_length_error(internal.values(), leaves, root, p)
+            for make in (Tree, Tree._from_floats):
+                if expected is None:
+                    t = make(topology, internal, leaves, root)
+                    assert (t.internal_lengths, t.leaf_lengths, t.root_length) == \
+                        (internal, leaves, root)
+                else:
+                    with pytest.raises(InvalidTreeError) as err:
+                        make(topology, internal, leaves, root)
+                    assert str(err.value) == expected
+
+    def test_unsorted_lengths_end_ascending(self):
+        a, b, c = S(6, 1, 2), S(6, 1, 2, 3), S(6, 5, 6)
+        t = Tree(Topology(6, frozenset([a, b, c])), {c: 0.3, a: 0.1, b: 0.2}, (1,) * 6, 0)
+        assert list(t.internal_lengths.items()) == [(a, 0.1), (b, 0.2), (c, 0.3)]
+        assert all(type(v) is float for v in (*t.internal_lengths.values(),
+                                              *t.leaf_lengths, t.root_length))
+        # keys that ascend but miss a split are still refused
+        with pytest.raises(InvalidTreeError, match="keys must equal topology splits"):
+            Tree(Topology(6, frozenset([a, b, c])), {a: 0.1, b: 0.2}, (1.0,) * 6, 0.0)
+
+    def test_lengths_whose_sum_overflows_build(self):
+        s = S(4, 1, 2)
+        t = Tree(Topology(4, frozenset([s])), {s: 1e308}, (1e308, 1.7e308, 1e308, 1e308),
+                 1e308)
+        assert math.isinf(sum(t.internal_lengths.values()) + sum(t.leaf_lengths))
+        assert t.leaf_lengths[1] == 1.7e308 and t.root_length == 1e308
 
     def test_tree_from_masks(self, tree_factory):
         t = tree_factory(4, {(1, 2): 0.5, (1, 2, 3): 0.2})
